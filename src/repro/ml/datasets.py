@@ -67,7 +67,7 @@ class FingerprintVectorizer:
         """A batch of fingerprints to an (n, features) matrix."""
         if not fingerprints:
             return np.empty((0, self.n_features))
-        return np.vstack([self.transform_one(fp) for fp in fingerprints])
+        return np.array([self.transform_one(fp) for fp in fingerprints])
 
 
 @dataclass

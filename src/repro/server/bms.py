@@ -10,7 +10,9 @@ models can deliver real requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from collections import abc
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,11 +32,53 @@ from repro.server.fingerprints import FingerprintStore
 from repro.server.history import OccupancyHistory
 from repro.server.rest import HttpError, Request, Router
 
-__all__ = ["OccupancySnapshot", "BuildingManagementServer"]
+__all__ = ["BuildingManagementServer", "OccupancySnapshot", "normalise_sighting"]
 
 #: A device that has not reported for this long is dropped from the
 #: occupancy state (it left the building or its battery died).
 DEFAULT_DEVICE_TIMEOUT_S = 30.0
+
+
+def _real(value: Any, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]:
+    """Validate one sighting report into the row every layer stores.
+
+    The row is ``{"device_id": str, "beacons": {str: float}, "time":
+    float}``: a non-empty string device id, a mapping from beacon-id
+    strings to real numbers, and a real-number time (``default_time``
+    when the report has none).  Integers widen to floats; anything
+    else is rejected, so storage, the WAL and replay all see one type
+    per field.  Idempotent on its own output.
+
+    Raises:
+        ValueError: the report is malformed (the REST routes answer 400).
+    """
+    if not isinstance(report, (dict, abc.Mapping)) or "device_id" not in report:
+        raise ValueError("sighting needs device_id and beacons")
+    device_id, beacons = report["device_id"], report.get("beacons")
+    if not isinstance(device_id, str) or not device_id:
+        raise ValueError(f"device_id must be a non-empty string, got {device_id!r}")
+    if not isinstance(beacons, (dict, abc.Mapping)):
+        raise ValueError(f"beacons must map beacon ids to numbers, got {beacons!r}")
+    distances = {}
+    for beacon_id, value in beacons.items():
+        if not isinstance(beacon_id, str):
+            raise ValueError(f"beacon ids must be strings, got {beacon_id!r}")
+        # Exact floats, the common case, skip the numbers.Real check.
+        distances[beacon_id] = (
+            value if type(value) is float else _real(value, "beacon distance")
+        )
+    time = report.get("time", default_time)
+    return {
+        "device_id": device_id,
+        "beacons": distances,
+        "time": time if type(time) is float else _real(time, "time"),
+    }
 
 
 @dataclass(frozen=True)
@@ -288,39 +332,29 @@ class BuildingManagementServer:
         *,
         room: Optional[str] = None,
     ) -> str:
-        """Store a sighting report and update the device's location.
+        """Store one loose sighting report: a 1-row :meth:`ingest_batch`.
+
+        It is logged as a WAL ``sighting`` record and, unlike a batch,
+        does not count in ``server.batches``/``server.batch_size``.
 
         Args:
             device_id: reporting device.
             beacons: its beacon distance estimates.
             time: report time, seconds.
-            room: pre-computed room label (the replay path classifies
-                in vectorised batches and hands each label back here);
-                when given it must equal what :meth:`classify` would
-                return — storage, counters and occupancy bookkeeping
-                are identical either way.
+            room: pre-computed room label (replay classifies in
+                vectorised chunks and hands each label back here);
+                must equal what :meth:`classify` would return.
 
         Returns:
             The estimated room label for the device.
+
+        Raises:
+            ValueError: the report is malformed (see
+                :func:`normalise_sighting`).
+            RuntimeError: the classifier has not been trained.
         """
-        if not device_id:
-            raise ValueError("device_id must not be empty")
-        if room is not None and not self.trained:
-            raise RuntimeError("BMS classifier is not trained; call train()")
-        self.db.table("sightings").insert(
-            {"time": float(time), "device_id": device_id, "beacons": dict(beacons)}
-        )
-        if room is None:
-            room = self.classify(beacons)
-        if self.wal is not None:
-            self.wal.append_sighting(device_id, beacons, float(time))
-        self._c_sightings.inc(device=device_id)
-        self._c_classifications.inc(room=room)
-        self._device_rooms[device_id] = room
-        self._device_last_seen[device_id] = float(time)
-        self._g_devices.set(float(len(self._device_rooms)))
-        self._now = max(self._now, float(time))
-        return room
+        report = {"device_id": device_id, "beacons": beacons, "time": time}
+        return self._ingest([report], None if room is None else [room], loose=True)[0]
 
     def ingest_batch(
         self,
@@ -330,66 +364,72 @@ class BuildingManagementServer:
     ) -> List[str]:
         """Store many sighting reports and classify them in one pass.
 
+        All or nothing: every report is validated and classified
+        before anything is stored, logged or counted.
+
         Args:
             sightings: mappings with ``device_id``, ``beacons`` and
-                ``time`` keys (one per report).  Reports are applied in
-                order, so a device appearing twice ends up where its
-                last report puts it — exactly as if each report had
-                been ingested individually.
-            rooms: pre-computed room labels, one per sighting.  The
-                sharded service's worker-pool drain classifies batches
-                in child processes and hands the labels back here so
-                the bookkeeping (storage, counters, occupancy state)
-                still happens exactly once, in the parent, in order.
-                Must match what :meth:`classify_batch` would return.
+                ``time`` keys (one per report; ``time`` defaults to 0).
+                Reports are applied in order, so a device appearing
+                twice ends up where its last report puts it — exactly
+                as if each report had been ingested individually.
+            rooms: pre-computed room labels, one per sighting (the
+                sharded pool drain and replay classify elsewhere and
+                hand the labels back here, so the bookkeeping still
+                happens exactly once, in order).  Must match what
+                :meth:`classify_batch` would return.
 
         Returns:
             The estimated room labels, one per sighting, in order.
 
         Raises:
-            ValueError: a sighting is missing its device id, or
-                ``rooms`` has the wrong length.
+            ValueError: a report is malformed (see
+                :func:`normalise_sighting`), or ``rooms`` has the
+                wrong length.
             RuntimeError: the classifier has not been trained.
         """
-        if not sightings:
+        return self._ingest(sightings, rooms, loose=False)
+
+    def _ingest(
+        self,
+        sightings: Sequence[Mapping[str, Any]],
+        rooms: Optional[Sequence[str]],
+        *,
+        loose: bool,
+    ) -> List[str]:
+        """Validate and classify every row, then log, then book."""
+        rows = [normalise_sighting(sighting) for sighting in sightings]
+        if not rows:
             return []
-        for sighting in sightings:
-            if not sighting.get("device_id"):
-                raise ValueError("device_id must not be empty")
         if rooms is None:
-            rooms = self.classify_batch([s["beacons"] for s in sightings])
+            rooms = self.classify_batch([row["beacons"] for row in rows])
         else:
             if not self.trained:
                 raise RuntimeError("BMS classifier is not trained; call train()")
-            if len(rooms) != len(sightings):
+            if len(rooms) != len(rows):
                 raise ValueError(
-                    f"got {len(rooms)} precomputed rooms for "
-                    f"{len(sightings)} sightings"
+                    f"got {len(rooms)} precomputed rooms for {len(rows)} sightings"
                 )
             rooms = [str(room) for room in rooms]
         if self.wal is not None:
-            # One record per batch: durability cost is amortised over
-            # the batch, and replay re-applies it through ingest_batch
-            # so the batch counters/histogram rebuild exactly.
-            self.wal.append_batch(sightings)
+            # One record per ingest: replay re-applies it through the
+            # same method, so the batch counters rebuild exactly.
+            if loose:
+                self.wal.append_sighting(**rows[0])
+            else:
+                self.wal.append_batch(rows)
         table = self.db.table("sightings")
-        for sighting, room in zip(sightings, rooms):
-            device_id = sighting["device_id"]
-            time = float(sighting.get("time", 0.0))
-            table.insert(
-                {
-                    "time": time,
-                    "device_id": device_id,
-                    "beacons": dict(sighting["beacons"]),
-                }
-            )
+        for row, room in zip(rows, rooms):
+            device_id = row["device_id"]
+            table.insert(row)
             self._c_sightings.inc(device=device_id)
             self._c_classifications.inc(room=room)
             self._device_rooms[device_id] = room
-            self._device_last_seen[device_id] = time
-            self._now = max(self._now, time)
-        self._c_batches.inc()
-        self._h_batch_size.observe(float(len(sightings)))
+            self._device_last_seen[device_id] = row["time"]
+            self._now = max(self._now, row["time"])
+        if not loose:
+            self._c_batches.inc()
+            self._h_batch_size.observe(float(len(rows)))
         self._g_devices.set(float(len(self._device_rooms)))
         return rooms
 
@@ -482,15 +522,19 @@ class BuildingManagementServer:
                 raise HttpError(409, str(exc))
             return {"train_accuracy": train_accuracy}
 
+        # A report without a time takes the request's; ingest validates
+        # the rest (normalise_sighting), and a ValueError is a 400.
         @self.router.route("POST", "/sightings")
         def post_sighting(request: Request, params: Dict[str, str]):
-            body = request.body or {}
-            if "device_id" not in body or "beacons" not in body:
-                raise HttpError(400, "sighting needs device_id and beacons")
+            body = request.body if isinstance(request.body, dict) else {}
             try:
                 room = self.ingest_sighting(
-                    body["device_id"], body["beacons"], body.get("time", request.time)
+                    body.get("device_id"),
+                    body.get("beacons"),
+                    body.get("time", request.time),
                 )
+            except ValueError as exc:
+                raise HttpError(400, str(exc))
             except RuntimeError as exc:
                 raise HttpError(409, str(exc))
             return {"room": room}
@@ -501,23 +545,13 @@ class BuildingManagementServer:
             sightings = body.get("sightings")
             if not isinstance(sightings, list) or not sightings:
                 raise HttpError(400, "batch needs a non-empty 'sightings' list")
-            normalised = []
-            for sighting in sightings:
-                if (
-                    not isinstance(sighting, dict)
-                    or "device_id" not in sighting
-                    or "beacons" not in sighting
-                ):
-                    raise HttpError(400, "each sighting needs device_id and beacons")
-                normalised.append(
-                    {
-                        "device_id": sighting["device_id"],
-                        "beacons": sighting["beacons"],
-                        "time": sighting.get("time", request.time),
-                    }
-                )
             try:
-                rooms = self.ingest_batch(normalised)
+                rooms = self.ingest_batch(
+                    [
+                        {"time": request.time, **s} if isinstance(s, dict) else s
+                        for s in sightings
+                    ]
+                )
             except ValueError as exc:
                 raise HttpError(400, str(exc))
             except RuntimeError as exc:

@@ -7,12 +7,16 @@ same ingest code rebuilds the occupancy state *byte for byte* —
 snapshots, merged history, sighting counts, and the ``server.*``
 telemetry counters all come out equal to the live run's.
 
-The replay is also *fast*: consecutive loose-sighting records are
-classified in vectorised chunks through ``classify_batch`` (one Gram
-against the support-vector bank per chunk instead of one per report)
-and each label is handed back to ``ingest_sighting(room=...)`` so the
-per-report bookkeeping — storage, counters, occupancy state — applies
-exactly as it did live.  Chunking is invisible to the result: the
+The fold is one loop over one record shape: consecutive
+``sighting``/``batch`` records gather into runs of up to about
+:data:`REPLAY_CHUNK` rows, each run is classified through
+``classify_batch`` in chunks of at most that many rows (one Gram
+against the support-vector bank per chunk instead of one per
+report), and each record is then applied with its labels through the
+method that applied it live — ``ingest_sighting(room=...)`` or
+``ingest_batch(rooms=...)`` — so storage, counters and occupancy
+state book exactly as they did live.  History marks and refreshes end
+a run and apply in place.  Chunking is invisible to the result: the
 batch predict path is pinned row-pure, so the chunk size only moves
 the wall clock (the replay benchmark drives this well past 20x
 real-time).
@@ -27,7 +31,9 @@ the server from nothing but the directory.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -36,7 +42,7 @@ from repro.ml.svm import SupportVectorClassifier
 from repro.server.bms import BuildingManagementServer
 from repro.server.persistence import load_calibration
 from repro.server.sharded import ShardedBmsService
-from repro.traces.wal import read_wal_records
+from repro.traces.wal import SIGHTING_KINDS, WalRecord, read_wal_records
 
 __all__ = [
     "ReplayReport",
@@ -54,8 +60,8 @@ MANIFEST_NAME = "manifest.json"
 CALIBRATION_NAME = "calibration.json"
 MANIFEST_FORMAT = 1
 
-#: Loose sightings classified per vectorised replay chunk.
-DEFAULT_REPLAY_CHUNK = 256
+#: Sighting rows classified per vectorised replay chunk.
+REPLAY_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -103,10 +109,7 @@ class ReplayReport:
 
 
 def replay_wal(
-    server: BuildingManagementServer,
-    directory: PathLike,
-    *,
-    chunk: int = DEFAULT_REPLAY_CHUNK,
+    server: BuildingManagementServer, directory: PathLike
 ) -> ReplayReport:
     """Re-apply a WAL into ``server`` (trained, calibration loaded).
 
@@ -118,82 +121,73 @@ def replay_wal(
     Args:
         server: the rebuild target.
         directory: the WAL directory to fold back.
-        chunk: loose sightings classified per vectorised batch; any
-            value yields the same state (batch predict is row-pure),
-            larger chunks amortise the Gram work further.
 
     Raises:
-        ValueError: ``chunk < 1``, or ``server`` writes its own WAL
-            into the directory being replayed (the reader and appender
-            would race).
+        ValueError: ``server`` writes its own WAL into the directory
+            being replayed (the reader and appender would race).
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     directory = Path(directory)
     if server.wal is not None and Path(server.wal.directory) == directory:
         raise ValueError(
             "replay target writes its WAL into the directory being "
             "replayed; attach a different log (or none)"
         )
-    records = sightings = batches = history_marks = refreshes = 0
+    kinds: Counter = Counter()
+    records = sightings = 0
     first_time: Optional[float] = None
     last_time: Optional[float] = None
-    pending: List[Dict[str, Any]] = []
+    run: List[WalRecord] = []
+    rows: List[Dict[str, Any]] = []
 
-    def flush_pending() -> None:
-        nonlocal sightings
-        for start in range(0, len(pending), chunk):
-            part = pending[start : start + chunk]
-            rooms = server.classify_batch([s["beacons"] for s in part])
-            for sighting, room in zip(part, rooms):
-                server.ingest_sighting(
-                    sighting["device_id"],
-                    sighting["beacons"],
-                    sighting["time"],
-                    room=room,
-                )
-        sightings += len(pending)
-        pending.clear()
+    def apply_run() -> None:
+        rooms: List[str] = []
+        for start in range(0, len(rows), REPLAY_CHUNK):
+            part = rows[start : start + REPLAY_CHUNK]
+            rooms.extend(server.classify_batch([row["beacons"] for row in part]))
+        labels = iter(rooms)
+        for record in run:
+            if record.kind == "sighting":
+                server.ingest_sighting(**record.sightings[0], room=next(labels))
+            else:
+                part_rooms = list(islice(labels, len(record.sightings)))
+                server.ingest_batch(record.sightings, rooms=part_rooms)
+        run.clear()
+        rows.clear()
 
     with server.obs.tracer.span("server.replay", directory=str(directory)):
         for record in read_wal_records(directory):
             records += 1
+            kinds[record.kind] += 1
             if first_time is None:
                 first_time = record.time
             last_time = record.time
-            if record.kind == "sighting":
-                # Defer: consecutive loose sightings classify together.
-                pending.extend(record.sightings)
-                continue
-            flush_pending()
-            if record.kind == "batch":
-                server.ingest_batch(list(record.sightings))
-                batches += 1
+            if record.kind in SIGHTING_KINDS:
+                # Defer: consecutive sighting rows classify together,
+                # a chunk's worth at a time so memory stays bounded.
+                run.append(record)
+                rows.extend(record.sightings)
                 sightings += len(record.sightings)
-            elif record.kind == "history":
+                if len(rows) >= REPLAY_CHUNK:
+                    apply_run()
+                continue
+            apply_run()
+            if record.kind == "history":
                 server.record_history(record.time)
-                history_marks += 1
-            elif record.kind == "refresh":
+            else:
                 server.refresh(list(record.fingerprints))
-                refreshes += 1
-        flush_pending()
+        apply_run()
     return ReplayReport(
         records=records,
         sightings=sightings,
-        batches=batches,
-        history_marks=history_marks,
-        refreshes=refreshes,
+        batches=kinds["batch"],
+        history_marks=kinds["history"],
+        refreshes=kinds["refresh"],
         first_time=first_time,
         last_time=last_time,
     )
 
 
-def replay_sharded(
-    service: ShardedBmsService,
-    directory: PathLike,
-    *,
-    chunk: int = DEFAULT_REPLAY_CHUNK,
-) -> ReplayReport:
+def replay_sharded(service: ShardedBmsService, directory: PathLike) -> ReplayReport:
     """Re-apply per-shard WALs into a fresh sharded service.
 
     Each ``shard-NN`` sub-log replays into the matching shard store
@@ -239,7 +233,7 @@ def replay_sharded(
                 f"index {index}; expected suffixes 0..{service.shards - 1}"
             )
         shard = service._shards[index]
-        reports.append(replay_wal(shard, shard_dir, chunk=chunk))
+        reports.append(replay_wal(shard, shard_dir))
         # Rebuild the routing table from the replayed sightings: every
         # device logged by this shard was last routed here.
         for row in shard.db.table("sightings"):
@@ -317,7 +311,7 @@ def load_manifest(directory: PathLike) -> Dict[str, Any]:
     return document
 
 
-def server_from_manifest(directory: PathLike, *, registry=None, chunk: int = DEFAULT_REPLAY_CHUNK):
+def server_from_manifest(directory: PathLike, *, registry=None):
     """Rebuild and replay the server a fleet WAL directory describes.
 
     Constructs the server (single-store, or sharded when the manifest
@@ -356,7 +350,7 @@ def server_from_manifest(directory: PathLike, *, registry=None, chunk: int = DEF
             drain_policy="immediate",
         )
         load_calibration(service, calibration)
-        return service, replay_sharded(service, directory, chunk=chunk)
+        return service, replay_sharded(service, directory)
     server = BuildingManagementServer(
         beacon_ids=list(manifest["beacon_ids"]),
         classifier=make_classifier(),
@@ -365,4 +359,4 @@ def server_from_manifest(directory: PathLike, *, registry=None, chunk: int = DEF
         registry=registry,
     )
     load_calibration(server, calibration)
-    return server, replay_wal(server, directory / "shard-00", chunk=chunk)
+    return server, replay_wal(server, directory / "shard-00")

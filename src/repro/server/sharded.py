@@ -56,6 +56,7 @@ from repro.server.bms import (
     DEFAULT_DEVICE_TIMEOUT_S,
     BuildingManagementServer,
     OccupancySnapshot,
+    normalise_sighting,
 )
 from repro.traces.wal import SightingWal
 from repro.server.history import OccupancyHistory
@@ -597,22 +598,21 @@ class ShardedBmsService:
     # REST front door
     # ------------------------------------------------------------------
     def _normalise_sighting(
-        self, body: Mapping[str, Any], default_time: float
+        self, body: Any, default_time: float
     ) -> Tuple[int, Dict[str, Any]]:
-        """Validate one sighting body; returns (shard index, sighting)."""
-        if "device_id" not in body or "beacons" not in body:
-            raise HttpError(400, "sighting needs device_id and beacons")
-        device_id = body["device_id"]
-        if not device_id:
-            raise HttpError(400, "device_id must not be empty")
+        """Validate one sighting body; returns (shard index, sighting).
+
+        Rows are validated here, at the door, so a malformed report is
+        a 400 before it is queued — never a failure inside a later
+        drain, which would drop the good rows queued beside it.
+        """
+        try:
+            sighting = normalise_sighting(body, default_time)
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
         shard_index = self.shard_index_for(
-            str(device_id), building=body.get("building")
+            sighting["device_id"], building=body.get("building")
         )
-        sighting = {
-            "device_id": device_id,
-            "beacons": body["beacons"],
-            "time": body.get("time", default_time),
-        }
         return shard_index, sighting
 
     def _drain_after_enqueue(self, shard_indices: Sequence[int]) -> DrainResult:
@@ -679,11 +679,10 @@ class ShardedBmsService:
             sightings = body.get("sightings")
             if not isinstance(sightings, list) or not sightings:
                 raise HttpError(400, "batch needs a non-empty 'sightings' list")
-            routed: List[Tuple[int, Dict[str, Any]]] = []
-            for sighting in sightings:
-                if not isinstance(sighting, dict):
-                    raise HttpError(400, "each sighting needs device_id and beacons")
-                routed.append(self._normalise_sighting(sighting, request.time))
+            routed = [
+                self._normalise_sighting(sighting, request.time)
+                for sighting in sightings
+            ]
             if not self.trained:
                 raise HttpError(409, "BMS classifier is not trained; call train()")
             # All-or-nothing capacity check: a partially accepted batch

@@ -7,29 +7,36 @@ operations the server applied — loose sightings, coalesced batches
 (one line per batch, preserving the batch boundaries the telemetry
 counts), occupancy-history marks, and online model refreshes — in
 apply order.  :mod:`repro.server.replay` folds the log back through
-the vectorised ingest path and rebuilds the live state byte for byte.
+the server's ingest path and rebuilds the live state byte for byte.
 
 Layout: a directory of ``segment-NNNNNN`` files.  The active segment
 is JSONL — a CRC-stamped header line followed by one compact JSON
-record per line — and rotates on a size threshold.  Sealed segments
-can be *compacted* into numpy-backed columnar ``.npz`` files (one
-flat row table for the sightings plus per-operation index arrays),
-which read back losslessly: float64 values round-trip bit-exactly in
-both encodings.  The reader tolerates a torn trailing line on the
-active segment (a crash mid-append) but treats any other corruption —
-bad header CRC, malformed interior line — as an error.  Reopening a
-directory repairs the previous active segment first — the torn bytes
-were never durable, so truncating them keeps the log readable end to
-end across any number of crash/resume cycles.
+record per line — and rotates on a size threshold.  A ``sighting``
+and a ``batch`` record differ only in their kind tag: both carry
+their rows in one columnar layout at every row count (beacon names
+once, base64 of the raw float64 times and values, a presence mask,
+device ids as a JSON list).  Sealed segments can be *compacted* into
+numpy-backed ``.npz`` files (one flat row table plus per-operation
+index arrays) built by the same row/column helpers; float64 values
+round-trip bit-exactly in both encodings.  The reader tolerates a
+torn trailing line on the active segment (a crash mid-append) but
+treats any other corruption — bad header CRC, malformed interior
+line — as an error.  Reopening a directory repairs the previous
+active segment first — the torn bytes were never durable, so
+truncating them keeps the log readable end to end across any number
+of crash/resume cycles.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import os
+import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import (
     Any,
@@ -60,10 +67,13 @@ __all__ = [
 PathLike = Union[str, Path]
 
 #: On-disk format version, stamped into every segment header.
-WAL_FORMAT = 1
+WAL_FORMAT = 2
 
-#: Record kinds, in the order the columnar encoding numbers them.
+#: Record kinds, in the order `.npz` compaction numbers them.
 RECORD_KINDS = ("sighting", "batch", "history", "refresh")
+
+#: The kinds whose records carry sighting rows.
+SIGHTING_KINDS = ("sighting", "batch")
 
 #: Default active-segment rotation threshold, bytes.
 DEFAULT_SEGMENT_BYTES = 256 * 1024
@@ -72,83 +82,78 @@ _SEGMENT_PREFIX = "segment-"
 _ACTIVE_SUFFIX = ".jsonl"
 _SEALED_SUFFIX = ".npz"
 
-#: Batches at or above this many rows are logged in the columnar wire
-#: encoding (beacon names once, float64 value/time arrays as base64 of
-#: their raw bytes).  JSON float text is the dominant cost of a big
-#: batch append — ~10 chars of ``repr`` per value versus 8 raw bytes —
-#: so packing the arrays keeps write-through under the <10% ingest
-#: overhead contract.  Both encodings are bit-exact; small batches
-#: stay as readable inline row lists.
-_COLUMNAR_MIN_ROWS = 9
 
+def _to_columns(
+    beacon_maps: Sequence[Mapping[str, float]],
+) -> Tuple[List[str], List[float], List[bool]]:
+    """Rows of ``{beacon: value}`` as columns.
 
-def _b64(array: np.ndarray) -> str:
-    return base64.b64encode(array.tobytes()).decode("ascii")
-
-
-def _str_column(values: Sequence[str]) -> np.ndarray:
-    """String column with numpy-inferred width.
-
-    A fixed ``<U64`` dtype would silently truncate device ids, rooms
-    or beacon names longer than 64 characters, breaking the lossless
-    round-trip contract; letting numpy size the dtype to the longest
-    string in the column keeps compaction exact.
+    Returns the sorted beacon names plus row-major flat value and
+    presence lists (``len(rows) * len(names)`` long each); an absent
+    beacon holds 0.0 and a false presence flag, so ragged rows
+    round-trip exactly through :func:`_from_columns`.
     """
-    if not values:
-        return np.empty(0, dtype="<U1")
-    return np.asarray(values, dtype=str)
+    names = sorted({b for beacons in beacon_maps for b in beacons})
+    values = [beacons.get(b, 0.0) for beacons in beacon_maps for b in names]
+    present = [b in beacons for beacons in beacon_maps for b in names]
+    return names, values, present
 
 
-def _columnar_batch_row(
-    sightings: Sequence[Mapping[str, Any]],
-) -> Optional[Dict[str, Any]]:
-    """Build a columnar batch line, or ``None`` to fall back to rows.
-
-    Device ids are newline-joined, so a pathological id containing a
-    newline forces the inline row encoding instead of corrupting the
-    column.
-    """
-    devices = [str(s["device_id"]) for s in sightings]
-    if any("\n" in d for d in devices):
-        return None
-    n = len(sightings)
-    times = np.fromiter(
-        (s.get("time", 0.0) for s in sightings), dtype=np.float64, count=n
-    )
-    beacon_lists = [s["beacons"] for s in sightings]
-    first_keys = tuple(beacon_lists[0])
-    mask = None
-    if all(tuple(b) == first_keys for b in beacon_lists):
-        names = [str(k) for k in first_keys]
-        values = np.asarray(
-            [list(b.values()) for b in beacon_lists], dtype=np.float64
+def _from_columns(
+    rows: int,
+    names: Sequence[str],
+    values: Sequence[float],
+    present: Sequence[Any],
+) -> List[Dict[str, float]]:
+    """Inverse of :func:`_to_columns`: one ``{beacon: value}`` per row."""
+    width = len(names)
+    return [
+        dict(
+            compress(
+                zip(names, values[i * width : (i + 1) * width]),
+                present[i * width : (i + 1) * width],
+            )
         )
-        order = sorted(range(len(names)), key=names.__getitem__)
-        names = [names[j] for j in order]
-        values = np.ascontiguousarray(values[:, order])
-    else:
-        union = sorted({str(k) for b in beacon_lists for k in b})
-        index = {k: j for j, k in enumerate(union)}
-        names = union
-        values = np.zeros((n, len(union)), dtype=np.float64)
-        mask = np.zeros((n, len(union)), dtype=bool)
-        for i, beacons in enumerate(beacon_lists):
-            for k, v in beacons.items():
-                j = index[str(k)]
-                values[i, j] = float(v)
-                mask[i, j] = True
-    row = {
-        "kind": "batch",
-        "time": float(times[-1]),
-        "n": n,
+        for i in range(rows)
+    ]
+
+
+#: One compact encoder for every record line; ``json.dumps`` would
+#: build a new one per append.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
+def _b64(data: bytes) -> str:
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+def _pack(values: Sequence[float]) -> str:
+    """Base64 of the little-endian float64 bytes of ``values``."""
+    return _b64(struct.pack(f"<{len(values)}d", *values))
+
+
+def _unpack(text: str) -> Tuple[float, ...]:
+    data = base64.b64decode(text, validate=True)
+    return struct.unpack(f"<{len(data) // 8}d", data)
+
+
+def _sighting_line(
+    kind: str, sightings: Sequence[Mapping[str, Any]]
+) -> Dict[str, Any]:
+    """The one line layout of a ``sighting`` or ``batch`` record."""
+    if not sightings:
+        raise ValueError(f"a {kind} record needs at least one sighting")
+    names, values, present = _to_columns([s["beacons"] for s in sightings])
+    times = [s["time"] for s in sightings]
+    return {
+        "kind": kind,
+        "time": times[-1],
         "beacon_names": names,
-        "devices": "\n".join(devices),
-        "t64": _b64(times),
-        "v64": _b64(values),
+        "devices": [s["device_id"] for s in sightings],
+        "t64": _pack(times),
+        "v64": _pack(values),
+        "m64": _b64(bytes(present)),
     }
-    if mask is not None:
-        row["m64"] = _b64(np.packbits(mask))
-    return row
 
 
 class WalError(Exception):
@@ -242,77 +247,42 @@ def wal_segment_paths(directory: PathLike) -> List[Path]:
     return [paths[index] for index in sorted(paths)]
 
 
-def _columnar_batch_record(row: Dict[str, Any], origin: str) -> WalRecord:
-    """Decode a columnar-encoded batch line (see ``_COLUMNAR_MIN_ROWS``)."""
+def _sighting_record(row: Dict[str, Any], origin: str) -> WalRecord:
+    """Decode a line written by :func:`_sighting_line`."""
     try:
-        names = [str(b) for b in row["beacon_names"]]
-        n = int(row["n"])
-        devices = row["devices"].split("\n")
-        times = np.frombuffer(
-            base64.b64decode(row["t64"]), dtype=np.float64
+        devices = row["devices"]
+        times = _unpack(row["t64"])
+        values = _unpack(row["v64"])
+        present = base64.b64decode(row["m64"], validate=True)
+        cells = len(devices) * len(row["beacon_names"])
+        if len(times) != len(devices) or not len(values) == len(present) == cells:
+            raise ValueError("column lengths disagree")
+        beacons = _from_columns(len(devices), row["beacon_names"], values, present)
+        return WalRecord(
+            kind=row["kind"],
+            seq=int(row["seq"]),
+            time=float(row["time"]),
+            sightings=tuple(
+                {"device_id": device, "beacons": b, "time": t}
+                for device, b, t in zip(devices, beacons, times)
+            ),
         )
-        values = np.frombuffer(
-            base64.b64decode(row["v64"]), dtype=np.float64
-        ).reshape(n, len(names))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
         raise WalCorruptionError(
-            f"{origin}: malformed columnar batch record"
+            f"{origin}: malformed {row['kind']} record"
         ) from exc
-    if len(devices) != n or len(times) != n:
-        raise WalCorruptionError(
-            f"{origin}: columnar batch row counts disagree "
-            f"({n} rows, {len(devices)} devices, {len(times)} times)"
-        )
-    mask = None
-    if "m64" in row:
-        bits = np.frombuffer(base64.b64decode(row["m64"]), dtype=np.uint8)
-        mask = (
-            np.unpackbits(bits, count=n * len(names))
-            .reshape(n, len(names))
-            .astype(bool)
-        )
-    sightings = []
-    for i in range(n):
-        if mask is None:
-            beacons = dict(zip(names, values[i].tolist()))
-        else:
-            beacons = {
-                names[j]: float(values[i, j])
-                for j in np.flatnonzero(mask[i])
-            }
-        sightings.append(
-            {
-                "device_id": devices[i],
-                "beacons": beacons,
-                "time": float(times[i]),
-            }
-        )
-    return WalRecord(
-        kind="batch",
-        seq=int(row["seq"]),
-        time=float(row["time"]),
-        sightings=tuple(sightings),
-    )
 
 
 def _record_from_dict(row: Dict[str, Any], origin: str) -> WalRecord:
     kind = row.get("kind")
     if kind not in RECORD_KINDS:
         raise WalCorruptionError(f"{origin}: unknown record kind {kind!r}")
-    if kind == "batch" and "v64" in row:
-        return _columnar_batch_record(row, origin)
+    if kind in SIGHTING_KINDS:
+        return _sighting_record(row, origin)
     return WalRecord(
         kind=kind,
         seq=int(row["seq"]),
         time=float(row["time"]),
-        sightings=tuple(
-            {
-                "device_id": s["device_id"],
-                "beacons": dict(s["beacons"]),
-                "time": float(s["time"]),
-            }
-            for s in row.get("sightings", ())
-        ),
         fingerprints=tuple(
             {
                 "room": f["room"],
@@ -362,61 +332,38 @@ def _read_npz_segment(path: Path) -> Iterator[WalRecord]:
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
         _validate_header(header, origin)
-        beacon_names = [str(b) for b in data["beacon_names"]]
-        op_kind = data["op_kind"]
-        op_seq = data["op_seq"]
-        op_time = data["op_time"]
-        op_row_start = data["op_row_start"]
-        op_row_count = data["op_row_count"]
-        row_device = data["row_device"]
-        row_room = data["row_room"]
-        row_time = data["row_time"]
-        row_values = data["row_values"]
-        row_mask = data["row_mask"]
-    for k in range(len(op_kind)):
-        kind = RECORD_KINDS[int(op_kind[k])]
-        start = int(op_row_start[k])
-        count = int(op_row_count[k])
-        rows = []
-        for r in range(start, start + count):
-            beacons = {
-                beacon_names[j]: float(row_values[r, j])
-                for j in np.flatnonzero(row_mask[r])
-            }
-            rows.append(
-                {
-                    "device": str(row_device[r]),
-                    "room": str(row_room[r]),
-                    "time": float(row_time[r]),
-                    "beacons": beacons,
-                }
-            )
-        if kind == "refresh":
-            fingerprints = tuple(
-                {"room": r["room"], "beacons": r["beacons"], "time": r["time"]}
-                for r in rows
-            )
-            yield WalRecord(
-                kind=kind,
-                seq=int(op_seq[k]),
-                time=float(op_time[k]),
-                fingerprints=fingerprints,
-            )
-        else:
+        ops = zip(
+            data["op_kind"].tolist(),
+            data["op_seq"].tolist(),
+            data["op_time"].tolist(),
+            data["op_row_count"].tolist(),
+        )
+        devices = data["row_device"].tolist()
+        rooms = data["row_room"].tolist()
+        times = data["row_time"].tolist()
+        beacons = _from_columns(
+            len(times),
+            data["beacon_names"].tolist(),
+            data["row_values"].ravel().tolist(),
+            data["row_mask"].ravel().tolist(),
+        )
+    start = 0
+    for kind_index, seq, time, count in ops:
+        kind = RECORD_KINDS[kind_index]
+        span = range(start, start + count)
+        start += count
+        if kind in SIGHTING_KINDS:
             sightings = tuple(
-                {
-                    "device_id": r["device"],
-                    "beacons": r["beacons"],
-                    "time": r["time"],
-                }
-                for r in rows
+                {"device_id": devices[r], "beacons": beacons[r], "time": times[r]}
+                for r in span
             )
-            yield WalRecord(
-                kind=kind,
-                seq=int(op_seq[k]),
-                time=float(op_time[k]),
-                sightings=sightings,
+            yield WalRecord(kind=kind, seq=seq, time=time, sightings=sightings)
+        else:
+            fingerprints = tuple(
+                {"room": rooms[r], "beacons": beacons[r], "time": times[r]}
+                for r in span
             )
+            yield WalRecord(kind=kind, seq=seq, time=time, fingerprints=fingerprints)
 
 
 def read_wal_records(directory: PathLike) -> Iterator[WalRecord]:
@@ -602,7 +549,7 @@ class SightingWal:
             self._open_segment()
         seq = self._next_seq
         self._next_seq += 1
-        line = json.dumps({"seq": seq, **row}, separators=(",", ":"))
+        line = _LINE_ENCODER.encode({"seq": seq, **row})
         self._fh.write(line + "\n")
         # Every acknowledged append reaches the OS before the caller
         # proceeds; otherwise acknowledged operations could sit in the
@@ -623,31 +570,12 @@ class SightingWal:
             self._seal_active()
         return seq
 
-    @staticmethod
-    def _normalise_sighting(sighting: Mapping[str, Any]) -> Dict[str, Any]:
-        return {
-            "device_id": str(sighting["device_id"]),
-            "beacons": {
-                str(b): float(v) for b, v in sighting["beacons"].items()
-            },
-            "time": float(sighting.get("time", 0.0)),
-        }
-
     def append_sighting(
         self, device_id: str, beacons: Mapping[str, float], time: float
     ) -> int:
         """Log one accepted loose sighting; returns its seq."""
-        sighting = self._normalise_sighting(
-            {"device_id": device_id, "beacons": beacons, "time": time}
-        )
-        return self._append_line(
-            {
-                "kind": "sighting",
-                "time": sighting["time"],
-                "sightings": [sighting],
-            },
-            sightings=1,
-        )
+        row = {"device_id": device_id, "beacons": beacons, "time": time}
+        return self._append_line(_sighting_line("sighting", [row]), sightings=1)
 
     def append_batch(self, sightings: Sequence[Mapping[str, Any]]) -> int:
         """Log one accepted batch ingest as a single record.
@@ -657,21 +585,9 @@ class SightingWal:
         the ``server.batches`` counter and ``server.batch_size``
         histogram exactly.  Returns the record's seq.
         """
-        if not sightings:
-            raise ValueError("append_batch needs at least one sighting")
         with profiling.measure("traces.wal.append_batch"):
-            if len(sightings) >= _COLUMNAR_MIN_ROWS:
-                row = _columnar_batch_row(sightings)
-                if row is not None:
-                    return self._append_line(row, sightings=len(sightings))
-            rows = [self._normalise_sighting(s) for s in sightings]
             return self._append_line(
-                {
-                    "kind": "batch",
-                    "time": rows[-1]["time"],
-                    "sightings": rows,
-                },
-                sightings=len(rows),
+                _sighting_line("batch", sightings), sightings=len(sightings)
             )
 
     def append_history_mark(self, time: float) -> int:
@@ -762,72 +678,32 @@ class SightingWal:
         header = _validate_header(json.loads(header_line), origin)
         header["crc"] = _header_crc(header)
         records = list(_read_jsonl_segment(path, tolerate_torn_tail=False))
-        beacon_names = sorted(
-            {
-                str(b)
-                for record in records
-                for row in (record.sightings + record.fingerprints)
-                for b in row["beacons"]
-            }
-        )
-        name_index = {b: j for j, b in enumerate(beacon_names)}
-        op_kind: List[int] = []
-        op_seq: List[int] = []
-        op_time: List[float] = []
-        op_row_start: List[int] = []
-        op_row_count: List[int] = []
-        row_device: List[str] = []
-        row_room: List[str] = []
-        row_time: List[float] = []
-        row_values: List[np.ndarray] = []
-        row_mask: List[np.ndarray] = []
-        for record in records:
-            rows: Sequence[Mapping[str, Any]]
-            if record.kind == "refresh":
-                rows = record.fingerprints
-            else:
-                rows = record.sightings
-            op_kind.append(RECORD_KINDS.index(record.kind))
-            op_seq.append(record.seq)
-            op_time.append(record.time)
-            op_row_start.append(len(row_device))
-            op_row_count.append(len(rows))
-            for row in rows:
-                row_device.append(str(row.get("device_id", "")))
-                row_room.append(str(row.get("room", "")))
-                row_time.append(float(row["time"]))
-                values = np.zeros(len(beacon_names))
-                mask = np.zeros(len(beacon_names), dtype=bool)
-                for b, v in row["beacons"].items():
-                    j = name_index[b]
-                    values[j] = float(v)
-                    mask[j] = True
-                row_values.append(values)
-                row_mask.append(mask)
-        width = len(beacon_names)
-        sealed = path.with_suffix(_SEALED_SUFFIX)
+        rows = [
+            row for record in records for row in record.sightings + record.fingerprints
+        ]
+        names, values, present = _to_columns([row["beacons"] for row in rows])
+        shape = (len(rows), len(names))
+        # String columns get numpy's inferred width: a fixed ``<U64``
+        # would silently truncate longer device ids, rooms or beacon
+        # names and break the lossless round-trip.
         np.savez(
-            sealed,
+            path.with_suffix(_SEALED_SUFFIX),
             header=np.asarray(json.dumps(header, separators=(",", ":"))),
-            beacon_names=_str_column(beacon_names),
-            op_kind=np.asarray(op_kind, dtype=np.int8),
-            op_seq=np.asarray(op_seq, dtype=np.int64),
-            op_time=np.asarray(op_time, dtype=np.float64),
-            op_row_start=np.asarray(op_row_start, dtype=np.int64),
-            op_row_count=np.asarray(op_row_count, dtype=np.int64),
-            row_device=_str_column(row_device),
-            row_room=_str_column(row_room),
-            row_time=np.asarray(row_time, dtype=np.float64),
-            row_values=(
-                np.vstack(row_values)
-                if row_values
-                else np.empty((0, width))
+            beacon_names=np.asarray(names, dtype=str),
+            op_kind=np.asarray(
+                [RECORD_KINDS.index(r.kind) for r in records], dtype=np.int8
             ),
-            row_mask=(
-                np.vstack(row_mask)
-                if row_mask
-                else np.empty((0, width), dtype=bool)
+            op_seq=np.asarray([r.seq for r in records], dtype=np.int64),
+            op_time=np.asarray([r.time for r in records], dtype=np.float64),
+            op_row_count=np.asarray(
+                [len(r.sightings) + len(r.fingerprints) for r in records],
+                dtype=np.int64,
             ),
+            row_device=np.asarray([r.get("device_id", "") for r in rows], dtype=str),
+            row_room=np.asarray([r.get("room", "") for r in rows], dtype=str),
+            row_time=np.asarray([r["time"] for r in rows], dtype=np.float64),
+            row_values=np.asarray(values, dtype=np.float64).reshape(shape),
+            row_mask=np.asarray(present, dtype=bool).reshape(shape),
         )
         path.unlink()
 

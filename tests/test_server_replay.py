@@ -4,17 +4,21 @@ The pinned contract: folding a WAL back through
 :func:`~repro.server.replay.replay_wal` rebuilds the live server's
 externally observable state *byte for byte* — occupancy snapshot,
 history series, sighting counts, and every ``server.*`` telemetry
-counter — and the replay chunk size never changes the result, only
-the wall clock.  The same holds shard by shard for
+counter — and the replay chunk size (``REPLAY_CHUNK``) never changes
+the result, only the wall clock.  The same holds shard by shard for
 :func:`~repro.server.replay.replay_sharded`, and end to end for
 :func:`~repro.server.replay.server_from_manifest` directories.
 """
 
+import shutil
+
 import pytest
 
 from repro.ml.kernels import RbfKernel
+from repro.ml.proximity import ProximityClassifier
 from repro.ml.svm import SupportVectorClassifier
 from repro.obs.metrics import MetricsRegistry
+from repro.server import replay
 from repro.server.bms import BuildingManagementServer
 from repro.server.client import BmsClient
 from repro.server.persistence import save_calibration
@@ -27,7 +31,12 @@ from repro.server.replay import (
     write_manifest,
 )
 from repro.server.sharded import ShardedBmsService
-from repro.traces.wal import SightingWal
+from repro.traces.wal import (
+    SightingWal,
+    WalRecord,
+    read_wal_records,
+    wal_segment_paths,
+)
 
 BEACONS = ["b1", "b2", "b3"]
 
@@ -135,10 +144,10 @@ class TestReplaySingleStore:
         wal.close()
         return live, live_registry
 
-    def rebuild(self, tmp_path, chunk=256):
+    def rebuild(self, tmp_path):
         registry = MetricsRegistry()
         restored = make_server(registry=registry)
-        report = replay_wal(restored, tmp_path / "wal", chunk=chunk)
+        report = replay_wal(restored, tmp_path / "wal")
         return restored, registry, report
 
     def test_state_is_byte_identical(self, tmp_path):
@@ -153,13 +162,13 @@ class TestReplaySingleStore:
         assert report.refreshes == 1
         assert report.span_s == 5.0
 
-    def test_chunk_size_is_invisible(self, tmp_path):
-        live, _ = self.run_live(tmp_path)
-        states = [
-            observable_state(self.rebuild(tmp_path, chunk=chunk)[0])
-            for chunk in (1, 2, 256)
-        ]
-        assert states[0] == states[1] == states[2]
+    def test_chunk_size_is_invisible(self, tmp_path, monkeypatch):
+        live, live_registry = self.run_live(tmp_path)
+        for chunk in (1, 2, 256):
+            monkeypatch.setattr(replay, "REPLAY_CHUNK", chunk)
+            restored, registry, _ = self.rebuild(tmp_path)
+            assert observable_state(restored) == observable_state(live)
+            assert server_metrics(registry) == server_metrics(live_registry)
 
     def test_refresh_record_replays_the_model(self, tmp_path):
         live, _ = self.run_live(tmp_path)
@@ -182,12 +191,6 @@ class TestReplaySingleStore:
         with pytest.raises(ValueError, match="being replayed"):
             replay_wal(target, tmp_path / "wal")
 
-    def test_chunk_validation(self, tmp_path):
-        self.run_live(tmp_path)
-        restored = make_server()
-        with pytest.raises(ValueError, match="chunk"):
-            replay_wal(restored, tmp_path / "wal", chunk=0)
-
     def test_replay_survives_compaction(self, tmp_path):
         live, live_registry = self.run_live(tmp_path)
         maintenance = SightingWal(tmp_path / "wal")
@@ -195,6 +198,109 @@ class TestReplaySingleStore:
         restored, registry, _ = self.rebuild(tmp_path)
         assert observable_state(restored) == observable_state(live)
         assert server_metrics(registry) == server_metrics(live_registry)
+
+
+def ragged(room, i):
+    """``near(room)`` with beacon b2 unseen on odd rows."""
+    beacons = near(room, 0.01 * i)
+    if i % 2:
+        del beacons["b2"]
+    return beacons
+
+
+def ragged_batch(server, time, rooms):
+    server.ingest_batch(
+        [
+            {"device_id": f"dev-{i}", "beacons": ragged(room, i), "time": time}
+            for i, room in enumerate(rooms)
+        ]
+    )
+
+
+#: One WAL record per operation.  At ``TORN_SEGMENT_BYTES`` the first
+#: five seal segment 0 and the rest (every kind, a 1-row sighting and
+#: a ragged 6-row batch among them) fill the final segment.
+TORN_OPS = [
+    lambda s: s.ingest_sighting("alice", near("lab"), 1.0),
+    lambda s: s.ingest_batch(
+        [{"device_id": "bob", "beacons": near("office"), "time": 1.5}]
+    ),
+    lambda s: s.record_history(2.0),
+    lambda s: s.refresh([{"room": "lab", "beacons": near("lab", 0.2), "time": 2.5}]),
+    lambda s: ragged_batch(s, 3.0, ["lab", "office", "hall"] * 2),
+    lambda s: s.ingest_sighting("carol", {"b3": 1.2}, 4.0),
+    lambda s: s.record_history(5.0),
+    lambda s: s.refresh(
+        [{"room": "hall", "beacons": near("hall", 0.2), "time": 5.5}]
+    ),
+    lambda s: ragged_batch(s, 6.0, ["hall", "lab", "office"] * 2),
+    lambda s: s.ingest_sighting("alice", near("hall"), 7.0),
+]
+TORN_SEGMENT_BYTES = 900
+#: The one sighting appended after each simulated crash.
+AFTER_CRASH = {"device_id": "zoe", "beacons": near("office"), "time": 9.0}
+
+
+class TestTornWrites:
+    """Crash the log at every byte offset of its final segment: resume,
+    append once, and both the reader and the replay must see exactly
+    the durable prefix plus the new record."""
+
+    def make_server(self, wal=None):
+        # Proximity keeps the byte sweep fast: no SMO fits to redo.
+        classifier = ProximityClassifier(
+            {"b1": "lab", "b2": "office", "b3": "hall"}, BEACONS
+        )
+        server = BuildingManagementServer(
+            BEACONS, classifier=classifier, registry=MetricsRegistry(), wal=wal
+        )
+        calibrate(server)
+        return server
+
+    def reference(self, ops):
+        """Live state after ``ops`` then the post-crash sighting."""
+        server = self.make_server()
+        for op in ops:
+            op(server)
+        server.ingest_sighting(**AFTER_CRASH)
+        return observable_state(server), server_metrics(server.obs)
+
+    def test_every_torn_offset_resumes_to_the_durable_prefix(self, tmp_path):
+        log = tmp_path / "wal"
+        live = self.make_server(SightingWal(log, segment_bytes=TORN_SEGMENT_BYTES))
+        for op in TORN_OPS:
+            op(live)
+        records = list(read_wal_records(log))
+        *sealed, final = wal_segment_paths(log)
+        data = final.read_bytes()
+        in_final = [r.kind for r in records[-data.count(b"\n") + 1 :]]
+        assert sealed and set(in_final) == {"sighting", "batch", "history", "refresh"}
+        # A record is durable once its closing brace is on disk.
+        line_ends = [i for i, byte in enumerate(data) if byte == ord("\n")]
+        durable_before = len(records) - len(line_ends) + 1
+        expected = {}
+        for offset in range(len(data) + 1):
+            crashed = tmp_path / f"crash-{offset}"
+            shutil.copytree(log, crashed)
+            with (crashed / final.name).open("r+b") as fh:
+                fh.truncate(offset)
+            durable = durable_before + sum(end <= offset for end in line_ends[1:])
+            resumed = SightingWal(crashed)
+            resumed.append_sighting(**AFTER_CRASH)
+            resumed.close()
+            new = WalRecord("sighting", durable, 9.0, sightings=(AFTER_CRASH,))
+            assert list(read_wal_records(crashed)) == records[:durable] + [new]
+            restored = self.make_server()
+            report = replay_wal(restored, crashed)
+            assert report.records == durable + 1
+            if durable not in expected:
+                expected[durable] = self.reference(TORN_OPS[:durable])
+            assert (
+                observable_state(restored),
+                server_metrics(restored.obs),
+            ) == expected[durable], offset
+            shutil.rmtree(crashed)
+        assert sorted(expected) == list(range(durable_before, len(records) + 1))
 
 
 @pytest.mark.parametrize("shards", [1, 4])

@@ -15,7 +15,6 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.traces.wal import (
-    _COLUMNAR_MIN_ROWS,
     SightingWal,
     WalCorruptionError,
     WalError,
@@ -254,6 +253,18 @@ class TestCorruption:
         with pytest.raises(WalCorruptionError, match="mystery"):
             list(read_wal_records(tmp_path / "wal"))
 
+    def test_format_1_header_is_rejected(self, tmp_path):
+        # A log written in another format is refused, never misread.
+        directory = tmp_path / "wal"
+        directory.mkdir()
+        payload = {**_header_payload(0, 0), "format": 1}
+        line = json.dumps({**payload, "crc": _header_crc(payload)})
+        (directory / "segment-000000.jsonl").write_text(line + "\n")
+        with pytest.raises(WalError, match="format 1"):
+            list(read_wal_records(directory))
+        with pytest.raises(WalError, match="format 1"):
+            SightingWal(directory)
+
     def test_duplicate_segment_index_raises(self, tmp_path):
         directory = tmp_path / "wal"
         wal = seeded_wal(directory)
@@ -352,9 +363,10 @@ class TestTelemetryAndDescribe:
 
 
 class TestColumnarBatches:
-    """Batches at/above the columnar threshold pack the float arrays
-    as base64 of their raw bytes; the decode must be bit-exact and
-    tolerate ragged per-row beacon sets via the packed-bit mask."""
+    """Sighting and batch records share one columnar line layout at
+    every row count: the float arrays are base64 of their raw bytes,
+    so the decode must be bit-exact, and ragged per-row beacon sets
+    ride on the always-present mask."""
 
     def batch(self, n, ragged=False):
         rows = []
@@ -382,40 +394,47 @@ class TestColumnarBatches:
                 str(b): float(v) for b, v in want["beacons"].items()
             }
 
-    def test_uniform_keys_round_trip_bit_exact(self, tmp_path):
-        rows = self.batch(_COLUMNAR_MIN_ROWS)
-        self.assert_round_trip(tmp_path, rows)
+    def record_lines(self, tmp_path):
         wal_file = next(iter(wal_segment_paths(tmp_path / "wal")))
-        line = wal_file.read_text().splitlines()[1]
-        assert '"v64"' in line and '"m64"' not in line
+        return [json.loads(line) for line in wal_file.read_text().splitlines()[1:]]
+
+    def test_uniform_keys_round_trip_bit_exact(self, tmp_path):
+        rows = self.batch(9)
+        self.assert_round_trip(tmp_path, rows)
+        (line,) = self.record_lines(tmp_path)
+        assert line["beacon_names"] == ["b-1", "b-2"]
 
     def test_ragged_keys_use_the_mask(self, tmp_path):
-        rows = self.batch(_COLUMNAR_MIN_ROWS + 3, ragged=True)
+        rows = self.batch(12, ragged=True)
         self.assert_round_trip(tmp_path, rows)
-        wal_file = next(iter(wal_segment_paths(tmp_path / "wal")))
-        assert '"m64"' in wal_file.read_text()
+        (line,) = self.record_lines(tmp_path)
+        assert line["beacon_names"] == ["b-1", "b-2", "b-9"]
 
-    def test_small_batches_stay_inline(self, tmp_path):
-        rows = self.batch(_COLUMNAR_MIN_ROWS - 1)
-        self.assert_round_trip(tmp_path, rows)
-        wal_file = next(iter(wal_segment_paths(tmp_path / "wal")))
-        assert '"v64"' not in wal_file.read_text()
+    def test_every_row_count_shares_one_layout(self, tmp_path):
+        wal = SightingWal(tmp_path / "wal")
+        wal.append_sighting("alice", {"b-1": -61.25}, 1.0)
+        for n in (1, 6, 64):
+            wal.append_batch(self.batch(n, ragged=True))
+        wal.close()
+        lines = self.record_lines(tmp_path)
+        assert [line["kind"] for line in lines] == ["sighting"] + ["batch"] * 3
+        layout = {"seq", "kind", "time", "beacon_names", "devices", "t64", "v64", "m64"}
+        assert all(set(line) == layout for line in lines)
+        assert [len(r.sightings) for r in wal.records()] == [1, 1, 6, 64]
 
-    def test_newline_device_id_falls_back_to_inline(self, tmp_path):
-        rows = self.batch(_COLUMNAR_MIN_ROWS)
+    def test_newline_device_id_round_trips(self, tmp_path):
+        rows = self.batch(9)
         rows[2]["device_id"] = "dev\n2"
         self.assert_round_trip(tmp_path, rows)
-        wal_file = next(iter(wal_segment_paths(tmp_path / "wal")))
-        assert '"v64"' not in wal_file.read_text()
 
     def test_corrupt_columnar_payload_is_loud(self, tmp_path):
         wal = SightingWal(tmp_path / "wal")
-        wal.append_batch(self.batch(_COLUMNAR_MIN_ROWS))
+        wal.append_batch(self.batch(9))
         wal.close()
         path = next(iter(wal_segment_paths(tmp_path / "wal")))
         header, line = path.read_text().splitlines()
         row = json.loads(line)
-        row["n"] = 99
+        row["devices"].append("dev-extra")
         path.write_text(header + "\n" + json.dumps(row) + "\n")
         # A sealed read (non-final torn tolerance does not apply to
         # well-formed-but-inconsistent columnar rows).
@@ -424,7 +443,7 @@ class TestColumnarBatches:
 
     def test_compaction_of_columnar_batches_is_lossless(self, tmp_path):
         wal = SightingWal(tmp_path / "wal", segment_bytes=1)
-        wal.append_batch(self.batch(_COLUMNAR_MIN_ROWS, ragged=True))
+        wal.append_batch(self.batch(9, ragged=True))
         wal.append_history_mark(99.0)
         before = [
             (r.kind, r.seq, r.time, r.sightings) for r in wal.records()
