@@ -13,11 +13,19 @@ build a machine-readable paper-vs-measured trajectory.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS_PATH = ROOT / "BENCH_results.json"
+
+# Reference implementations the benchmarks time against live in the
+# test package (``tests.smo_oracle``); make it importable however
+# pytest was started.
+if str(ROOT) not in sys.path:
+    sys.path.append(str(ROOT))
 
 #: nodeid -> list of row dicts captured by :func:`print_table`.
 _tables = {}

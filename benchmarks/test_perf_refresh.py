@@ -1,4 +1,4 @@
-"""Warm-start incremental refresh vs cold refit on new calibration.
+"""Incremental SVM refresh vs cold refit on new calibration.
 
 Online recalibration adds a handful of fingerprints for one room; the
 paper's pipeline would retrain the whole one-vs-one ensemble from

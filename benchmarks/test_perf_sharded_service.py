@@ -3,19 +3,18 @@
 The paper's server ingests one ``POST /sightings`` at a time into one
 in-memory store — each post paying Python dispatch plus a per-row SVM
 predict.  The sharded front door packs arriving sightings into
-coalesced per-shard batches and drains them through the vectorised
-batch predict (on a worker pool when cores allow), so the sustained
-sightings/sec rate scales far past the loose-post path.
+coalesced per-shard batches and drains them, shard by shard, through
+the vectorised batch predict, so the sustained sightings/sec rate
+scales far past the loose-post path.
 
 Two things are asserted, in this order:
 
 1. **Correctness, unconditionally**: ingest results and occupancy
-   snapshots are byte-identical across shard counts (1 vs 4) and
-   worker counts (1 vs 2), and the sharded rooms match the
-   single-store rooms for the same sightings.
+   snapshots are byte-identical across shard counts (1 vs 4), and the
+   sharded rooms match the single-store rooms for the same sightings.
 2. **Throughput**: the sharded pipeline sustains >= 3x the
-   single-store sightings/sec on hosts with >= 2 usable cores (the
-   vectorised coalescing alone clears a lower bar on one core).
+   single-store sightings/sec on hosts with >= 2 usable cores (a
+   lower bar on one core).
 """
 
 import json
@@ -88,7 +87,7 @@ def _single_store_rate(rows, sightings):
     return len(sightings) / elapsed, rooms
 
 
-def _sharded_run(rows, sightings, shards, workers):
+def _sharded_run(rows, sightings, shards):
     """Full sharded ingest; returns (rate, drain entries, occupancy)."""
     service = ShardedBmsService(
         BEACON_IDS,
@@ -96,8 +95,6 @@ def _sharded_run(rows, sightings, shards, workers):
         queue_maxsize=2 * N_DEVICES,
         coalesce_max=COALESCE,
         drain_policy="manual",
-        backend="pool",
-        workers=workers,
     )
     _calibrate(service, rows)
     t0 = time.perf_counter()
@@ -130,24 +127,16 @@ def test_perf_sharded_vs_single_ingest():
         rows, sightings[:SINGLE_SUBSET]
     )
     rate_sharded, entries, occupancy = _sharded_run(
-        rows, sightings, shards=SHARDS, workers=min(4, cores)
+        rows, sightings, shards=SHARDS
     )
 
     # Correctness before speed, unconditionally:
     # (a) the sharded pipeline classifies exactly like the single store;
     assert [room for _, _, room in entries[:SINGLE_SUBSET]] == rooms_single
-    # (b) results are invariant to the shard count;
-    _, entries_one, occupancy_one = _sharded_run(
-        rows, sightings, shards=1, workers=1
-    )
+    # (b) and results are invariant to the shard count.
+    _, entries_one, occupancy_one = _sharded_run(rows, sightings, shards=1)
     assert entries == entries_one
     assert occupancy == occupancy_one
-    # (c) and to the worker count (serial vs forced 2-worker pool).
-    _, entries_pool, occupancy_pool = _sharded_run(
-        rows, sightings, shards=SHARDS, workers=2
-    )
-    assert entries == entries_pool
-    assert occupancy == occupancy_pool
 
     speedup = rate_sharded / rate_single
     print_table(

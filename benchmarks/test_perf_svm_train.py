@@ -1,19 +1,20 @@
-"""SVM training fast path: wall-clock speedup, byte-identical models.
+"""SVM training: wall-clock speedup over the reference solver.
 
-The training-side fast path (``repro.ml.gram_cache``) promises two
+Training (``repro.ml.svm`` with ``repro.ml.gram_cache``) promises two
 things: (1) sharing one full-dataset Gram across one-vs-one pairs, CV
 folds and grid-search candidates — plus the vectorised SMO
-working-set scan — makes training substantially faster, and (2) the
-fitted models are *byte-identical* to the legacy compute-per-fit
-path.  This benchmark measures (1) on a campus-scale workload and
-asserts (2) unconditionally.
+working-set scan — makes training substantially faster than the
+reference solver in ``tests/smo_oracle.py`` (a Gram per fit, one
+examine per index), and (2) the fitted models are *byte-identical* to
+the reference solver's.  This benchmark measures (1) on a
+campus-scale workload and asserts (2) unconditionally.
 
 The workload mirrors the paper's deployment scaled to a fleet: five
 rooms, each fingerprinted by a handful of audible beacons out of a
 building-wide bank of 768 beacon columns (the UJIIndoorLoc campus
 dataset has 520 WAP columns of the same shape).  Wide fingerprints
-are exactly where the shared Gram pays: the legacy path computes
-O(candidates x folds) fold Grams at O(n^2 d) each, the fast path one.
+are exactly where the shared Gram pays: the reference solver computes
+O(candidates x folds) fold Grams at O(n^2 d) each, the shared path one.
 
 The hard >= 3x grid-search bar applies on hosts with at least four
 usable cores; loaded or pinned containers time too noisily for a
@@ -31,6 +32,7 @@ from repro.ml.kernels import RbfKernel
 from repro.ml.model_selection import GridSearch
 from repro.ml.svm import SupportVectorClassifier
 from repro.parallel import available_workers
+from tests.smo_oracle import ReferenceSVC
 
 ROOMS = 5
 PER_ROOM = 400
@@ -72,16 +74,14 @@ def _fleet_fingerprints(seed=3, noise=1.0, audible=20):
     return X, y
 
 
-def _fit_ovo(X, y):
-    model = SupportVectorClassifier(
-        c=1.0, kernel=RbfKernel(gamma=GAMMA), seed=0
-    )
+def _fit_ovo(X, y, estimator=SupportVectorClassifier):
+    model = estimator(c=1.0, kernel=RbfKernel(gamma=GAMMA), seed=0)
     return model.fit(X, y)
 
 
-def _grid_search(X, y):
+def _grid_search(X, y, estimator=SupportVectorClassifier):
     grid = GridSearch(
-        lambda p: SupportVectorClassifier(
+        lambda p: estimator(
             c=p["c"], kernel=RbfKernel(gamma=p["gamma"]), seed=0
         ),
         {"c": C_GRID, "gamma": [GAMMA]},
@@ -91,12 +91,12 @@ def _grid_search(X, y):
     return grid.fit(X, y)
 
 
-def _machines_identical(fast, legacy):
+def _machines_identical(fast, reference):
     """Byte-identity of every pairwise machine of two fitted OvO SVCs."""
-    if sorted(fast._machines) != sorted(legacy._machines):
+    if sorted(fast._machines) != sorted(reference._machines):
         return False
     for pair, machine in fast._machines.items():
-        other = legacy._machines[pair]
+        other = reference._machines[pair]
         if not (
             np.array_equal(machine.dual_coef_, other.dual_coef_)
             and machine.intercept_ == other.intercept_
@@ -116,47 +116,45 @@ def test_perf_svm_training_fast_path():
         gram_cache.default_cache().clear()
         return _fit_ovo(X, y)
 
-    def fit_legacy():
-        with gram_cache.training_fast_path_disabled():
-            return _fit_ovo(X, y)
+    def fit_reference():
+        return _fit_ovo(X, y, ReferenceSVC)
 
     def grid_fast():
         gram_cache.default_cache().clear()
         return _grid_search(X, y)
 
-    def grid_legacy():
-        with gram_cache.training_fast_path_disabled():
-            return _grid_search(X, y)
+    def grid_reference():
+        return _grid_search(X, y, ReferenceSVC)
 
     t_fit_fast, svc_fast = _timed(fit_fast)
-    t_fit_legacy, svc_legacy = _timed(fit_legacy)
+    t_fit_reference, svc_reference = _timed(fit_reference)
     t_grid_fast, gs_fast = _timed(grid_fast)
-    t_grid_legacy, gs_legacy = _timed(grid_legacy)
+    t_grid_reference, gs_reference = _timed(grid_reference)
 
-    # The acceptance property first, unconditionally: the fast path
-    # changes the wall clock and nothing else.
-    assert _machines_identical(svc_fast, svc_legacy)
-    assert gs_fast.results_ == gs_legacy.results_
-    assert gs_fast.best_params_ == gs_legacy.best_params_
-    assert gs_fast.best_score_ == gs_legacy.best_score_
+    # The acceptance property first, unconditionally: the shared Gram
+    # and the bulk scan change the wall clock and nothing else.
+    assert _machines_identical(svc_fast, svc_reference)
+    assert gs_fast.results_ == gs_reference.results_
+    assert gs_fast.best_params_ == gs_reference.best_params_
+    assert gs_fast.best_score_ == gs_reference.best_score_
 
-    fit_speedup = t_fit_legacy / t_fit_fast
-    grid_speedup = t_grid_legacy / t_grid_fast
+    fit_speedup = t_fit_reference / t_fit_fast
+    grid_speedup = t_grid_reference / t_grid_fast
     print_table(
-        f"SVM training fast path, {ROOMS} rooms x {PER_ROOM}, "
+        f"SVM training vs reference solver, {ROOMS} rooms x {PER_ROOM}, "
         f"{BEACONS} beacons",
         [
             ("usable cores", "-", f"{cores}"),
-            ("OvO fit legacy (s)", "-", f"{t_fit_legacy:.2f}"),
+            ("OvO fit reference (s)", "-", f"{t_fit_reference:.2f}"),
             ("OvO fit fast (s)", "-", f"{t_fit_fast:.2f}"),
             ("OvO fit speedup", "-", f"{fit_speedup:.2f}x"),
-            (f"grid {len(C_GRID)}xC legacy (s)", "-", f"{t_grid_legacy:.2f}"),
+            (f"grid {len(C_GRID)}xC reference (s)", "-", f"{t_grid_reference:.2f}"),
             (f"grid {len(C_GRID)}xC fast (s)", "-", f"{t_grid_fast:.2f}"),
             ("grid speedup", ">= 3x on >= 4 cores", f"{grid_speedup:.2f}x"),
         ],
     )
 
-    # The fast path is algorithmic, not parallel, but sharp timing
+    # The speedup is algorithmic, not parallel, but sharp timing
     # bars still need a quiet host; mirror the parallel benchmark's
     # core gating.
     if cores >= 4:

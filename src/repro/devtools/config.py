@@ -50,10 +50,9 @@ REPRO_LAYERS: Mapping[str, FrozenSet[str]] = _layers(
         "ble": ("building", "ibeacon", "obs", "radio", "sim"),
         # Device and data plane.
         "phone": ("ble", "building", "filters", "ibeacon", "obs", "radio", "sim"),
-        # server reaches parallel for the sharded front door's
-        # worker-pool queue drain (repro.server.sharded) and traces
-        # for the durable sighting WAL it writes through and replays.
-        "server": ("building", "ml", "obs", "parallel", "traces"),
+        # server reaches traces for the durable sighting WAL it
+        # writes through and replays.
+        "server": ("building", "ml", "obs", "traces"),
         "comms": ("obs", "phone", "server"),
         "traces": ("ble", "building", "filters", "obs", "phone", "radio", "sim"),
         "beacon_node": (

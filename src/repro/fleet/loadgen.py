@@ -312,7 +312,7 @@ class FleetLoadGenerator:
             with profiler.measure("fleet.shard_run"):
                 # Profiled runs additionally observe the Gram cache:
                 # the ml.gram.* counters and hit-ratio gauge land on
-                # the run registry so the warm-start win shows up in
+                # the run registry so the shared-Gram reuse shows up in
                 # --profile output (detached again on exit, keeping
                 # unprofiled telemetry untouched).
                 with gram_cache.observed(self.obs):

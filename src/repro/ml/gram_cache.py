@@ -15,10 +15,10 @@ data, so equal-parameter kernels and identical matrices share an entry
 across estimator clones and process-pool workers — and hands out
 row/column-sliced copies.  Models fitted through the cache are
 byte-identical to models fitted without it; only the wall clock
-changes.  :func:`training_fast_path_disabled` switches every consumer
-back to the legacy compute-per-fit path (and the reference SMO scan
-loop), which is what the benchmarks and the byte-identity property
-tests compare against.
+changes.  Every gram-aware fit, refresh and CV fold takes the shared
+Gram; the byte-identity tests and the training benchmark compare it
+against a reference solver that computes each Gram per fit
+(``tests/smo_oracle.py``).
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ from repro.obs import profiling
 __all__ = [
     "GramCache",
     "default_cache",
-    "fast_path_enabled",
     "observed",
     "shared_kernel",
-    "training_fast_path_disabled",
 ]
 
 
@@ -255,38 +253,10 @@ class GramCache:
 #: its own copy, warmed by the candidates it is handed).
 _DEFAULT_CACHE = GramCache()
 
-#: When False, every consumer takes the legacy compute-per-fit path
-#: and :class:`repro.ml.svm.BinarySVM` runs the reference per-row SMO
-#: scan — the before-state the benchmarks and identity tests pin.
-_FAST_PATH = True
-
 
 def default_cache() -> GramCache:
     """The process-wide cache the training paths consult."""
     return _DEFAULT_CACHE
-
-
-def fast_path_enabled() -> bool:
-    """Whether the shared-Gram / vectorised-scan fast path is active."""
-    return _FAST_PATH
-
-
-@contextmanager
-def training_fast_path_disabled() -> Iterator[None]:
-    """Run the enclosed block on the legacy training path.
-
-    Disables full-Gram sharing *and* the vectorised KKT scan so the
-    block reproduces the pre-fast-path implementation exactly; fitted
-    models must nevertheless come out byte-identical, which is what
-    the property tests assert.
-    """
-    global _FAST_PATH
-    previous = _FAST_PATH
-    _FAST_PATH = False
-    try:
-        yield
-    finally:
-        _FAST_PATH = previous
 
 
 @contextmanager

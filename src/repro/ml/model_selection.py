@@ -32,7 +32,7 @@ def _fit_fold(model, X: np.ndarray, y: np.ndarray, train_idx: np.ndarray):
     kernels keep the fitted model byte-identical to the ordinary path.
     """
     kernel = gram_cache.shared_kernel(model)
-    if kernel is not None and gram_cache.fast_path_enabled():
+    if kernel is not None:
         fold_gram = gram_cache.default_cache().sliced(kernel, X, train_idx)
         return model.fit(X[train_idx], y[train_idx], gram=fold_gram)
     return model.fit(X[train_idx], y[train_idx])
@@ -50,12 +50,7 @@ def _score_fold(model, X, y, train_idx, test_idx) -> float:
     """
     kernel = gram_cache.shared_kernel(model)
     bank_rows = getattr(model, "sv_bank_indices_", None)
-    if (
-        kernel is not None
-        and bank_rows is not None
-        and len(bank_rows)
-        and gram_cache.fast_path_enabled()
-    ):
+    if kernel is not None and bank_rows is not None and len(bank_rows):
         full = gram_cache.default_cache().full(kernel, X)
         bank_gram = full[np.ix_(train_idx[bank_rows], test_idx)]
         return float(model.score(X[test_idx], y[test_idx], bank_gram=bank_gram))

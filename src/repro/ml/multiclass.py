@@ -103,7 +103,7 @@ class OneVsRestClassifier:
                 raise ValueError(
                     f"gram must have shape {(n, n)}, got {gram.shape}"
                 )
-        elif kernel is not None and gram_cache.fast_path_enabled():
+        elif kernel is not None:
             gram = gram_cache.default_cache().full(kernel, X)
         self._machines = {}
         for cls in self.classes_:
@@ -126,11 +126,7 @@ class OneVsRestClassifier:
         return self
 
     def refresh(
-        self,
-        new_X: np.ndarray,
-        new_y: Sequence,
-        *,
-        gram: Optional[np.ndarray] = None,
+        self, new_X: np.ndarray, new_y: Sequence
     ) -> "OneVsRestClassifier":
         """Refit on the original data plus appended ``(new_X, new_y)``.
 
@@ -146,10 +142,6 @@ class OneVsRestClassifier:
         if not self._machines:
             raise RuntimeError(
                 "refresh needs a fitted classifier; call fit() first"
-            )
-        if self._fit_X is None or self._fit_y is None:
-            raise RuntimeError(
-                "this model predates refresh support; refit with fit()"
             )
         new_X = np.asarray(new_X, dtype=float)
         new_y = np.asarray(new_y)
@@ -170,7 +162,8 @@ class OneVsRestClassifier:
         X = np.concatenate([self._fit_X, new_X], axis=0)
         y = np.concatenate([self._fit_y, new_y], axis=0)
         kernel = self.gram_kernel()
-        if gram is None and kernel is not None and gram_cache.fast_path_enabled():
+        gram = None
+        if kernel is not None:
             gram = gram_cache.default_cache().extend(
                 kernel, self._fit_X, new_X
             )
@@ -228,8 +221,7 @@ class OneVsRestClassifier:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        bank = getattr(self, "_sv_bank", None)
-        if self._bank_kernel is None or bank is None:
+        if self._bank_kernel is None:
             # Heterogeneous machines: one Gram per class machine.
             return np.column_stack(
                 [
@@ -237,6 +229,7 @@ class OneVsRestClassifier:
                     for cls in self.classes_
                 ]
             )
+        bank = self._sv_bank
         if bank_gram is not None and bank.shape[0]:
             bank_gram = np.asarray(bank_gram, dtype=float)
             if bank_gram.shape != (bank.shape[0], X.shape[0]):

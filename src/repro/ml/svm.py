@@ -69,7 +69,6 @@ class BinarySVM:
         y: np.ndarray,
         *,
         gram: Optional[np.ndarray] = None,
-        warm_start: Optional[Tuple[np.ndarray, float]] = None,
     ) -> "BinarySVM":
         """Train on ``X`` (n, d) with labels ``y`` in {-1, +1}.
 
@@ -84,18 +83,6 @@ class BinarySVM:
                 accepted.  Because all kernels here are slice-stable,
                 fitting with a sliced Gram is byte-identical to
                 fitting without one.
-            warm_start: optional ``(alpha, b)`` seed for SMO — a dual
-                solution of a *prefix* of ``X``'s rows (shorter alpha
-                vectors are zero-padded, matching appended rows that
-                start at zero like a cold fit's).  The seed must be
-                dual-feasible: every alpha inside ``[0, C]`` and
-                ``sum(alpha * y) == 0`` over the padded vector, which
-                holds by construction when the prefix rows keep their
-                labels.  Seeding changes the optimisation *trajectory*
-                (a warm fit is generally not byte-identical to a cold
-                one) but not the problem: SMO converges to the same
-                KKT-satisfying optimum within ``tol``, typically in
-                far fewer passes.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
@@ -112,7 +99,6 @@ class BinarySVM:
             raise ValueError("training data contains a single class")
 
         n = X.shape[0]
-        self._X = X
         self._y = y
         if gram is not None:
             gram = np.asarray(gram, dtype=float)
@@ -138,40 +124,8 @@ class BinarySVM:
         self._b = 0.0
         # Error cache: E_i = f(x_i) - y_i.  With alpha = 0, f = b = 0.
         self._errors = -y.copy()
-        if warm_start is not None:
-            alpha0, b0 = warm_start
-            alpha0 = np.asarray(alpha0, dtype=float).ravel()
-            if alpha0.shape[0] > n:
-                raise ValueError(
-                    f"warm-start alpha has {alpha0.shape[0]} entries "
-                    f"for {n} rows"
-                )
-            # SMO's partner update a1 = alpha1 + s*(alpha2 - a2) is not
-            # clipped, so stored duals can overshoot the box by float
-            # epsilon; tolerate that and snap back onto [0, C].
-            slack = 1e-9 * (1.0 + self.c)
-            if np.any(alpha0 < -slack) or np.any(alpha0 > self.c + slack):
-                raise ValueError("warm-start alphas violate the box [0, C]")
-            alpha0 = np.clip(alpha0, 0.0, self.c)
-            seed_alpha = np.zeros(n)
-            seed_alpha[: alpha0.shape[0]] = alpha0
-            ay = seed_alpha * y
-            balance = float(ay.sum())
-            if abs(balance) > 1e-6 * (1.0 + self.c):
-                raise ValueError(
-                    "warm-start alphas violate sum(alpha*y) = 0 "
-                    f"(got {balance:.3e})"
-                )
-            self._alpha = seed_alpha
-            self._ay = ay
-            self._nb_mask = (seed_alpha > 0.0) & (seed_alpha < self.c)
-            self._b = float(b0)
-            # E_i = f(x_i) - y_i under the seeded coefficients.
-            self._errors = self._ay @ self._K - self._b - y
         self._rng = np.random.default_rng(self.seed)
 
-        fast_scan = gram_cache.fast_path_enabled()
-        self._vector_heuristics = fast_scan
         iterations = 0
         examine_all = True
         passes_without_change = 0
@@ -184,12 +138,7 @@ class BinarySVM:
                     indices = np.arange(n)
                 else:
                     indices = self._nb_mask.nonzero()[0]
-                if fast_scan:
-                    changed, iterations = self._scan_fast(indices, iterations)
-                else:
-                    changed, iterations = self._scan_reference(
-                        indices, iterations
-                    )
+                changed, iterations = self._scan(indices, iterations)
                 if examine_all:
                     examine_all = False
                     if changed == 0:
@@ -211,50 +160,33 @@ class BinarySVM:
         self._sv_sq_norms = self.kernel.row_sq_norms(self.support_vectors_)
         self._fitted = True
         # Free the training caches.
-        del self._K, self._K_diag, self._ay, self._errors
+        del self._y, self._K, self._K_diag, self._ay, self._errors
         del self._ebuf, self._ebuf2, self._nb_mask
         return self
 
-    def _scan_reference(
-        self, indices: np.ndarray, iterations: int
-    ) -> Tuple[int, int]:
-        """Reference working-set pass: one Python examine per index.
-
-        Kept as the before-state the fast scan must reproduce; the
-        byte-identity property tests and the training benchmark run it
-        via :func:`repro.ml.gram_cache.training_fast_path_disabled`.
-        """
-        changed = 0
-        for i in indices:
-            changed += self._examine(int(i))
-            iterations += 1
-            if iterations >= self.max_iter:
-                break
-        return changed, iterations
-
-    #: Fruitless examines tolerated before :meth:`_scan_fast` switches
+    #: Fruitless examines tolerated before :meth:`_scan` switches
     #: from the scalar walk to a vectorised jump over non-violators.
     _SCAN_RUN = 16
 
-    def _scan_fast(
+    def _scan(
         self, indices: np.ndarray, iterations: int
     ) -> Tuple[int, int]:
-        """Working-set pass that skips KKT non-violators in bulk.
+        """One working-set pass: examine each of ``indices`` in order.
 
         The KKT check at the top of :meth:`_examine` is side-effect-
         free (no state mutation, no RNG draw), so a non-violating
         index contributes nothing but its examine count — skipping it
         is invisible to the optimisation trajectory.  The scan walks
-        indices scalar-wise exactly like :meth:`_scan_reference`
-        while steps are landing, but after :attr:`_SCAN_RUN`
-        consecutive fruitless examines (the signature of a converged
-        region, where whole passes are non-violators) it evaluates the
-        violation mask over the remaining tail in one vector operation
-        and jumps straight to the next violator.  The mask is used
-        immediately after it is computed, with no intervening state
-        change, so every skipped index is one the reference loop would
-        also have no-opped; skipped indices are counted against
-        ``max_iter`` exactly as the per-row loop counts them.
+        indices one examine at a time while steps are landing, but
+        after :attr:`_SCAN_RUN` consecutive fruitless examines (the
+        signature of a converged region, where whole passes are
+        non-violators) it evaluates the violation mask over the
+        remaining tail in one vector operation and jumps straight to
+        the next violator.  The mask is used immediately after it is
+        computed, with no intervening state change, so every skipped
+        index is one a plain per-index loop would also have no-opped;
+        skipped indices are counted against ``max_iter`` exactly as
+        such a loop counts them.
         """
         changed = 0
         m = len(indices)
@@ -326,45 +258,26 @@ class BinarySVM:
             i1 = int(non_bound[deltas.argmax()])
             if i1 != i2 and self._take_step(i1, i2):
                 return 1
-        if self._vector_heuristics:
-            return self._examine_rest_bulk(i2, e2, non_bound)
-        # Heuristic 2: all non-bound examples in random order.
-        for i1 in self._rng.permutation(non_bound):
-            if i1 != i2 and self._take_step(int(i1), i2):
-                return 1
-        # Heuristic 3: everything else in random order.  Heuristic 2
-        # already tried every non-bound index and _take_step mutates
-        # nothing when it fails, so retrying them here cannot succeed;
-        # skip them without changing the RNG draw (the permutation is
-        # still taken over the full index range).
-        is_non_bound = np.zeros(len(self._alpha), dtype=bool)
-        is_non_bound[non_bound] = True
-        for i1 in self._rng.permutation(len(self._alpha)):
-            if (
-                i1 != i2
-                and not is_non_bound[i1]
-                and self._take_step(int(i1), i2)
-            ):
-                return 1
-        return 0
+        return self._examine_rest_bulk(i2, e2, non_bound)
 
     def _examine_rest_bulk(
         self, i2: int, e2: float, non_bound: np.ndarray
     ) -> int:
-        """Heuristics 2 and 3 with known-failing partners skipped in bulk.
+        """Heuristics 2 and 3, known-failing partners skipped in bulk.
 
-        :meth:`_take_step` mutates no state when it returns False, and
-        both heuristic loops stop at the first success — so until that
-        success the solver state is frozen, and a partner-viability
-        mask computed once up front stays valid for the whole cascade.
-        The mask (:meth:`_viable_partners`) replays the exact failure
+        Heuristic 2 tries every non-bound partner in random order,
+        heuristic 3 every other index in random order; each stops at
+        the first :meth:`_take_step` that lands.  A failing step
+        mutates no state, so until that success the solver state is
+        frozen and a partner-viability mask computed once up front
+        stays valid for the whole cascade.  The mask
+        (:meth:`_viable_partners`) replays the exact failure
         conditions of the non-degenerate step, so every skipped index
         is one whose scalar call provably would have returned False;
-        the surviving candidates are tried in the same permutation
-        order, with the same RNG draws, as the reference loops.
-        Heuristic 3 additionally drops non-bound indices, which
-        heuristic 2 has already proven hopeless (same reasoning as the
-        reference path).
+        the survivors are tried in permutation order, with the RNG
+        drawing one permutation per heuristic either way.  Heuristic 3
+        also skips the non-bound indices heuristic 2 already proved
+        hopeless (its permutation still spans the full index range).
         """
         # Short cascades (a partner found within a few tries) are the
         # common case and the scalar walk is cheapest for them; the
@@ -398,7 +311,7 @@ class BinarySVM:
         minimum-progress test on the clipped ``a2``.  Degenerate-
         ``eta`` partners keep ``True`` (the objective comparison is
         left to the scalar code), making the mask conservative: it
-        never rules out a step the reference loop would have taken.
+        never rules out a step a plain scalar loop would have taken.
         """
         alpha = self._alpha
         alpha2 = float(alpha[i2])
@@ -531,9 +444,7 @@ class BinarySVM:
             X = X.reshape(1, -1)
         if self.n_support_ == 0:
             return np.full(X.shape[0], -self.intercept_)
-        K = self.kernel.gram(
-            self.support_vectors_, X, x_sq=getattr(self, "_sv_sq_norms", None)
-        )
+        K = self.kernel.gram(self.support_vectors_, X, x_sq=self._sv_sq_norms)
         return self.dual_coef_ @ K - self.intercept_
 
     def decision_from_gram(self, K_sv_rows: np.ndarray) -> np.ndarray:
@@ -628,8 +539,7 @@ class SupportVectorClassifier:
         from the process-wide :class:`repro.ml.gram_cache.GramCache`
         — is computed and each machine receives its pair's slice.
         Slice-stable kernels make the resulting models byte-identical
-        to per-pair computation (the legacy path, still taken under
-        :func:`repro.ml.gram_cache.training_fast_path_disabled`).
+        to computing every pair's Gram on its own.
 
         Args:
             X: feature matrix.
@@ -642,56 +552,22 @@ class SupportVectorClassifier:
             raise ValueError(
                 f"X has {X.shape[0]} rows but y has {y.shape[0]} labels"
             )
-        self.classes_ = sorted(set(y.tolist()))
-        if len(self.classes_) < 2:
+        if len(set(y.tolist())) < 2:
             raise ValueError("need at least two classes")
         n = X.shape[0]
-        if gram is not None:
+        if gram is None:
+            gram = gram_cache.default_cache().full(self.kernel, X)
+        else:
             gram = np.asarray(gram, dtype=float)
             if gram.shape != (n, n):
                 raise ValueError(
                     f"gram must have shape {(n, n)}, got {gram.shape}"
                 )
-        elif gram_cache.fast_path_enabled():
-            gram = gram_cache.default_cache().full(self.kernel, X)
-        self._machines = {}
-        sv_global: Dict[Tuple[int, int], np.ndarray] = {}
-        for a in range(len(self.classes_)):
-            for b in range(a + 1, len(self.classes_)):
-                mask = (y == self.classes_[a]) | (y == self.classes_[b])
-                pair_rows = np.flatnonzero(mask)
-                X_pair = X[mask]
-                y_pair = np.where(y[mask] == self.classes_[a], 1.0, -1.0)
-                machine = BinarySVM(
-                    c=self.c,
-                    kernel=self.kernel,
-                    tol=self.tol,
-                    max_passes=self.max_passes,
-                    max_iter=self.max_iter,
-                    seed=self.seed,
-                )
-                if gram is not None:
-                    machine.fit(
-                        X_pair,
-                        y_pair,
-                        gram=gram[np.ix_(pair_rows, pair_rows)],
-                    )
-                else:
-                    machine.fit(X_pair, y_pair)
-                self._machines[(a, b)] = machine
-                sv_global[(a, b)] = pair_rows[machine.support_indices_]
-        self._build_sv_bank(X, sv_global)
-        self._fit_X = X
-        self._fit_y = y
+        self._fit_pairs(X, y, gram, {})
         return self
 
     def refresh(
-        self,
-        new_X: np.ndarray,
-        new_y: Sequence,
-        *,
-        gram: Optional[np.ndarray] = None,
-        warm_start: bool = False,
+        self, new_X: np.ndarray, new_y: Sequence
     ) -> "SupportVectorClassifier":
         """Incrementally absorb appended training rows.
 
@@ -706,33 +582,19 @@ class SupportVectorClassifier:
           other pair's training rows are untouched by the append, so
           its already-fitted machine is reused verbatim.
 
-        In the default exact mode (``warm_start=False``) the refitted
-        machines run SMO from zero on Gram slices that are bit-equal
-        to a cold fit's, so the refreshed model — alphas, intercepts,
-        support indices, every machine — is **byte-identical** to
-        ``clone().fit(concat(X, new_X), concat(y, new_y))``.  With
-        ``warm_start=True`` affected pairs seed SMO from their previous
-        dual solution (zero-padded over the appended rows, which is
-        dual-feasible because prefix rows keep their labels); that
-        converges faster but follows a different trajectory, so it is
-        pinned by prediction agreement rather than byte equality.
+        The refitted machines run SMO from zero on Gram slices that
+        are bit-equal to a cold fit's, so the refreshed model —
+        alphas, intercepts, support indices, every machine — is
+        **byte-identical** to
+        ``clone().fit(concat(X, new_X), concat(y, new_y))``.
 
         Args:
             new_X: appended feature rows.
             new_y: their class labels (may introduce new classes).
-            gram: optional precomputed Gram of the *concatenated*
-                dataset; when omitted the cache's ``extend`` fast path
-                supplies it (or pairs fall back to per-fit kernels
-                under ``training_fast_path_disabled``).
-            warm_start: seed affected pairs from their previous duals.
         """
         if not self._machines:
             raise RuntimeError(
                 "refresh needs a fitted classifier; call fit() first"
-            )
-        if self._fit_X is None or self._fit_y is None:
-            raise RuntimeError(
-                "this model predates refresh support; refit with fit()"
             )
         new_X = np.asarray(new_X, dtype=float)
         new_y = np.asarray(new_y)
@@ -748,7 +610,6 @@ class SupportVectorClassifier:
                 "new_rows": 0,
                 "refitted_pairs": 0,
                 "reused_pairs": len(self._machines),
-                "warm_start": bool(warm_start),
             }
             return self
         if new_X.shape[1] != self._fit_X.shape[1]:
@@ -757,90 +618,72 @@ class SupportVectorClassifier:
                 f"expected {self._fit_X.shape[1]}"
             )
         with profiling.measure("ml.svm.refresh"):
-            old_index = {label: i for i, label in enumerate(self.classes_)}
-            X = np.concatenate([self._fit_X, new_X], axis=0)
-            y = np.concatenate([self._fit_y, new_y], axis=0)
-            classes = sorted(set(y.tolist()))
-            touched = set(np.unique(new_y).tolist())
-            n = X.shape[0]
-            if gram is not None:
-                gram = np.asarray(gram, dtype=float)
-                if gram.shape != (n, n):
-                    raise ValueError(
-                        f"gram must have shape {(n, n)}, got {gram.shape}"
-                    )
-            elif gram_cache.fast_path_enabled():
-                gram = gram_cache.default_cache().extend(
-                    self.kernel, self._fit_X, new_X
-                )
-            machines: Dict[Tuple[int, int], BinarySVM] = {}
-            sv_global: Dict[Tuple[int, int], np.ndarray] = {}
-            reused = 0
-            refitted = 0
-            for a in range(len(classes)):
-                for b in range(a + 1, len(classes)):
-                    la, lb = classes[a], classes[b]
-                    mask = (y == la) | (y == lb)
-                    pair_rows = np.flatnonzero(mask)
-                    if la not in touched and lb not in touched:
-                        # Neither class gained rows: the pair's training
-                        # set (and its global row positions — appended
-                        # rows sit strictly after the originals) is
-                        # unchanged, so the fitted machine carries over.
-                        machine = self._machines[(old_index[la], old_index[lb])]
-                        reused += 1
-                    else:
-                        y_pair = np.where(y[mask] == la, 1.0, -1.0)
-                        machine = BinarySVM(
-                            c=self.c,
-                            kernel=self.kernel,
-                            tol=self.tol,
-                            max_passes=self.max_passes,
-                            max_iter=self.max_iter,
-                            seed=self.seed,
-                        )
-                        seed = None
-                        if (
-                            warm_start
-                            and la in old_index
-                            and lb in old_index
-                        ):
-                            old = self._machines[(old_index[la], old_index[lb])]
-                            # dual_coef_ = (alpha * y)[sv] and y^2 = 1,
-                            # so alpha = dual_coef_ * y at the support
-                            # rows; everything else stayed zero.  The
-                            # old pair rows form a prefix of this
-                            # pair's rows (flatnonzero order), so the
-                            # seed aligns and stays dual-feasible.
-                            alpha_old = np.zeros(old._y.shape[0])
-                            alpha_old[old.support_indices_] = (
-                                old.dual_coef_ * old._y[old.support_indices_]
-                            )
-                            seed = (alpha_old, old.intercept_)
-                        if gram is not None:
-                            machine.fit(
-                                X[mask],
-                                y_pair,
-                                gram=gram[np.ix_(pair_rows, pair_rows)],
-                                warm_start=seed,
-                            )
-                        else:
-                            machine.fit(X[mask], y_pair, warm_start=seed)
-                        refitted += 1
-                    machines[(a, b)] = machine
-                    sv_global[(a, b)] = pair_rows[machine.support_indices_]
-            self.classes_ = classes
-            self._machines = machines
-            self._build_sv_bank(X, sv_global)
-            self._fit_X = X
-            self._fit_y = y
+            # A pair neither of whose classes gained rows keeps its
+            # training rows (appended rows sit strictly after the
+            # originals, so even their global positions hold), and
+            # its fitted machine carries over.
+            touched = set(new_y.tolist())
+            reuse = {
+                (self.classes_[a], self.classes_[b]): machine
+                for (a, b), machine in self._machines.items()
+                if not touched & {self.classes_[a], self.classes_[b]}
+            }
+            gram = gram_cache.default_cache().extend(
+                self.kernel, self._fit_X, new_X
+            )
+            self._fit_pairs(
+                np.concatenate([self._fit_X, new_X], axis=0),
+                np.concatenate([self._fit_y, new_y], axis=0),
+                gram,
+                reuse,
+            )
             self.refresh_stats_ = {
                 "new_rows": int(new_X.shape[0]),
-                "refitted_pairs": refitted,
-                "reused_pairs": reused,
-                "warm_start": bool(warm_start),
+                "refitted_pairs": len(self._machines) - len(reuse),
+                "reused_pairs": len(reuse),
             }
         return self
+
+    def _fit_pairs(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        gram: np.ndarray,
+        reuse: Dict[Tuple, BinarySVM],
+    ) -> None:
+        """Fit one machine per class pair on its slice of ``gram``.
+
+        ``reuse`` maps a ``(positive, negative)`` label pair to an
+        already-fitted machine whose training rows are unchanged; that
+        pair keeps it instead of being solved again.
+        """
+        self.classes_ = sorted(set(y.tolist()))
+        self._machines = {}
+        sv_global: Dict[Tuple[int, int], np.ndarray] = {}
+        for a in range(len(self.classes_)):
+            for b in range(a + 1, len(self.classes_)):
+                positive, negative = self.classes_[a], self.classes_[b]
+                rows = np.flatnonzero((y == positive) | (y == negative))
+                machine = reuse.get((positive, negative))
+                if machine is None:
+                    machine = BinarySVM(
+                        c=self.c,
+                        kernel=self.kernel,
+                        tol=self.tol,
+                        max_passes=self.max_passes,
+                        max_iter=self.max_iter,
+                        seed=self.seed,
+                    )
+                    machine.fit(
+                        X[rows],
+                        np.where(y[rows] == positive, 1.0, -1.0),
+                        gram=gram[np.ix_(rows, rows)],
+                    )
+                self._machines[(a, b)] = machine
+                sv_global[(a, b)] = rows[machine.support_indices_]
+        self._build_sv_bank(X, sv_global)
+        self._fit_X = X
+        self._fit_y = y
 
     def _build_sv_bank(
         self, X: np.ndarray, sv_global: Dict[Tuple[int, int], np.ndarray]
@@ -895,10 +738,9 @@ class SupportVectorClassifier:
             votes = np.zeros((n, n_classes))
             scores = np.zeros((n, n_classes))
             # One shared Gram against the deduplicated support-vector
-            # bank serves every pairwise machine (models fitted before
-            # the bank existed fall back to per-machine evaluation).
-            bank = getattr(self, "_sv_bank", None)
-            if bank_gram is not None and bank is not None and bank.shape[0]:
+            # bank serves every pairwise machine.
+            bank = self._sv_bank
+            if bank_gram is not None and bank.shape[0]:
                 bank_gram = np.asarray(bank_gram, dtype=float)
                 if bank_gram.shape != (bank.shape[0], n):
                     raise ValueError(
@@ -909,21 +751,18 @@ class SupportVectorClassifier:
             else:
                 K_bank = (
                     self.kernel.gram(bank, X, x_sq=self._sv_bank_sq)
-                    if bank is not None and bank.shape[0]
+                    if bank.shape[0]
                     else None
                 )
             # repro: noqa[numeric-dict-reduction] _machines is built in a
             # fixed nested loop over sorted class pairs, so iteration
             # order replays
             for (a, b), machine in self._machines.items():
-                if bank is None:
-                    decision = machine.decision_function(X)
+                rows = self._sv_bank_rows[(a, b)]
+                if rows.size == 0:
+                    decision = np.full(n, -machine.intercept_)
                 else:
-                    rows = self._sv_bank_rows[(a, b)]
-                    if rows.size == 0:
-                        decision = np.full(n, -machine.intercept_)
-                    else:
-                        decision = machine.decision_from_gram(K_bank[rows])
+                    decision = machine.decision_from_gram(K_bank[rows])
                 winner_a = decision >= 0.0
                 votes[winner_a, a] += 1
                 votes[~winner_a, b] += 1

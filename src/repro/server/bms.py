@@ -10,6 +10,7 @@ models can deliver real requests.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import abc
 from dataclasses import dataclass
@@ -18,11 +19,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.ml import gram_cache
-from repro.ml.datasets import (
-    FingerprintDataset,
-    FingerprintVectorizer,
-    MISSING_DISTANCE_M,
-)
+from repro.ml.datasets import FingerprintVectorizer, MISSING_DISTANCE_M
 from repro.ml.kernels import RbfKernel
 from repro.ml.scaling import StandardScaler
 from repro.ml.svm import SupportVectorClassifier
@@ -39,10 +36,18 @@ __all__ = ["BuildingManagementServer", "OccupancySnapshot", "normalise_sighting"
 DEFAULT_DEVICE_TIMEOUT_S = 30.0
 
 
-def _real(value: Any, name: str) -> float:
+_INF = math.inf
+
+
+def _real(value: Any, name: str, low: Optional[float] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
 
 
 def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]:
@@ -50,10 +55,12 @@ def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]
 
     The row is ``{"device_id": str, "beacons": {str: float}, "time":
     float}``: a non-empty string device id, a mapping from beacon-id
-    strings to real numbers, and a real-number time (``default_time``
-    when the report has none).  Integers widen to floats; anything
-    else is rejected, so storage, the WAL and replay all see one type
-    per field.  Idempotent on its own output.
+    strings to finite non-negative distances, and a finite time
+    (``default_time`` when the report has none).  Integers widen to
+    floats; anything else — NaN, infinities, a negative distance, a
+    non-number — is rejected, so storage, the WAL and replay all see
+    one type per field and every stored device can expire.
+    Idempotent on its own output.
 
     Raises:
         ValueError: the report is malformed (the REST routes answer 400).
@@ -69,15 +76,22 @@ def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]
     for beacon_id, value in beacons.items():
         if not isinstance(beacon_id, str):
             raise ValueError(f"beacon ids must be strings, got {beacon_id!r}")
-        # Exact floats, the common case, skip the numbers.Real check.
+        # Exact finite non-negative floats, the common case, pass on
+        # one chained comparison (NaN fails it).
         distances[beacon_id] = (
-            value if type(value) is float else _real(value, "beacon distance")
+            value
+            if type(value) is float and 0.0 <= value < _INF
+            else _real(value, "beacon distance", 0.0)
         )
     time = report.get("time", default_time)
     return {
         "device_id": device_id,
         "beacons": distances,
-        "time": time if type(time) is float else _real(time, "time"),
+        "time": (
+            time
+            if type(time) is float and -_INF < time < _INF
+            else _real(time, "time")
+        ),
     }
 
 
@@ -241,12 +255,7 @@ class BuildingManagementServer:
         with self.obs.tracer.span("server.refresh", fingerprints=len(rows)):
             for row in rows:
                 self.add_fingerprint(row["room"], row["beacons"], row["time"])
-            fast = (
-                self.trained
-                and hasattr(self.classifier, "refresh")
-                and gram_cache.fast_path_enabled()
-            )
-            if fast:
+            if self.trained and hasattr(self.classifier, "refresh"):
                 X_new = self.vectorizer.transform([r["beacons"] for r in rows])
                 if self._wants_scaling:
                     X_new = self.scaler.transform(X_new)
@@ -373,10 +382,10 @@ class BuildingManagementServer:
                 Reports are applied in order, so a device appearing
                 twice ends up where its last report puts it — exactly
                 as if each report had been ingested individually.
-            rooms: pre-computed room labels, one per sighting (the
-                sharded pool drain and replay classify elsewhere and
-                hand the labels back here, so the bookkeeping still
-                happens exactly once, in order).  Must match what
+            rooms: pre-computed room labels, one per sighting (replay
+                classifies in vectorised chunks and hands the labels
+                back here, so the bookkeeping still happens exactly
+                once, in order).  Must match what
                 :meth:`classify_batch` would return.
 
         Returns:

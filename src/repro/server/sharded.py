@@ -21,15 +21,13 @@ production shape while keeping every request in-process:
   retries.
 - **Coalescing**: loose ``POST /sightings`` posts and incoming
   batches are packed per shard into ``coalesce_max``-sized batch
-  ingests, so every drain rides PR 3's vectorised batch predict
-  instead of the per-row loop.
-- **Drain backends**: ``inline`` processes queues serially in shard
-  order (deterministic, the tier-1 default); ``pool`` classifies each
-  shard's queued fingerprints in a :func:`repro.parallel.engine.run_shards`
-  worker while the parent applies the bookkeeping in shard order —
-  the *result* is invariant to both the shard count and the worker
-  count (the classifiers are identical across shards because
-  calibration fingerprints broadcast to every shard).
+  ingests, so every drain rides the vectorised batch predict instead
+  of the per-row loop.
+- **Serial drain**: queues drain in-process, in shard order, and the
+  *result* is invariant to the shard count (the classifiers are
+  identical across shards because calibration fingerprints broadcast
+  to every shard).  Throughput comes from coalescing, not from
+  parallelism.
 - **Merged reads**: ``GET /occupancy``, ``/history/<room>`` and
   telemetry fan out over all shards and merge — telemetry through
   the mergeable :meth:`~repro.obs.metrics.MetricsRegistry.state` /
@@ -51,7 +49,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ml.datasets import MISSING_DISTANCE_M
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.engine import ShardPlan, ShardSpec, run_shards
 from repro.server.bms import (
     DEFAULT_DEVICE_TIMEOUT_S,
     BuildingManagementServer,
@@ -67,9 +64,6 @@ __all__ = ["DrainResult", "ShardedBmsService", "shard_for"]
 #: Valid drain policies (when queued sightings are processed).
 DRAIN_POLICIES = ("immediate", "watermark", "manual")
 
-#: Valid drain execution backends.
-DRAIN_BACKENDS = ("inline", "pool")
-
 
 def shard_for(key: str, shards: int) -> int:
     """Stable shard index of a routing key.
@@ -83,27 +77,6 @@ def shard_for(key: str, shards: int) -> int:
     if shards < 1:
         raise ValueError(f"need >= 1 shard, got {shards}")
     return zlib.crc32(key.encode("utf-8")) % shards
-
-
-def _classify_shard_chunks(spec: ShardSpec) -> List[List[str]]:
-    """Pool worker: classify one shard's coalesced chunks.
-
-    The payload carries everything the classification needs — the
-    shard's vectoriser, fitted scaler and classifier plus the raw
-    fingerprint chunks — so the worker is a pure function of its spec
-    and the result is invariant to worker count by construction.  It
-    mirrors :meth:`BuildingManagementServer.classify_batch` exactly;
-    the parent replays the labels through ``ingest_batch(rooms=...)``
-    so storage, counters and occupancy state update once, in order.
-    """
-    vectorizer, scaler, classifier, wants_scaling, chunks = spec.payload
-    labels: List[List[str]] = []
-    for beacons_batch in chunks:
-        X = vectorizer.transform(beacons_batch)
-        if wants_scaling:
-            X = scaler.transform(X)
-        labels.append([str(label) for label in classifier.predict(X)])
-    return labels
 
 
 @dataclass(frozen=True)
@@ -159,9 +132,6 @@ class ShardedBmsService:
             holds ``coalesce_max`` sightings, ``"manual"`` only drains
             on explicit :meth:`drain` calls.
         retry_after_s: the backpressure hint returned with 429s.
-        backend: default drain execution backend (``"inline"`` or
-            ``"pool"``).
-        workers: default pool size for the ``pool`` backend.
         route_overrides: building -> shard index pins, consulted
             before the hash for requests that carry a ``building``.
         wal_dir: optional directory for durable write-ahead logs; each
@@ -185,8 +155,6 @@ class ShardedBmsService:
         coalesce_max: int = 256,
         drain_policy: str = "watermark",
         retry_after_s: float = 1.0,
-        backend: str = "inline",
-        workers: int = 1,
         route_overrides: Optional[Mapping[str, int]] = None,
         wal_dir=None,
     ) -> None:
@@ -200,12 +168,6 @@ class ShardedBmsService:
             raise ValueError(
                 f"unknown drain policy {drain_policy!r}; pick from {DRAIN_POLICIES}"
             )
-        if backend not in DRAIN_BACKENDS:
-            raise ValueError(
-                f"unknown drain backend {backend!r}; pick from {DRAIN_BACKENDS}"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if retry_after_s < 0.0:
             raise ValueError(f"retry_after_s must be >= 0, got {retry_after_s}")
         self.shards = int(shards)
@@ -213,8 +175,6 @@ class ShardedBmsService:
         self.coalesce_max = int(coalesce_max)
         self.drain_policy = drain_policy
         self.retry_after_s = float(retry_after_s)
-        self.backend = backend
-        self.workers = int(workers)
         self.route_overrides = dict(route_overrides or {})
         for building, index in self.route_overrides.items():
             if not 0 <= index < self.shards:
@@ -414,17 +374,12 @@ class ShardedBmsService:
         self,
         shard_index: int,
         chunks: List[List[Tuple[int, Dict[str, Any]]]],
-        rooms_per_chunk: Optional[List[List[str]]] = None,
     ) -> List[Tuple[int, str, str]]:
         """Ingest a shard's coalesced chunks; returns (seq, device, room)."""
         shard = self._shards[shard_index]
         entries: List[Tuple[int, str, str]] = []
-        for chunk_index, chunk in enumerate(chunks):
-            sightings = [sighting for _, sighting in chunk]
-            rooms = (
-                rooms_per_chunk[chunk_index] if rooms_per_chunk is not None else None
-            )
-            labels = shard.ingest_batch(sightings, rooms=rooms)
+        for chunk in chunks:
+            labels = shard.ingest_batch([sighting for _, sighting in chunk])
             self._c_coalesced.inc(shard=shard_index)
             self._c_drained.inc(float(len(chunk)), shard=shard_index)
             entries.extend(
@@ -436,63 +391,25 @@ class ShardedBmsService:
         )
         return entries
 
-    def drain(
-        self,
-        *,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        shard: Optional[int] = None,
-    ) -> DrainResult:
+    def drain(self, *, shard: Optional[int] = None) -> DrainResult:
         """Process queued sightings through the per-shard stores.
 
+        Shards drain serially, in index order.
+
         Args:
-            backend: ``"inline"`` (serial, shard order) or ``"pool"``
-                (classification fanned out over a deterministic
-                process pool, bookkeeping applied serially in shard
-                order).  Defaults to the service's configured backend.
-            workers: pool size for the ``pool`` backend.
             shard: drain only this shard (used by the write-through
                 policies); default drains every shard.
 
         Returns:
             A :class:`DrainResult` with entries sorted by front-door
-            sequence number — byte-identical across shard counts,
-            worker counts and backends.
+            sequence number — byte-identical across shard counts.
         """
-        backend = self.backend if backend is None else backend
-        if backend not in DRAIN_BACKENDS:
-            raise ValueError(
-                f"unknown drain backend {backend!r}; pick from {DRAIN_BACKENDS}"
-            )
-        workers = self.workers if workers is None else workers
         indices = range(self.shards) if shard is None else (shard,)
-        per_shard = {i: self._pop_chunks(i) for i in indices}
-        busy = [i for i in indices if per_shard[i]]
-        rooms_by_shard: Dict[int, List[List[str]]] = {}
-        if backend == "pool" and busy:
-            payloads = []
-            for i in busy:
-                store = self._shards[i]
-                payloads.append(
-                    (
-                        store.vectorizer,
-                        store.scaler,
-                        store.classifier,
-                        store._wants_scaling,
-                        [
-                            [sighting["beacons"] for _, sighting in chunk]
-                            for chunk in per_shard[i]
-                        ],
-                    )
-                )
-            plan = ShardPlan.create("bms-drain", 0, payloads)
-            results = run_shards(_classify_shard_chunks, plan, workers=workers)
-            rooms_by_shard = dict(zip(busy, results))
         entries: List[Tuple[int, str, str]] = []
-        for i in busy:
-            entries.extend(
-                self._apply_chunks(i, per_shard[i], rooms_by_shard.get(i))
-            )
+        for i in indices:
+            chunks = self._pop_chunks(i)
+            if chunks:
+                entries.extend(self._apply_chunks(i, chunks))
         entries.sort(key=lambda entry: entry[0])
         return DrainResult(entries=tuple(entries))
 

@@ -1,12 +1,13 @@
-"""Tests for the shared-Gram training fast path.
+"""Tests for the shared-Gram training path.
 
 The entire contract of :mod:`repro.ml.gram_cache` is *byte*-identity:
-models fitted through the cached/sliced/vectorised fast path must
-equal models fitted through the legacy compute-per-fit path bit for
-bit — same alphas, same intercepts, same support indices — on every
-kernel and every dataset.  The property tests here pin exactly that,
-alongside unit tests of the cache mechanics (keying, LRU eviction,
-read-only handouts, hit/miss accounting).
+models fitted through the cached/sliced Grams and the bulk SMO scan
+must equal models fitted by the reference solver
+(:mod:`tests.smo_oracle`: a Gram per fit, one examine per index)
+bit for bit — same alphas, same intercepts, same support indices — on
+every kernel and every dataset.  The property tests here pin exactly
+that, alongside unit tests of the cache mechanics (keying, LRU
+eviction, read-only handouts, hit/miss accounting).
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml import gram_cache
-from repro.ml.gram_cache import GramCache, training_fast_path_disabled
+from repro.ml.gram_cache import GramCache
 from repro.ml.kernels import (
     LinearKernel,
     PolynomialKernel,
@@ -24,6 +25,7 @@ from repro.ml.kernels import (
 from repro.ml.model_selection import GridSearch, cross_val_score
 from repro.ml.multiclass import OneVsRestClassifier
 from repro.ml.svm import BinarySVM, SupportVectorClassifier
+from tests.smo_oracle import ReferenceBinarySVM, ReferenceSVC
 
 KERNELS = [
     RbfKernel(gamma=0.05),
@@ -159,15 +161,6 @@ class TestGramCacheMechanics:
         with pytest.raises(ValueError):
             GramCache(max_entries=0)
 
-    def test_fast_path_toggle(self):
-        assert gram_cache.fast_path_enabled()
-        with training_fast_path_disabled():
-            assert not gram_cache.fast_path_enabled()
-            with training_fast_path_disabled():
-                assert not gram_cache.fast_path_enabled()
-            assert not gram_cache.fast_path_enabled()
-        assert gram_cache.fast_path_enabled()
-
     def test_shared_kernel_protocol(self):
         kernel = RbfKernel(gamma=0.7)
         svc = SupportVectorClassifier(kernel=kernel)
@@ -176,7 +169,7 @@ class TestGramCacheMechanics:
 
 
 class TestByteIdentity:
-    """Fast path vs legacy path: same bits, every estimator."""
+    """Shared Gram and bulk scan vs the reference solver: same bits."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -187,13 +180,9 @@ class TestByteIdentity:
     def test_ovo_fit_identical(self, seed, kernel, n_classes):
         X, y = _clusters(seed, n_classes, n_per=12, d=3)
 
-        def build():
-            return SupportVectorClassifier(c=1.5, kernel=kernel, seed=0)
-
         gram_cache.default_cache().clear()
-        fast = build().fit(X, y)
-        with training_fast_path_disabled():
-            legacy = build().fit(X, y)
+        fast = SupportVectorClassifier(c=1.5, kernel=kernel, seed=0).fit(X, y)
+        legacy = ReferenceSVC(c=1.5, kernel=kernel, seed=0).fit(X, y)
         assert _svc_state(fast) == _svc_state(legacy)
         # Scores agree too (the shared-bank predict path).
         assert fast.score(X, y) == legacy.score(X, y)
@@ -203,15 +192,14 @@ class TestByteIdentity:
     def test_ovr_fit_identical(self, seed, kernel):
         X, y = _clusters(seed, n_classes=3, n_per=10, d=3)
 
-        def build():
+        def build(machine):
             return OneVsRestClassifier(
-                lambda: BinarySVM(c=2.0, kernel=kernel, seed=0)
+                lambda: machine(c=2.0, kernel=kernel, seed=0)
             )
 
         gram_cache.default_cache().clear()
-        fast = build().fit(X, y)
-        with training_fast_path_disabled():
-            legacy = build().fit(X, y)
+        fast = build(BinarySVM).fit(X, y)
+        legacy = build(ReferenceBinarySVM).fit(X, y)
         assert _ovr_state(fast) == _ovr_state(legacy)
         assert np.array_equal(fast.predict(X), legacy.predict(X))
 
@@ -219,19 +207,23 @@ class TestByteIdentity:
     @given(seed=st.integers(0, 10_000), kernel=st.sampled_from(KERNELS))
     def test_cross_val_identical(self, seed, kernel):
         X, y = _clusters(seed, n_classes=3, n_per=12, d=3)
-        estimator = SupportVectorClassifier(c=1.0, kernel=kernel, seed=0)
         gram_cache.default_cache().clear()
-        fast = cross_val_score(estimator, X, y, n_splits=3, seed=1)
-        with training_fast_path_disabled():
-            legacy = cross_val_score(estimator, X, y, n_splits=3, seed=1)
+        fast = cross_val_score(
+            SupportVectorClassifier(c=1.0, kernel=kernel, seed=0),
+            X, y, n_splits=3, seed=1,
+        )
+        legacy = cross_val_score(
+            ReferenceSVC(c=1.0, kernel=kernel, seed=0),
+            X, y, n_splits=3, seed=1,
+        )
         assert np.array_equal(fast, legacy)
 
     def test_grid_search_identical_and_n_jobs_invariant(self):
         X, y = _clusters(7, n_classes=3, n_per=14, d=3)
 
-        def run(n_jobs):
+        def run(n_jobs, factory=_svc_factory):
             grid = GridSearch(
-                _svc_factory,
+                factory,
                 {"c": [0.5, 2.0], "gamma": [0.05, 0.2]},
                 n_splits=3,
                 seed=0,
@@ -241,12 +233,11 @@ class TestByteIdentity:
 
         gram_cache.default_cache().clear()
         fast = run(1)
-        with training_fast_path_disabled():
-            legacy = run(1)
+        legacy = run(1, _reference_svc_factory)
         assert fast.results_ == legacy.results_
         assert fast.best_params_ == legacy.best_params_
         assert fast.best_score_ == legacy.best_score_
-        # PR 4's process-pool path agrees bit for bit as well.
+        # The process-pool path agrees bit for bit as well.
         pooled = run(2)
         assert pooled.results_ == fast.results_
         assert pooled.best_params_ == fast.best_params_
@@ -266,6 +257,21 @@ class TestByteIdentity:
         assert cache.stats()["misses"] == 1
         assert cache.stats()["hits"] > 0
 
+    def test_reference_solver_computes_its_own_grams(self):
+        X, y = _clusters(17, n_classes=3, n_per=10, d=3)
+        cache = gram_cache.default_cache()
+        cache.clear()
+        cross_val_score(
+            ReferenceSVC(c=1.0, kernel=RbfKernel(gamma=0.1), seed=0),
+            X, y, n_splits=3, seed=0,
+        )
+        assert cache.stats() == {
+            "hits": 0,
+            "misses": 0,
+            "entries": 0,
+            "extends": 0,
+        }
+
     def test_sliced_bank_gram_scoring_matches(self):
         X, y = _clusters(13, n_classes=3, n_per=12, d=3)
         svc = SupportVectorClassifier(
@@ -284,5 +290,11 @@ class TestByteIdentity:
 def _svc_factory(params):
     """Module-level grid-search factory (picklable for n_jobs > 1)."""
     return SupportVectorClassifier(
+        c=params["c"], kernel=RbfKernel(gamma=params["gamma"]), seed=0
+    )
+
+
+def _reference_svc_factory(params):
+    return ReferenceSVC(
         c=params["c"], kernel=RbfKernel(gamma=params["gamma"]), seed=0
     )

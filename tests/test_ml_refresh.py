@@ -1,23 +1,23 @@
-"""Tests for the warm-start incremental refresh fast path.
+"""Tests for the incremental refresh.
 
 The pinned contract mirrors the Gram cache's: models refreshed with
-new calibration rows must be *byte*-identical — same alphas, same
-intercepts, same support indices — to models cold-fitted from scratch
-on the concatenated dataset, on every kernel, whether the fast path
-(extended Grams, reused unaffected pair machines) is on or off.
-``warm_start=True`` trades that guarantee for speed and is pinned by
-prediction agreement instead.
+new calibration rows (extended Grams, reused unaffected pair
+machines) must be *byte*-identical — same alphas, same intercepts,
+same support indices — to models cold-fitted from scratch on the
+concatenated dataset, and to the reference solver's cold fit
+(:mod:`tests.smo_oracle`), on every kernel.
 """
 
 import numpy as np
 import pytest
 
 from repro.ml import gram_cache
-from repro.ml.gram_cache import GramCache, training_fast_path_disabled
+from repro.ml.gram_cache import GramCache
 from repro.ml.kernels import LinearKernel, PolynomialKernel, RbfKernel
 from repro.ml.multiclass import OneVsRestClassifier
-from repro.ml.svm import SupportVectorClassifier
+from repro.ml.svm import BinarySVM, SupportVectorClassifier
 from repro.obs.metrics import MetricsRegistry
+from tests.smo_oracle import ReferenceBinarySVM, ReferenceSVC
 
 KERNELS = [
     RbfKernel(gamma=0.05),
@@ -125,42 +125,6 @@ class TestObservedTelemetry:
         assert registry.counter("ml.gram.misses").value == 1.0
 
 
-class TestWarmStartSeeding:
-    def test_box_violation_rejected(self):
-        X, y = _clusters(7, 2, 10, 3)
-        machine_X = X[y <= 1]
-        svc = SupportVectorClassifier(c=1.0, kernel=LinearKernel())
-        svc.fit(X, y)
-        machine = svc._machines[(0, 1)]
-        bad = np.full(4, 5.0)
-        with pytest.raises(ValueError, match="box"):
-            machine.fit(machine_X, np.where(y == 0, -1.0, 1.0), warm_start=(bad, 0.0))
-
-    def test_oversized_seed_rejected(self):
-        X, y = _clusters(8, 2, 8, 3)
-        svc = SupportVectorClassifier(c=1.0, kernel=LinearKernel())
-        svc.fit(X, y)
-        machine = svc._machines[(0, 1)]
-        with pytest.raises(ValueError, match="entries"):
-            machine.fit(
-                X,
-                np.where(y == 0, -1.0, 1.0),
-                warm_start=(np.zeros(len(X) + 1), 0.0),
-            )
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_warm_start_refresh_agrees_on_predictions(self, kernel):
-        X, y, X_new, y_new = _split(9)
-        warm = SupportVectorClassifier(c=5.0, kernel=kernel, seed=0)
-        warm.fit(X, y)
-        warm.refresh(X_new, y_new, warm_start=True)
-        cold = SupportVectorClassifier(c=5.0, kernel=kernel, seed=0)
-        cold.fit(np.vstack([X, X_new]), np.concatenate([y, y_new]))
-        probe, _ = _clusters(10, 3, 20, 3)
-        assert np.array_equal(warm.predict(probe), cold.predict(probe))
-        assert warm.refresh_stats_["warm_start"] is True
-
-
 class TestSvcRefresh:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_refresh_is_byte_identical_to_cold_fit(self, kernel):
@@ -168,9 +132,13 @@ class TestSvcRefresh:
         refreshed = SupportVectorClassifier(c=5.0, kernel=kernel, seed=0)
         refreshed.fit(X, y)
         refreshed.refresh(X_new, y_new)
+        X_all, y_all = np.vstack([X, X_new]), np.concatenate([y, y_new])
         cold = SupportVectorClassifier(c=5.0, kernel=kernel, seed=0)
-        cold.fit(np.vstack([X, X_new]), np.concatenate([y, y_new]))
+        cold.fit(X_all, y_all)
+        reference = ReferenceSVC(c=5.0, kernel=kernel, seed=0)
+        reference.fit(X_all, y_all)
         assert _svc_state(refreshed) == _svc_state(cold)
+        assert _svc_state(refreshed) == _svc_state(reference)
         assert list(refreshed.classes_) == list(cold.classes_)
 
     def test_new_class_refresh_is_byte_identical(self):
@@ -183,26 +151,16 @@ class TestSvcRefresh:
         )
         refreshed.fit(X, y)
         refreshed.refresh(X_new, y_new)
+        X_all, y_all = np.vstack([X, X_new]), np.concatenate([y, y_new])
         cold = SupportVectorClassifier(
             c=5.0, kernel=RbfKernel(gamma=0.05), seed=0
         )
-        cold.fit(np.vstack([X, X_new]), np.concatenate([y, y_new]))
+        cold.fit(X_all, y_all)
+        reference = ReferenceSVC(c=5.0, kernel=RbfKernel(gamma=0.05), seed=0)
+        reference.fit(X_all, y_all)
         assert _svc_state(refreshed) == _svc_state(cold)
+        assert _svc_state(refreshed) == _svc_state(reference)
         assert 3 in refreshed.classes_
-
-    def test_refresh_with_fast_path_disabled_matches(self):
-        X, y, X_new, y_new = _split(14)
-        refreshed = SupportVectorClassifier(
-            c=5.0, kernel=RbfKernel(gamma=0.05), seed=0
-        )
-        refreshed.fit(X, y)
-        with training_fast_path_disabled():
-            refreshed.refresh(X_new, y_new)
-        cold = SupportVectorClassifier(
-            c=5.0, kernel=RbfKernel(gamma=0.05), seed=0
-        )
-        cold.fit(np.vstack([X, X_new]), np.concatenate([y, y_new]))
-        assert _svc_state(refreshed) == _svc_state(cold)
 
     def test_refresh_stats_count_reused_pairs(self):
         # 4 classes, new rows only in class 0: pairs (1,2), (1,3),
@@ -253,22 +211,25 @@ class TestSvcRefresh:
 class TestOvrRefresh:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_refresh_is_byte_identical_to_cold_fit(self, kernel):
-        from repro.ml.svm import BinarySVM
-
         X, y, X_new, y_new = _split(18)
-        factory = lambda: BinarySVM(c=5.0, kernel=kernel, seed=0)
-        refreshed = OneVsRestClassifier(factory)
+        refreshed = OneVsRestClassifier(
+            lambda: BinarySVM(c=5.0, kernel=kernel, seed=0)
+        )
         refreshed.fit(X, y)
         refreshed.refresh(X_new, y_new)
-        cold = OneVsRestClassifier(factory)
-        cold.fit(np.vstack([X, X_new]), np.concatenate([y, y_new]))
+        X_all, y_all = np.vstack([X, X_new]), np.concatenate([y, y_new])
         probe, _ = _clusters(19, 3, 20, 3)
-        assert np.array_equal(refreshed.predict(probe), cold.predict(probe))
-        for label in refreshed.classes_:
-            ours = refreshed._machines[label]
-            theirs = cold._machines[label]
-            assert ours.dual_coef_.tobytes() == theirs.dual_coef_.tobytes()
-            assert ours.intercept_ == theirs.intercept_
+        for machine in (BinarySVM, ReferenceBinarySVM):
+            cold = OneVsRestClassifier(
+                lambda machine=machine: machine(c=5.0, kernel=kernel, seed=0)
+            )
+            cold.fit(X_all, y_all)
+            assert np.array_equal(refreshed.predict(probe), cold.predict(probe))
+            for label in refreshed.classes_:
+                ours = refreshed._machines[label]
+                theirs = cold._machines[label]
+                assert ours.dual_coef_.tobytes() == theirs.dual_coef_.tobytes()
+                assert ours.intercept_ == theirs.intercept_
 
     def test_unfitted_refresh_raises(self):
         ovr = OneVsRestClassifier()

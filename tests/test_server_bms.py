@@ -7,14 +7,24 @@ from repro.server.bms import BuildingManagementServer
 from repro.server.rest import Request
 
 
-def trained_bms(**kwargs):
-    """A BMS with two rooms' worth of easy, separable fingerprints."""
+def untrained_bms(**kwargs):
+    """A BMS holding two rooms' worth of easy, separable fingerprints."""
     bms = BuildingManagementServer(["1-1", "1-2"], **kwargs)
     for i in range(12):
         bms.add_fingerprint("kitchen", {"1-1": 1.0 + 0.1 * i, "1-2": 8.0}, i)
         bms.add_fingerprint("living", {"1-1": 8.0, "1-2": 1.0 + 0.1 * i}, i)
+    return bms
+
+
+def trained_bms(**kwargs):
+    """:func:`untrained_bms`, trained."""
+    bms = untrained_bms(**kwargs)
     bms.train()
     return bms
+
+
+def proximity():
+    return ProximityClassifier({"1-1": "kitchen", "1-2": "living"}, ["1-1", "1-2"])
 
 
 class TestConstruction:
@@ -66,11 +76,44 @@ class TestTraining:
         assert bms.classify({"1-1": 8.0, "1-2": 1.2}) == "living"
 
     def test_proximity_classifier_skips_scaling(self):
-        proximity = ProximityClassifier(
-            {"1-1": "kitchen", "1-2": "living"}, ["1-1", "1-2"]
-        )
-        bms = trained_bms(classifier=proximity)
+        bms = trained_bms(classifier=proximity())
         assert bms.classify({"1-1": 1.0, "1-2": 8.0}) == "kitchen"
+
+
+class TestRefreshRetrainFallback:
+    """``refresh`` retrains from scratch when the model cannot refresh."""
+
+    NEW = [
+        {"room": "kitchen", "beacons": {"1-1": 3.0, "1-2": 5.5}, "time": 20.0},
+        {"room": "living", "beacons": {"1-1": 5.5, "1-2": 3.0}, "time": 20.0},
+    ]
+    PROBES = [
+        {"1-1": a, "1-2": b}
+        for a in (0.5, 2.5, 4.5, 6.5, 8.5)
+        for b in (0.5, 2.5, 4.5, 6.5, 8.5)
+    ]
+
+    def assert_matches_cold_train(self, bms, **kwargs):
+        cold = untrained_bms(**kwargs)
+        for fingerprint in self.NEW:
+            cold.add_fingerprint(**fingerprint)
+        cold.train()
+        assert len(bms.fingerprints) == len(cold.fingerprints)
+        assert bms.classify_batch(self.PROBES) == cold.classify_batch(self.PROBES)
+
+    def test_untrained_server_retrains(self):
+        bms = untrained_bms()
+        report = bms.refresh(self.NEW)
+        assert report == {"mode": "retrain", "added": 2}
+        assert bms.trained
+        self.assert_matches_cold_train(bms)
+
+    def test_classifier_without_refresh_retrains(self):
+        bms = trained_bms(classifier=proximity())
+        assert not hasattr(bms.classifier, "refresh")
+        report = bms.refresh(self.NEW)
+        assert report == {"mode": "retrain", "added": 2}
+        self.assert_matches_cold_train(bms, classifier=proximity())
 
 
 class TestOccupancy:

@@ -2,8 +2,7 @@
 
 The pinned contract: every externally observable result — ingest
 responses, occupancy snapshots, history statistics, merged telemetry
-totals — is invariant to the shard count, the drain backend, and the
-worker count.
+totals — is invariant to the shard count.
 """
 
 import json
@@ -30,13 +29,13 @@ ROOM_BASES = {
 
 
 class NearestBeaconClassifier:
-    """Deterministic picklable stub: room of the closest beacon.
+    """Deterministic stub: room of the closest beacon.
 
     Learns column -> label from the training argmins; predict maps
     each row's argmin column back.  Orders of magnitude faster than
-    the SVM, so the hypothesis sweep over shard/worker grids stays
-    cheap, while still exercising the full vectorise/scale/predict
-    drain path.
+    the SVM, so the hypothesis sweep over shard counts stays cheap,
+    while still exercising the full vectorise/scale/predict drain
+    path.
     """
 
     def fit(self, X, y):
@@ -99,8 +98,6 @@ class TestConstruction:
             {"queue_maxsize": 0},
             {"coalesce_max": 0},
             {"drain_policy": "lazy"},
-            {"backend": "threads"},
-            {"workers": 0},
             {"retry_after_s": -1.0},
             {"route_overrides": {"hq": 9}},
         ],
@@ -366,11 +363,9 @@ class TestMergedReads:
         assert sum(response.body["queued"]) == 1
 
 
-def run_config(shards, backend, workers, batches):
+def run_config(shards, batches):
     """One full ingest run; returns the comparable observable state."""
-    service = make_service(
-        shards, drain_policy="manual", backend=backend, workers=workers
-    )
+    service = make_service(shards, drain_policy="manual")
     calibrate(service)
     drained = []
     for time, batch in enumerate(batches):
@@ -401,8 +396,7 @@ def run_config(shards, backend, workers, batches):
 
 
 class TestShardCountInvariance:
-    CONFIGS = [(1, "inline", 1), (2, "inline", 1), (4, "inline", 1),
-               (4, "pool", 2), (2, "pool", 3)]
+    SHARDS = [1, 2, 4]
 
     def batches(self):
         rooms = list(ROOM_BASES)
@@ -414,14 +408,11 @@ class TestShardCountInvariance:
             for t in range(4)
         ]
 
-    def test_results_identical_across_shards_backends_workers(self):
+    def test_results_identical_across_shard_counts(self):
         batches = self.batches()
-        results = [
-            run_config(shards, backend, workers, batches)
-            for shards, backend, workers in self.CONFIGS
-        ]
-        for other, config in zip(results[1:], self.CONFIGS[1:]):
-            assert other == results[0], f"diverged at {config}"
+        results = [run_config(shards, batches) for shards in self.SHARDS]
+        for other, shards in zip(results[1:], self.SHARDS[1:]):
+            assert other == results[0], f"diverged at {shards} shards"
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -442,9 +433,9 @@ class TestShardCountInvariance:
             ]
             for step in range(2)
         ]
-        reference = run_config(1, "inline", 1, batches)
+        reference = run_config(1, batches)
         for shards in (2, 4):
-            assert run_config(shards, "inline", 1, batches) == reference
+            assert run_config(shards, batches) == reference
 
 
 class TestClientBackpressure:

@@ -26,6 +26,8 @@ ROOM_BASES = {
     "hall": {"b1": 9.0, "b2": 6.0, "b3": 1.0},
 }
 
+NAN, INF = float("nan"), float("inf")
+
 #: Reports every route must answer 400, keyed by what is wrong.
 MALFORMED = {
     "empty-device-id": {"device_id": "", "beacons": {"b1": 1.0}, "time": 2.0},
@@ -36,8 +38,20 @@ MALFORMED = {
     "beacon-id-not-str": {"device_id": "bob", "beacons": {1: 1.0}, "time": 2.0},
     "beacon-value-str": {"device_id": "bob", "beacons": {"b1": "near"}, "time": 2.0},
     "beacon-value-bool": {"device_id": "bob", "beacons": {"b1": True}, "time": 2.0},
+    "beacon-value-nan": {"device_id": "bob", "beacons": {"b1": NAN}, "time": 2.0},
+    "beacon-value-inf": {"device_id": "bob", "beacons": {"b1": INF}, "time": 2.0},
+    "beacon-value-neg-inf": {"device_id": "bob", "beacons": {"b1": -INF}, "time": 2.0},
+    "beacon-value-negative": {"device_id": "bob", "beacons": {"b1": -1.0}, "time": 2.0},
+    "beacon-value-negative-int": {"device_id": "bob", "beacons": {"b1": -2}, "time": 2.0},
+    "beacon-value-numpy-nan": {
+        "device_id": "bob", "beacons": {"b1": np.float32("nan")}, "time": 2.0,
+    },
     "time-str": {"device_id": "bob", "beacons": {"b1": 1.0}, "time": "noon"},
     "time-none": {"device_id": "bob", "beacons": {"b1": 1.0}, "time": None},
+    "time-nan": {"device_id": "bob", "beacons": {"b1": 1.0}, "time": NAN},
+    "time-inf": {"device_id": "bob", "beacons": {"b1": 1.0}, "time": INF},
+    "time-neg-inf": {"device_id": "bob", "beacons": {"b1": 1.0}, "time": -INF},
+    "time-numpy-nan": {"device_id": "bob", "beacons": {"b1": 1.0}, "time": np.float64("nan")},
     "report-not-a-mapping": ["bob", {"b1": 1.0}],
 }
 
