@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import uuid as uuid_module
-from typing import Optional
 
 from repro.ble.gatt import (
     Characteristic,
@@ -24,7 +23,8 @@ from repro.ble.gatt import (
     Service,
 )
 from repro.phone.app import SightingReport
-from repro.server.rest import Request, Router
+from repro.server.client import BmsClient
+from repro.server.rest import Router
 
 __all__ = [
     "RELAY_SERVICE_UUID",
@@ -78,7 +78,7 @@ class RelayBoardService:
             self.server.notify(self._status.handle, b"error:malformed")
             return
         response = self.router.dispatch(
-            Request("POST", "/sightings", body=body, time=body.get("time", 0.0))
+            BmsClient.sighting_request(body, time=body.get("time", 0.0))
         )
         if response.ok:
             self.reports_relayed += 1
@@ -106,13 +106,7 @@ def write_report_via_gatt(client: GattClient, report: SightingReport) -> bytes:
     characteristic = client.find_characteristic(
         RELAY_SERVICE_UUID, RELAY_REPORT_CHAR_UUID
     )
-    payload = json.dumps(
-        {
-            "device_id": report.device_id,
-            "time": report.time,
-            "beacons": report.distances(),
-        }
-    ).encode("utf-8")
+    payload = json.dumps(report.to_sighting()).encode("utf-8")
     client.write(characteristic.handle, payload)
     status = client.find_characteristic(RELAY_SERVICE_UUID, RELAY_STATUS_CHAR_UUID)
     return client.read(status.handle)

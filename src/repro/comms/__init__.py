@@ -10,11 +10,15 @@ The paper evaluates two ways to deliver sighting reports (Section VII):
   over HTTP.  ~15 % more energy-efficient, but less stable because of
   BLE stack bugs.
 
-Both uplinks deliver real :class:`~repro.server.rest.Request` objects
-to the BMS router and account their radio energy per message.  With a
-:class:`BatchPolicy` either uplink buffers reports and delivers them
-as one ``POST /sightings/batch`` request, paying the connection/wake
-energy once per batch.
+Each transport is a table of constants over :class:`Uplink`, which
+holds the one delivery loop: radio attempts and retries, the relay hop
+when the transport has one, 429 backpressure and the delivery ledger.
+Both deliver real :class:`~repro.server.rest.Request` objects, built by
+:class:`~repro.server.client.BmsClient`, to the BMS router and account
+their radio energy per burst.  With a :class:`BatchPolicy` either
+uplink buffers reports and delivers them as one
+``POST /sightings/batch`` request, paying the burst energy once per
+batch.
 """
 
 from repro.comms.uplink import BatchPolicy, DeliveryStats, Uplink

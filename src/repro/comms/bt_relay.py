@@ -12,14 +12,7 @@ the Wi-Fi solution due to bugs in the BLE Android API".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
-
-from repro.comms.uplink import BatchPolicy, Uplink
-from repro.obs.metrics import MetricsRegistry
-from repro.phone.app import SightingReport
-from repro.server.rest import Response, Router
+from repro.comms.uplink import Uplink
 
 __all__ = ["BluetoothRelayUplink"]
 
@@ -27,142 +20,26 @@ __all__ = ["BluetoothRelayUplink"]
 class BluetoothRelayUplink(Uplink):
     """BT connection to the beacon board, which relays over HTTP.
 
-    The relay hop adds its own (mains-powered) HTTP leg; only the BT
-    leg costs phone battery.  The BLE stack instability shows up as a
-    higher per-attempt loss probability.
-
-    Attributes (class constants, overridable per instance):
-        LOSS_PROBABILITY: per-attempt BT failure rate (stack bugs).
-        CONNECTION_ENERGY_J: BLE connection setup + teardown per burst.
-        ENERGY_PER_BYTE_J: marginal BT transmit energy.
-        IDLE_POWER_W: no standing cost - BT connects on demand.
-        RELAY_LOSS_PROBABILITY: board -> server HTTP leg failure rate
-            (wired/mains, nearly perfect).
+    Only the BT leg costs phone battery: ``BURST_ENERGY_J`` is one BLE
+    connection setup + teardown, and BT connects on demand, so there
+    is no standing cost.  The BLE stack instability shows up as a
+    higher per-attempt loss probability.  The board's HTTP leg is
+    mains powered and nearly perfect (``RELAY_LOSS_PROBABILITY``); it
+    reports the server's status back, so a 429 makes the phone re-send
+    over BT.
     """
 
     TRANSPORT = "bt_relay"
 
     LOSS_PROBABILITY = 0.04
-    CONNECTION_ENERGY_J = 0.09
+    BURST_ENERGY_J = 0.09
     ENERGY_PER_BYTE_J = 6.0e-5
     IDLE_POWER_W = 0.0
+    RADIO_LEG = "bt"
     RELAY_LOSS_PROBABILITY = 0.001
 
-    def __init__(
-        self,
-        router: Router,
-        rng: Optional[np.random.Generator] = None,
-        max_retries: int = 1,
-        registry: Optional[MetricsRegistry] = None,
-        batch_policy: Optional[BatchPolicy] = None,
-    ) -> None:
-        super().__init__(
-            router,
-            rng=rng,
-            max_retries=max_retries,
-            registry=registry,
-            batch_policy=batch_policy,
-        )
-        self.relay_requests = 0
-
-    @property
-    def loss_probability(self) -> float:
-        return self.LOSS_PROBABILITY
-
-    def energy_per_message_j(self, size_bytes: int) -> float:
-        return self.CONNECTION_ENERGY_J + self.ENERGY_PER_BYTE_J * size_bytes
-
-    @property
-    def idle_power_w(self) -> float:
-        return self.IDLE_POWER_W
-
-    def send_report(self, report: SightingReport) -> Optional[Response]:
-        """Deliver via BT; the relay board's HTTP leg may also fail.
-
-        Failure counters carry a uniform ``leg`` label (``"bt"`` for
-        the phone-to-board leg, ``"relay"`` for the board-to-server
-        leg) so both legs aggregate into one ``uplink.failed`` series.
-        """
-        from repro.server.rest import Request
-
-        request = Request(
-            method="POST",
-            path="/sightings",
-            body={
-                "device_id": report.device_id,
-                "time": report.time,
-                "beacons": report.distances(),
-            },
-            time=report.time,
-        )
-        attrs = self._obs_attrs(report)
-        self.stats.attempts += 1
-        self._c_reports.inc(**attrs)
-        for attempt in range(self.max_retries + 1):
-            # BT leg: the phone pays energy whether or not it succeeds.
-            self.stats.bytes_sent += request.size_bytes
-            self._c_bytes.inc(request.size_bytes, **attrs)
-            self.stats.energy_j += self.energy_per_message_j(request.size_bytes)
-            if self.rng.random() < self.LOSS_PROBABILITY:
-                if attempt < self.max_retries:
-                    self.stats.retries += 1
-                    self._c_retries.inc(**attrs)
-                    continue
-                self.stats.failed += 1
-                self._c_failed.inc(leg="bt", **attrs)
-                return None
-            # Relay leg: board -> server over HTTP (mains powered, so
-            # no phone energy; losses are rare but final).
-            self.relay_requests += 1
-            if self.rng.random() < self.RELAY_LOSS_PROBABILITY:
-                self.stats.failed += 1
-                self._c_failed.inc(leg="relay", **attrs)
-                return None
-            response = self.router.dispatch(request)
-            self.stats.delivered += 1
-            self._c_delivered.inc(**attrs)
-            return response
-        return None  # pragma: no cover - loop always returns
-
-    def send_batch(self, reports: Sequence[SightingReport]) -> Optional[Response]:
-        """Deliver a whole batch over one BT connection + one relay POST.
-
-        The BLE connection setup energy is paid once per batch attempt
-        (the amortisation of Section VII's relay architecture applied
-        to bursts); the relay board forwards the entire batch in a
-        single HTTP request.  Failure counters carry the same uniform
-        ``leg`` label as :meth:`send_report`.
-        """
-        reports = list(reports)
-        if not reports:
-            return None
-        request = self._batch_request(reports)
-        batch_attrs = {"transport": self.TRANSPORT, "batched": True}
-        self.stats.attempts += len(reports)
-        for report in reports:
-            self._c_reports.inc(**self._obs_attrs(report))
-        for attempt in range(self.max_retries + 1):
-            self.stats.bytes_sent += request.size_bytes
-            self._c_bytes.inc(request.size_bytes, **batch_attrs)
-            self.stats.energy_j += self.energy_per_message_j(request.size_bytes)
-            if self.rng.random() < self.LOSS_PROBABILITY:
-                if attempt < self.max_retries:
-                    self.stats.retries += 1
-                    self._c_retries.inc(**batch_attrs)
-                    continue
-                self.stats.failed += len(reports)
-                for report in reports:
-                    self._c_failed.inc(leg="bt", **self._obs_attrs(report))
-                return None
-            self.relay_requests += 1
-            if self.rng.random() < self.RELAY_LOSS_PROBABILITY:
-                self.stats.failed += len(reports)
-                for report in reports:
-                    self._c_failed.inc(leg="relay", **self._obs_attrs(report))
-                return None
-            response = self.router.dispatch(request)
-            self.stats.delivered += len(reports)
-            for report in reports:
-                self._c_delivered.inc(**self._obs_attrs(report))
-            return response
-        return None  # pragma: no cover - loop always returns
+    # The base send paths, entered in this class's own namespace so
+    # the per-layer benchmark (perfbench/layers.py) can wrap each
+    # transport's sends through the class ``__dict__``.
+    send_report = Uplink.send_report
+    send_batch = Uplink.send_batch

@@ -1,13 +1,15 @@
-"""Uplink base class: report delivery with energy and reliability accounting.
+"""Uplink: the one report-delivery loop, with energy and reliability accounting.
 
-Two delivery modes:
+A transport is a table of class constants (:mod:`repro.comms.wifi`,
+:mod:`repro.comms.bt_relay`); :class:`Uplink` holds the only delivery
+loop.  Two send paths build a request and hand it to that loop:
 
 - :meth:`Uplink.send_report` posts one report per request (the paper's
   original per-scan upload);
 - :meth:`Uplink.send_batch` posts many reports in a single
   ``POST /sightings/batch`` request, paying the radio's per-burst
-  connection/wake energy **once per batch attempt** instead of once
-  per report — the amortisation that makes fleet-scale traffic viable.
+  energy **once per batch attempt** instead of once per report — the
+  amortisation that makes fleet-scale traffic viable.
 
 A :class:`BatchPolicy` turns an uplink into a store-and-forward queue:
 :meth:`Uplink.queue_report` buffers reports and flushes when the batch
@@ -17,8 +19,7 @@ simulation seconds.
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ class DeliveryStats:
         return self.delivered / self.attempts
 
 
-class Uplink(abc.ABC):
+class Uplink:
     """Delivers sighting reports to the BMS over a radio channel.
 
     Args:
@@ -86,20 +87,44 @@ class Uplink(abc.ABC):
             ``None`` (the default), :meth:`queue_report` degenerates to
             the per-report :meth:`send_report`.
 
+    A subclass is the channel's table of constants (overridable per
+    instance):
+
+    Attributes:
+        TRANSPORT: telemetry label of the channel.
+        LOSS_PROBABILITY: per-attempt failure rate of the phone's radio.
+        BURST_ENERGY_J: fixed energy of one transmission burst (radio
+            wake and tail, or connection setup and teardown).
+        ENERGY_PER_BYTE_J: marginal transmit energy.
+        IDLE_POWER_W: standing power the channel costs while the app
+            runs (e.g. keeping the Wi-Fi adapter associated).
+        RADIO_LEG: ``leg`` label of a radio-leg failure; ``None`` adds
+            no label.
+        RELAY_LOSS_PROBABILITY: failure rate of the relay hop a request
+            crosses after a successful radio leg (final, not retried);
+            ``None`` when the channel has no relay hop, which then
+            makes no draw.  Relay-hop failures and 429 drops are
+            labelled ``leg="relay"``.
+
     Backpressure: a sharded BMS front door may answer **429** with a
     ``retry_after_s`` hint when its ingress queue is full.  The uplink
     honours the hint with up to :attr:`max_backpressure_retries`
     retransmissions (each re-paying radio bytes/energy, advancing the
     request's logical time by the hint), counted under
     ``uplink.backpressure_retries``; a still-rejected request is
-    dropped and counted under ``uplink.backpressure_dropped``.  The
-    :attr:`on_backpressure` seam (``f(request, attempt)``) fires before
-    each retry — where a real radio would sleep, and where tests drain
-    the server.
+    dropped, its reports booked as failed and counted under
+    ``uplink.backpressure_dropped``.  The :attr:`on_backpressure` seam
+    (``f(request, attempt)``) fires before each retry — where a real
+    radio would sleep, and where tests drain the server.
     """
 
-    #: Telemetry label for this channel type.
     TRANSPORT = "uplink"
+    LOSS_PROBABILITY: float
+    BURST_ENERGY_J: float
+    ENERGY_PER_BYTE_J: float
+    IDLE_POWER_W: float
+    RADIO_LEG: Optional[str] = None
+    RELAY_LOSS_PROBABILITY: Optional[float] = None
 
     #: Bounded retries of a 429-rejected request (class default;
     #: override per instance).
@@ -149,32 +174,115 @@ class Uplink(abc.ABC):
             return {}
         return {TRACEPARENT_HEADER: context.to_header()}
 
-    # -- channel characteristics, provided by subclasses ---------------
-    @property
-    @abc.abstractmethod
-    def loss_probability(self) -> float:
-        """Probability one transmission attempt fails on the radio."""
-
-    @abc.abstractmethod
     def energy_per_message_j(self, size_bytes: int) -> float:
-        """Radio energy to send one message of ``size_bytes``."""
-
-    @property
-    @abc.abstractmethod
-    def idle_power_w(self) -> float:
-        """Extra standing power the channel costs while the app runs
-        (e.g. keeping the Wi-Fi adapter associated)."""
+        """Radio energy of one burst carrying ``size_bytes``."""
+        return self.BURST_ENERGY_J + self.ENERGY_PER_BYTE_J * size_bytes
 
     # -- delivery -------------------------------------------------------
+    def send_report(self, report: SightingReport) -> Optional[Response]:
+        """Deliver one report as a loose ``POST /sightings``.
+
+        Returns the server's response, or ``None`` when the radio or
+        relay leg lost it (see :meth:`_deliver`).
+        """
+        request = BmsClient.sighting_request(
+            report.to_sighting(), time=report.time, headers=self._trace_headers()
+        )
+        return self._deliver(request, [report], self._obs_attrs(report))
+
+    def send_batch(self, reports: Sequence[SightingReport]) -> Optional[Response]:
+        """Deliver many reports in one ``POST /sightings/batch``.
+
+        The whole batch rides one radio burst, so the per-burst energy
+        is paid once per attempt rather than once per report — only
+        the marginal per-byte cost scales with the batch.  All reports
+        in the batch share one delivery fate.  ``None`` for an empty
+        batch or a lost one.
+        """
+        reports = list(reports)
+        if not reports:
+            return None
+        request = BmsClient.batch_request(
+            [r.to_sighting() for r in reports],
+            time=max(r.time for r in reports),
+            headers=self._trace_headers(),
+        )
+        return self._deliver(
+            request, reports, {"transport": self.TRANSPORT, "batched": True}
+        )
+
+    def _deliver(
+        self, request: Request, reports: List[SightingReport], attrs: dict
+    ) -> Optional[Response]:
+        """The delivery loop every send path shares.
+
+        Each radio attempt pays bytes and burst energy — failed
+        transmissions still burn the battery — and draws the radio
+        loss, with up to :attr:`max_retries` retransmissions.  A
+        request past the radio leg crosses the relay hop when the
+        channel has one, then dispatches honouring 429 hints.  The
+        reports are booked delivered or failed together.
+
+        Returns:
+            The final response (a 429 when backpressure outlasted the
+            retries), or ``None`` when the radio or relay leg lost it.
+        """
+        per_report = [self._obs_attrs(r) for r in reports]
+        self.stats.attempts += len(reports)
+        for labels in per_report:
+            self._c_reports.inc(**labels)
+        for attempt in range(self.max_retries + 1):
+            self._transmit(request, attrs)
+            if self.rng.random() >= self.LOSS_PROBABILITY:
+                break
+            if attempt == self.max_retries:
+                self._book_failed(per_report, self.RADIO_LEG)
+                return None
+            self.stats.retries += 1
+            self._c_retries.inc(**attrs)
+        relay_leg = None
+        if self.RELAY_LOSS_PROBABILITY is not None:
+            # Board -> server over HTTP: mains powered, so no phone
+            # energy; losses are rare but final.
+            relay_leg = "relay"
+            if self.rng.random() < self.RELAY_LOSS_PROBABILITY:
+                self._book_failed(per_report, relay_leg)
+                return None
+        response = self._dispatch_honouring_backpressure(request, attrs)
+        if response.status == 429:
+            self._c_bp_dropped.inc(float(len(reports)), **attrs)
+            self._book_failed(per_report, relay_leg)
+            return response
+        self.stats.delivered += len(reports)
+        for labels in per_report:
+            self._c_delivered.inc(**labels)
+        return response
+
+    def _transmit(self, request: Request, attrs: dict) -> None:
+        """Pay one radio transmission of ``request``: bytes and energy."""
+        size = request.size_bytes
+        self.stats.bytes_sent += size
+        self._c_bytes.inc(size, **attrs)
+        self.stats.energy_j += self.energy_per_message_j(size)
+
+    def _book_failed(self, per_report: List[dict], leg: Optional[str]) -> None:
+        """Book every report of a lost request as failed on ``leg``."""
+        self.stats.failed += len(per_report)
+        leg_label = {} if leg is None else {"leg": leg}
+        for labels in per_report:
+            self._c_failed.inc(**leg_label, **labels)
+
     def _dispatch_honouring_backpressure(
         self, request: Request, attrs: dict
     ) -> Response:
         """Dispatch a radio-delivered request, honouring 429 hints.
 
         Each backpressure retry is a fresh transmission: it re-pays
-        bytes and energy, and advances the request's logical time by
-        the server's ``retry_after_s`` hint.  Returns the final
-        response (still 429 when the bounded retries are exhausted).
+        bytes and energy (on the relay, the status comes back to the
+        phone and the phone re-sends over BT), and advances the
+        request's logical time by the server's ``retry_after_s`` hint.
+        Returns the final response (still 429 when the bounded retries
+        are exhausted).
         """
         response = self.router.dispatch(request)
         attempt = 0
@@ -188,116 +296,9 @@ class Uplink(abc.ABC):
             request = replace(request, time=request.time + hint)
             if self.on_backpressure is not None:
                 self.on_backpressure(request, attempt)
-            self.stats.bytes_sent += request.size_bytes
-            self._c_bytes.inc(request.size_bytes, **attrs)
-            self.stats.energy_j += self.energy_per_message_j(request.size_bytes)
+            self._transmit(request, attrs)
             response = self.router.dispatch(request)
         return response
-
-    def send_report(self, report: SightingReport) -> Optional[Response]:
-        """Deliver one sighting report; ``None`` when all attempts fail.
-
-        Every attempt (including failed ones) costs transmission
-        energy - failed radio transmissions still burn the battery.
-        """
-        request = Request(
-            method="POST",
-            path="/sightings",
-            body={
-                "device_id": report.device_id,
-                "time": report.time,
-                "beacons": report.distances(),
-            },
-            time=report.time,
-            headers=self._trace_headers(),
-        )
-        attrs = self._obs_attrs(report)
-        self.stats.attempts += 1
-        self._c_reports.inc(**attrs)
-        for attempt in range(self.max_retries + 1):
-            self.stats.bytes_sent += request.size_bytes
-            self._c_bytes.inc(request.size_bytes, **attrs)
-            self.stats.energy_j += self.energy_per_message_j(request.size_bytes)
-            if self.rng.random() < self.loss_probability:
-                if attempt < self.max_retries:
-                    self.stats.retries += 1
-                    self._c_retries.inc(**attrs)
-                    continue
-                self.stats.failed += 1
-                self._c_failed.inc(**attrs)
-                return None
-            response = self._dispatch_honouring_backpressure(request, attrs)
-            if response.status == 429:
-                self.stats.failed += 1
-                self._c_failed.inc(**attrs)
-                self._c_bp_dropped.inc(**attrs)
-                return response
-            self.stats.delivered += 1
-            self._c_delivered.inc(**attrs)
-            return response
-        return None  # pragma: no cover - loop always returns
-
-    # -- batched delivery ----------------------------------------------
-    def _batch_request(self, reports: Sequence[SightingReport]) -> Request:
-        """One ``POST /sightings/batch`` request carrying all reports.
-
-        Built through :meth:`BmsClient.batch_request` so the radio path
-        and the typed client share one wire format.
-        """
-        return BmsClient.batch_request(
-            [
-                {
-                    "device_id": r.device_id,
-                    "time": r.time,
-                    "beacons": r.distances(),
-                }
-                for r in reports
-            ],
-            time=max(r.time for r in reports),
-            headers=self._trace_headers(),
-        )
-
-    def send_batch(self, reports: Sequence[SightingReport]) -> Optional[Response]:
-        """Deliver many reports in one request; ``None`` if all attempts fail.
-
-        The whole batch rides one radio burst, so the per-message
-        wake/connection energy is paid once per attempt rather than
-        once per report — only the marginal per-byte cost scales with
-        the batch.  All reports in the batch share one delivery fate.
-        """
-        reports = list(reports)
-        if not reports:
-            return None
-        request = self._batch_request(reports)
-        batch_attrs = {"transport": self.TRANSPORT, "batched": True}
-        self.stats.attempts += len(reports)
-        for report in reports:
-            self._c_reports.inc(**self._obs_attrs(report))
-        for attempt in range(self.max_retries + 1):
-            self.stats.bytes_sent += request.size_bytes
-            self._c_bytes.inc(request.size_bytes, **batch_attrs)
-            self.stats.energy_j += self.energy_per_message_j(request.size_bytes)
-            if self.rng.random() < self.loss_probability:
-                if attempt < self.max_retries:
-                    self.stats.retries += 1
-                    self._c_retries.inc(**batch_attrs)
-                    continue
-                self.stats.failed += len(reports)
-                for report in reports:
-                    self._c_failed.inc(**self._obs_attrs(report))
-                return None
-            response = self._dispatch_honouring_backpressure(request, batch_attrs)
-            if response.status == 429:
-                self.stats.failed += len(reports)
-                self._c_bp_dropped.inc(float(len(reports)), **batch_attrs)
-                for report in reports:
-                    self._c_failed.inc(**self._obs_attrs(report))
-                return response
-            self.stats.delivered += len(reports)
-            for report in reports:
-                self._c_delivered.inc(**self._obs_attrs(report))
-            return response
-        return None  # pragma: no cover - loop always returns
 
     def queue_report(self, report: SightingReport) -> Optional[Response]:
         """Buffer a report under the batch policy; deliver when due.
@@ -352,6 +353,6 @@ class Uplink(abc.ABC):
         """
         if duration_s < 0.0:
             raise ValueError(f"duration must be >= 0, got {duration_s}")
-        energy = self.idle_power_w * duration_s
+        energy = self.IDLE_POWER_W * duration_s
         self.stats.energy_j += energy
         return energy

@@ -16,36 +16,17 @@ __all__ = ["WifiUplink"]
 
 
 class WifiUplink(Uplink):
-    """Direct HTTP over Wi-Fi.
+    """Direct HTTP over Wi-Fi: the stable channel, no relay hop.
 
-    Batched delivery (:meth:`~repro.comms.uplink.Uplink.send_batch`)
-    pays :attr:`WAKE_ENERGY_J` once per batch attempt — the radio wake
-    + tail dominates small sighting payloads, so batching N reports
-    costs roughly one burst instead of N.
-
-    Attributes (class constants, overridable per instance):
-        LOSS_PROBABILITY: per-attempt radio failure rate (Wi-Fi is the
-            stable channel).
-        WAKE_ENERGY_J: radio wake + association + tail energy per
-            transmission burst.
-        ENERGY_PER_BYTE_J: marginal transmit energy.
-        IDLE_POWER_W: keeping the adapter associated while the app runs.
+    ``BURST_ENERGY_J`` is the radio wake + association + tail energy
+    of one transmission burst; it dominates small sighting payloads,
+    so batching N reports costs roughly one burst instead of N.
+    ``IDLE_POWER_W`` keeps the adapter associated while the app runs.
     """
 
     TRANSPORT = "wifi"
 
     LOSS_PROBABILITY = 0.005
-    WAKE_ENERGY_J = 0.06
+    BURST_ENERGY_J = 0.06
     ENERGY_PER_BYTE_J = 1.6e-4
     IDLE_POWER_W = 0.080
-
-    @property
-    def loss_probability(self) -> float:
-        return self.LOSS_PROBABILITY
-
-    def energy_per_message_j(self, size_bytes: int) -> float:
-        return self.WAKE_ENERGY_J + self.ENERGY_PER_BYTE_J * size_bytes
-
-    @property
-    def idle_power_w(self) -> float:
-        return self.IDLE_POWER_W

@@ -402,7 +402,7 @@ class OccupancyDetectionSystem:
                 return
         listen = rt.phone.scanner.settings.listen_window_s
         rt.meter.charge_power("ble_scan", profile.ble_scan_w, listen)
-        rt.meter.charge_power("uplink_idle", rt.uplink.idle_power_w, period)
+        rt.meter.charge_power("uplink_idle", rt.uplink.IDLE_POWER_W, period)
         report = rt.phone.run_cycle(t0)
         if report is not None:
             # queue_report is send_report when no batch policy is set.

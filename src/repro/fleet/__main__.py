@@ -106,7 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="process-pool size; affects wall clock only, never the result",
+        help="process-pool size; with --shards pinned it affects wall "
+        "clock only, never the result (an unset --shards follows it)",
     )
     parser.add_argument(
         "--shards", type=int, default=None,

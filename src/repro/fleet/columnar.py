@@ -580,7 +580,7 @@ class ColumnarFleetDrive:
                 "ble_scan", profile.ble_scan_w, self.settings.listen_window_s
             )
             rt.meter.charge_power(
-                "uplink_idle", rt.uplink.idle_power_w, period
+                "uplink_idle", rt.uplink.IDLE_POWER_W, period
             )
             label = rt.phone.scanner._obs_label
             attrs = {"phone": label} if label else {}

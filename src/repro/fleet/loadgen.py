@@ -190,8 +190,10 @@ class FleetLoadGenerator:
             shard count — not the worker count — defines the
             decomposition, so pin ``shards`` when comparing different
             worker counts.
-        workers: process-pool size executing the shards; only the
-            wall clock depends on it, never the result.
+        workers: process-pool size executing the shards.  With
+            ``shards`` pinned only the wall clock depends on it, never
+            the result; an unset ``shards`` follows it, which changes
+            the decomposition and so the result.
         device_offset: global index of this generator's first device
             (sub-fleets use it to keep ``dev-NNNN`` ids and telemetry
             labels unique across shards).

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -70,6 +70,14 @@ class SightingReport:
     def distances(self) -> Dict[str, float]:
         """beacon_id -> estimated distance, for the classifier."""
         return {b.beacon_id: b.distance_m for b in self.beacons}
+
+    def to_sighting(self) -> Dict[str, Any]:
+        """The report as one sighting of the BMS wire format."""
+        return {
+            "device_id": self.device_id,
+            "time": self.time,
+            "beacons": self.distances(),
+        }
 
     def rssis(self) -> Dict[str, float]:
         """beacon_id -> filtered RSSI, for RSSI-feature classifiers."""

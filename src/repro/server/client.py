@@ -14,7 +14,7 @@ Exhausted retries surface as a :class:`BmsApiError` with status 429.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.server.rest import Request, Router
@@ -74,6 +74,21 @@ class BmsClient:
         self.backpressure_retries = 0
 
     @staticmethod
+    def sighting_request(
+        sighting: Mapping[str, Any],
+        time: float = 0.0,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Request:
+        """Build the canonical loose ``POST /sightings`` request."""
+        return Request(
+            method="POST",
+            path="/sightings",
+            body=dict(sighting),
+            time=time,
+            headers=headers or {},
+        )
+
+    @staticmethod
     def batch_request(
         sightings: Sequence[Mapping[str, Any]],
         time: float = 0.0,
@@ -81,9 +96,9 @@ class BmsClient:
     ) -> Request:
         """Build the canonical ``POST /sightings/batch`` request.
 
-        The single place the batch wire format lives — the uplinks
-        build their batch requests through this, so client and radio
-        paths can never drift apart.
+        This and :meth:`sighting_request` are the only places the
+        sighting wire format lives: the client, the uplinks and the
+        relay board all send the requests they build.
         """
         return Request(
             method="POST",
@@ -94,11 +109,13 @@ class BmsClient:
         )
 
     def _call(self, method: str, path: str, body=None, time: float = 0.0):
+        return self._send(Request(method, path, body=body, time=time))
+
+    def _send(self, request: Request):
+        """Dispatch ``request``, retrying 429s; returns the 2xx body."""
         attempts = 0
         while True:
-            response = self.router.dispatch(
-                Request(method, path, body=body, time=time)
-            )
+            response = self.router.dispatch(request)
             if response.ok:
                 return response.body
             if (
@@ -108,9 +125,9 @@ class BmsClient:
                 attempts += 1
                 self.backpressure_retries += 1
                 hint = float((response.body or {}).get("retry_after_s", 0.0))
-                time += hint
+                request = replace(request, time=request.time + hint)
                 if self.on_backpressure is not None:
-                    self.on_backpressure(time, attempts)
+                    self.on_backpressure(request.time, attempts)
                 continue
             message = ""
             if response.body and "error" in response.body:
@@ -146,10 +163,11 @@ class BmsClient:
         deferred its classification (a sharded front door answering
         202-queued under a non-write-through drain policy).
         """
-        body = self._call(
-            "POST", "/sightings",
-            body={"device_id": device_id, "beacons": dict(beacons), "time": time},
-            time=time,
+        body = self._send(
+            self.sighting_request(
+                {"device_id": device_id, "beacons": dict(beacons), "time": time},
+                time=time,
+            )
         )
         room = body.get("room")
         return str(room) if room is not None else None
@@ -168,12 +186,7 @@ class BmsClient:
             BmsApiError: validation failure (400), untrained server
                 (409), or backpressure past the bounded retries (429).
         """
-        body = self._call(
-            "POST",
-            "/sightings/batch",
-            body={"sightings": [dict(sighting) for sighting in sightings]},
-            time=time,
-        )
+        body = self._send(self.batch_request(sightings, time=time))
         rooms = body.get("rooms")
         if rooms is None:
             return None

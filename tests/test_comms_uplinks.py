@@ -2,12 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.comms.bt_relay import BluetoothRelayUplink
 from repro.comms.uplink import BatchPolicy
 from repro.comms.wifi import WifiUplink
+from repro.obs.events import SPAN_START
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import MemorySink
+from repro.obs.tracing import TraceContext
 from repro.phone.app import RangedBeacon, SightingReport
+from repro.server import BmsClient, ShardedBmsService
 from repro.server.rest import Router
+
+TRANSPORTS = pytest.mark.parametrize(
+    "transport", [WifiUplink, BluetoothRelayUplink], ids=["wifi", "bt_relay"]
+)
 
 
 def report(time=1.0):
@@ -43,12 +53,12 @@ class TestWifiUplink:
     def test_idle_power_positive(self):
         """Wi-Fi keeps the adapter on - the paper's complaint."""
         uplink = WifiUplink(accepting_router())
-        assert uplink.idle_power_w > 0.0
+        assert uplink.IDLE_POWER_W > 0.0
 
     def test_charge_idle_accumulates(self):
         uplink = WifiUplink(accepting_router())
         energy = uplink.charge_idle(10.0)
-        assert energy == pytest.approx(uplink.idle_power_w * 10.0)
+        assert energy == pytest.approx(uplink.IDLE_POWER_W * 10.0)
         assert uplink.stats.energy_j == pytest.approx(energy)
 
     def test_charge_idle_rejects_negative(self):
@@ -76,14 +86,15 @@ class TestWifiUplink:
 
 class TestBluetoothRelayUplink:
     def test_delivers_via_relay(self):
-        uplink = BluetoothRelayUplink(accepting_router(), rng=np.random.default_rng(0))
+        router = accepting_router()
+        uplink = BluetoothRelayUplink(router, rng=np.random.default_rng(0))
         response = uplink.send_report(report())
         assert response is not None and response.ok
-        assert uplink.relay_requests == 1
+        assert router.requests_handled == 1
 
     def test_no_idle_power(self):
         """BT connects on demand: no standing adapter cost."""
-        assert BluetoothRelayUplink(accepting_router()).idle_power_w == 0.0
+        assert BluetoothRelayUplink(accepting_router()).IDLE_POWER_W == 0.0
 
     def test_cheaper_per_message_than_wifi(self):
         router = accepting_router()
@@ -168,7 +179,7 @@ class TestSendBatch:
         assert batched.stats.energy_j < individual.stats.energy_j
         # The saving is roughly (n - 1) wake energies.
         saved = individual.stats.energy_j - batched.stats.energy_j
-        assert saved > (n - 2) * WifiUplink.WAKE_ENERGY_J * 0.5
+        assert saved > (n - 2) * WifiUplink.BURST_ENERGY_J * 0.5
 
     def test_empty_batch_is_noop(self):
         uplink = WifiUplink(batch_router())
@@ -183,10 +194,11 @@ class TestSendBatch:
         assert uplink.stats.retries == uplink.max_retries
 
     def test_bt_relay_batch_uses_one_relay_request(self):
-        uplink = BluetoothRelayUplink(batch_router(), rng=np.random.default_rng(0))
+        router = batch_router()
+        uplink = BluetoothRelayUplink(router, rng=np.random.default_rng(0))
         response = uplink.send_batch(reports(6))
         assert response is not None and response.ok
-        assert uplink.relay_requests == 1
+        assert router.requests_handled == 1
         assert uplink.stats.delivered == 6
 
 
@@ -289,10 +301,11 @@ def backpressured_router(reject_first_n, retry_after_s=0.5):
     return router
 
 
+@TRANSPORTS
 class TestUplinkBackpressure:
-    def test_retry_honours_hint_then_delivers(self):
+    def test_retry_honours_hint_then_delivers(self, transport):
         router = backpressured_router(reject_first_n=1, retry_after_s=0.5)
-        uplink = WifiUplink(router, rng=np.random.default_rng(0))
+        uplink = transport(router, rng=np.random.default_rng(0))
         response = uplink.send_report(report(time=1.0))
         assert response is not None and response.ok
         assert uplink.stats.delivered == 1
@@ -303,9 +316,9 @@ class TestUplinkBackpressure:
         assert snapshot["uplink.backpressure_retries"]["value"] == 1.0
         assert snapshot["uplink.backpressure_dropped"]["value"] == 0.0
 
-    def test_bounded_retries_then_drop(self):
+    def test_bounded_retries_then_drop(self, transport):
         router = backpressured_router(reject_first_n=10)
-        uplink = WifiUplink(router, rng=np.random.default_rng(0))
+        uplink = transport(router, rng=np.random.default_rng(0))
         response = uplink.send_report(report(time=1.0))
         assert response is not None and response.status == 429
         assert uplink.stats.delivered == 0
@@ -318,20 +331,20 @@ class TestUplinkBackpressure:
         )
         assert snapshot["uplink.backpressure_dropped"]["value"] == 1.0
 
-    def test_batch_drop_counts_every_report(self):
+    def test_batch_drop_counts_every_report(self, transport):
         router = backpressured_router(reject_first_n=10)
-        uplink = WifiUplink(router, rng=np.random.default_rng(0))
+        uplink = transport(router, rng=np.random.default_rng(0))
         response = uplink.send_batch([report(1.0), report(2.0), report(3.0)])
         assert response is not None and response.status == 429
         assert uplink.stats.failed == 3
         snapshot = uplink.obs.snapshot()
         assert snapshot["uplink.backpressure_dropped"]["value"] == 3.0
 
-    def test_backpressure_retries_cost_bytes_and_energy(self):
+    def test_backpressure_retries_cost_bytes_and_energy(self, transport):
         router = backpressured_router(reject_first_n=1)
-        uplink = WifiUplink(router, rng=np.random.default_rng(0))
+        uplink = transport(router, rng=np.random.default_rng(0))
         uplink.send_report(report(time=1.0))
-        baseline = WifiUplink(
+        baseline = transport(
             backpressured_router(reject_first_n=0),
             rng=np.random.default_rng(0),
         )
@@ -339,9 +352,9 @@ class TestUplinkBackpressure:
         assert uplink.stats.bytes_sent == 2 * baseline.stats.bytes_sent
         assert uplink.stats.energy_j > baseline.stats.energy_j
 
-    def test_on_backpressure_seam_runs_before_each_retry(self):
+    def test_on_backpressure_seam_runs_before_each_retry(self, transport):
         router = backpressured_router(reject_first_n=1)
-        uplink = WifiUplink(router, rng=np.random.default_rng(0))
+        uplink = transport(router, rng=np.random.default_rng(0))
         calls = []
         uplink.on_backpressure = lambda request, attempt: calls.append(
             (request.time, attempt)
@@ -349,10 +362,130 @@ class TestUplinkBackpressure:
         uplink.send_report(report(time=1.0))
         assert calls == [(1.5, 1)]
 
-    def test_zero_bound_drops_immediately(self):
+    def test_zero_bound_drops_immediately(self, transport):
         router = backpressured_router(reject_first_n=10)
-        uplink = WifiUplink(router, rng=np.random.default_rng(0))
+        uplink = transport(router, rng=np.random.default_rng(0))
         uplink.max_backpressure_retries = 0
         response = uplink.send_report(report(time=1.0))
         assert response.status == 429
         assert len(router.seen) == 1
+
+
+class ConstantClassifier:
+    """Stub classifier answering the first trained room."""
+
+    def fit(self, X, y):
+        self.room = str(y[0])
+        return self
+
+    def predict(self, X):
+        return [self.room] * len(X)
+
+
+@TRANSPORTS
+class TestTransportsAtTheDoor:
+    """Both transports meet a real front door the same way (regression:
+    the relay booked a 429 as delivered and sent no trace header)."""
+
+    def test_full_queue_drops_the_second_loose_post(self, transport):
+        door = ShardedBmsService(
+            ["1-1"],
+            shards=1,
+            queue_maxsize=1,
+            drain_policy="manual",
+            classifier_factory=ConstantClassifier,
+        )
+        door.add_fingerprint("kitchen", {"1-1": 2.0})
+        door.add_fingerprint("hall", {"1-1": 9.0})
+        door.train()
+        uplink = transport(door.router, rng=np.random.default_rng(0))
+        uplink.LOSS_PROBABILITY = 0.0
+        uplink.send_report(report(1.0))
+        response = uplink.send_report(report(2.0))
+        assert response.status == 429
+        assert (uplink.stats.delivered, uplink.stats.failed) == (1, 1)
+        assert uplink.stats.retries == 2
+        snapshot = uplink.obs.snapshot()
+        assert snapshot["uplink.backpressure_retries"]["value"] == 2.0
+        assert snapshot["uplink.backpressure_dropped"]["value"] == 1.0
+
+    def test_loose_post_span_parented_to_phone_span(self, transport):
+        server = MetricsRegistry(sink=MemorySink())
+        router = accepting_router()
+        router.tracer = server.tracer
+        phone = MetricsRegistry(sink=MemorySink())
+        phone.tracer.adopt(TraceContext("t-uplink"), namespace="phone")
+        uplink = transport(router, rng=np.random.default_rng(0), registry=phone)
+        with phone.tracer.span("phone.cycle") as cycle:
+            uplink.send_report(report())
+        [start] = [
+            event
+            for event in server.events
+            if event.name == "server.request" and event.kind == SPAN_START
+        ]
+        assert start.attrs["parent_id"] == phone.tracer.qualify(cycle.span_id)
+
+
+probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.01, 0.99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    transport=st.sampled_from([WifiUplink, BluetoothRelayUplink]),
+    batch=st.one_of(st.none(), st.integers(1, 5)),
+    loss=probabilities,
+    relay_loss=probabilities,
+    max_retries=st.integers(0, 2),
+    rejections=st.integers(0, 4),
+    bp_retries=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_delivery_ledger_balances(
+    transport, batch, loss, relay_loss, max_retries, rejections, bp_retries, seed
+):
+    """Every report is delivered or failed once, on both send paths
+    and both transports, whatever the radio, the relay and the 429s do."""
+    router = backpressured_router(reject_first_n=rejections)
+    uplink = transport(
+        router, rng=np.random.default_rng(seed), max_retries=max_retries
+    )
+    uplink.LOSS_PROBABILITY = loss
+    if uplink.RELAY_LOSS_PROBABILITY is not None:
+        uplink.RELAY_LOSS_PROBABILITY = relay_loss
+    uplink.max_backpressure_retries = bp_retries
+    if batch is None:
+        sent = [report(1.0)]
+        response = uplink.send_report(sent[0])
+        request = BmsClient.sighting_request(sent[0].to_sighting())
+    else:
+        sent = reports(batch)
+        response = uplink.send_batch(sent)
+        request = BmsClient.batch_request([r.to_sighting() for r in sent])
+
+    stats = uplink.stats
+    snapshot = uplink.obs.snapshot()
+
+    def total(name):
+        return snapshot[name]["value"]
+
+    assert stats.attempts == len(sent) == stats.delivered + stats.failed
+    assert total("uplink.reports") == stats.attempts
+    assert total("uplink.delivered") == stats.delivered
+    assert total("uplink.failed") == stats.failed
+    assert (
+        total("uplink.retries") + total("uplink.backpressure_retries")
+        == stats.retries
+    )
+    # The first transmission plus one per radio or backpressure retry.
+    transmissions = 1 + stats.retries
+    assert stats.bytes_sent == transmissions * request.size_bytes
+    assert total("uplink.bytes") == stats.bytes_sent
+    assert stats.energy_j == pytest.approx(
+        transmissions * uplink.energy_per_message_j(request.size_bytes)
+    )
+    if response is not None and response.status == 429:
+        assert stats.delivered == 0
+        assert total("uplink.backpressure_dropped") == len(sent)
+    else:
+        assert total("uplink.backpressure_dropped") == 0.0
+        assert stats.delivered == (len(sent) if response is not None else 0)

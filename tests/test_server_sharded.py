@@ -517,6 +517,20 @@ class TestTypedClientWrappers:
         assert history.peak == 1
         assert history.utilisation == 1.0
 
+    def test_sighting_request_builder_shapes_wire_format(self):
+        request = BmsClient.sighting_request(
+            {"device_id": "a", "beacons": {"b1": 1.0}, "time": 2.0},
+            time=2.0,
+            headers={"traceparent": "t;1"},
+        )
+        assert (request.method, request.path, request.time) == (
+            "POST", "/sightings", 2.0
+        )
+        assert request.body == {
+            "device_id": "a", "beacons": {"b1": 1.0}, "time": 2.0
+        }
+        assert request.headers == {"traceparent": "t;1"}
+
     def test_batch_request_builder_shapes_wire_format(self):
         request = BmsClient.batch_request(
             [{"device_id": "a", "beacons": {"b1": 1.0}, "time": 2.0}], time=2.0
