@@ -57,12 +57,7 @@ def _run_replay(args) -> int:
     if args.occupancy:
         _write_occupancy(server.snapshot(), args.occupancy)
     if args.history:
-        history = (
-            server.merged_history()
-            if hasattr(server, "merged_history")
-            else server.history
-        )
-        _write_history(history, args.history)
+        _write_history(server.merged_history(), args.history)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0

@@ -420,18 +420,11 @@ class FleetLoadGenerator:
             batch_hist = self.obs.histogram("server.batch_size")
         ingested = int(self.obs.counter("server.sightings").value)
         self.last_occupancy = system.bms.snapshot()
-        self.last_history = (
-            service.merged_history()
-            if service is not None
-            else system.bms.history
-        )
-        if self.wal_dir is not None:
-            # Seal the active segments so the directory is complete on
-            # disk the moment the run returns.
-            if service is not None:
-                service.close_wals()
-            elif system.bms.wal is not None:
-                system.bms.wal.close()
+        self.last_history = system.bms.merged_history()
+        # Seal the active segments so a WAL directory is complete on
+        # disk the moment the run returns.
+        for wal in system.bms.wals():
+            wal.close()
         throughput = ingested / self.duration_s
         attempts = sum(s.attempts for s in run.delivery.values())  # repro: noqa[numeric-dict-reduction] integer counts, order-free
         delivered = sum(s.delivered for s in run.delivery.values())  # repro: noqa[numeric-dict-reduction] integer counts, order-free

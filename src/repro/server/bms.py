@@ -5,7 +5,10 @@ ingests sighting reports from phones, stores calibration fingerprints,
 trains the Scene Analysis classifier (SVM-RBF by default), answers
 occupancy queries per device and per room, and exposes the whole thing
 over the REST-like :class:`~repro.server.rest.Router` so the uplink
-models can deliver real requests.
+models can deliver real requests.  :func:`register_routes` is that
+route table, shared with the sharded front door
+(:mod:`repro.server.sharded`), and :func:`normalise_sighting` and
+:func:`normalise_fingerprint` validate everything it accepts.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ from repro.server.fingerprints import FingerprintStore
 from repro.server.history import OccupancyHistory
 from repro.server.rest import HttpError, Request, Router
 
-__all__ = ["BuildingManagementServer", "OccupancySnapshot", "normalise_sighting"]
+__all__ = [
+    "BuildingManagementServer",
+    "OccupancySnapshot",
+    "normalise_fingerprint",
+    "normalise_sighting",
+    "register_routes",
+]
 
 #: A device that has not reported for this long is dropped from the
 #: occupancy state (it left the building or its battery died).
@@ -50,6 +59,30 @@ def _real(value: Any, name: str, low: Optional[float] = None) -> float:
     return value
 
 
+def _beacon_values(beacons: Any, name: str, low: float) -> Dict[str, float]:
+    """``beacons`` as ``{str: float}``, every value finite and >= ``low``."""
+    if not isinstance(beacons, (dict, abc.Mapping)):
+        raise ValueError(f"beacons must map beacon ids to numbers, got {beacons!r}")
+    values = {}
+    for beacon_id, value in beacons.items():
+        if not isinstance(beacon_id, str):
+            raise ValueError(f"beacon ids must be strings, got {beacon_id!r}")
+        # Exact finite floats above ``low``, the common case, pass on
+        # one chained comparison (NaN fails it); the rest take _real.
+        values[beacon_id] = (
+            value
+            if type(value) is float and low < value < _INF
+            else _real(value, name, low)
+        )
+    return values
+
+
+def _mapping(report: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(report, (dict, abc.Mapping)):
+        raise ValueError(f"{what} must be a JSON object, got {report!r}")
+    return report
+
+
 def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]:
     """Validate one sighting report into the row every layer stores.
 
@@ -65,34 +98,43 @@ def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]
     Raises:
         ValueError: the report is malformed (the REST routes answer 400).
     """
-    if not isinstance(report, (dict, abc.Mapping)) or "device_id" not in report:
-        raise ValueError("sighting needs device_id and beacons")
-    device_id, beacons = report["device_id"], report.get("beacons")
+    device_id = _mapping(report, "sighting").get("device_id")
     if not isinstance(device_id, str) or not device_id:
         raise ValueError(f"device_id must be a non-empty string, got {device_id!r}")
-    if not isinstance(beacons, (dict, abc.Mapping)):
-        raise ValueError(f"beacons must map beacon ids to numbers, got {beacons!r}")
-    distances = {}
-    for beacon_id, value in beacons.items():
-        if not isinstance(beacon_id, str):
-            raise ValueError(f"beacon ids must be strings, got {beacon_id!r}")
-        # Exact finite non-negative floats, the common case, pass on
-        # one chained comparison (NaN fails it).
-        distances[beacon_id] = (
-            value
-            if type(value) is float and 0.0 <= value < _INF
-            else _real(value, "beacon distance", 0.0)
-        )
+    beacons = _beacon_values(report.get("beacons"), "beacon distance", 0.0)
     time = report.get("time", default_time)
-    return {
-        "device_id": device_id,
-        "beacons": distances,
-        "time": (
-            time
-            if type(time) is float and -_INF < time < _INF
-            else _real(time, "time")
-        ),
-    }
+    if not (type(time) is float and -_INF < time < _INF):
+        time = _real(time, "time")
+    return {"device_id": device_id, "beacons": beacons, "time": time}
+
+
+def normalise_fingerprint(
+    fingerprint: Any, default_time: float = 0.0
+) -> Dict[str, Any]:
+    """Validate one calibration fingerprint into the row the store keeps.
+
+    The row is ``{"room": str, "beacons": {str: float}, "time":
+    float}``, checked and widened as :func:`normalise_sighting` does,
+    except that the room must be a non-empty string, the beacon map
+    must not be empty and values may be negative (RSSI-feature
+    calibration stores dBm).
+
+    Raises:
+        ValueError: the fingerprint is malformed (the REST routes answer 400).
+    """
+    room = _mapping(fingerprint, "fingerprint").get("room")
+    if not isinstance(room, str) or not room:
+        raise ValueError(f"room must be a non-empty string, got {room!r}")
+    beacons = _beacon_values(fingerprint.get("beacons"), "beacon value", -_INF)
+    if not beacons:
+        raise ValueError("fingerprint must contain at least one beacon")
+    time = _real(fingerprint.get("time", default_time), "time")
+    return {"room": room, "beacons": beacons, "time": time}
+
+
+def _require_two_labels(labels: Sequence[str]) -> None:
+    if len(labels) < 2:
+        raise RuntimeError(f"need fingerprints for >= 2 labels, have {sorted(labels)}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +224,7 @@ class BuildingManagementServer:
         # Request-level tracing: dispatches run in server.request spans
         # on the BMS registry's tracer (silent under a NullSink).
         self.router.tracer = self.obs.tracer
-        self._register_routes()
+        register_routes(self)
 
     # ------------------------------------------------------------------
     # Core operations (also reachable over the REST router)
@@ -190,8 +232,12 @@ class BuildingManagementServer:
     def add_fingerprint(
         self, room: str, beacons: Mapping[str, float], time: float = 0.0
     ) -> int:
-        """Store one calibration sample; returns its row id."""
-        return self.fingerprints.add(room, beacons, time)
+        """Store one calibration sample; returns its row id.
+
+        A malformed sample (:func:`normalise_fingerprint`) is a ``ValueError``.
+        """
+        row = normalise_fingerprint({"room": room, "beacons": beacons, "time": time})
+        return self.fingerprints.add(**row)
 
     def train(self) -> float:
         """Fit the classifier on all stored fingerprints.
@@ -204,10 +250,7 @@ class BuildingManagementServer:
             RuntimeError: fewer than two labelled rooms stored.
         """
         data = self.fingerprints.dataset()
-        if len(data.classes) < 2:
-            raise RuntimeError(
-                f"need fingerprints for >= 2 labels, have {data.classes}"
-            )
+        _require_two_labels(data.classes)
         X, y, _ = data.to_matrix(self.vectorizer)
         if self._wants_scaling:
             X = self.scaler.fit_transform(X)
@@ -228,6 +271,10 @@ class BuildingManagementServer:
         (kNN, proximity, naive Bayes) fall back to a full
         :meth:`train`, as does an untrained server.
 
+        All or nothing: a malformed row (or none at all) is a
+        ``ValueError``, and a retrain that could not fit (fewer than two
+        labels) a ``RuntimeError``, both raised before any row is stored.
+
         Args:
             fingerprints: mappings with ``room``, ``beacons`` and
                 optional ``time`` keys, one per calibration sample.
@@ -237,25 +284,17 @@ class BuildingManagementServer:
             ``added`` rows, and in refresh mode the classifier's
             refitted/reused pair counts.
         """
-        rows = []
-        for fingerprint in fingerprints:
-            room = str(fingerprint.get("room", ""))
-            beacons = fingerprint.get("beacons") or {}
-            if not room:
-                raise ValueError("each fingerprint needs a room label")
-            rows.append(
-                {
-                    "room": room,
-                    "beacons": {str(k): float(v) for k, v in beacons.items()},
-                    "time": float(fingerprint.get("time", 0.0)),
-                }
-            )
+        rows = [normalise_fingerprint(fingerprint) for fingerprint in fingerprints]
         if not rows:
             raise ValueError("refresh needs at least one fingerprint")
+        incremental = self.trained and hasattr(self.classifier, "refresh")
+        if not incremental:
+            rooms = self.fingerprints.rooms() + [row["room"] for row in rows]
+            _require_two_labels(set(rooms))
         with self.obs.tracer.span("server.refresh", fingerprints=len(rows)):
             for row in rows:
-                self.add_fingerprint(row["room"], row["beacons"], row["time"])
-            if self.trained and hasattr(self.classifier, "refresh"):
+                self.fingerprints.add(**row)
+            if incremental:
                 X_new = self.vectorizer.transform([r["beacons"] for r in rows])
                 if self._wants_scaling:
                     X_new = self.scaler.transform(X_new)
@@ -477,6 +516,14 @@ class BuildingManagementServer:
             self.wal.append_history_mark(snap.time)
         return snap
 
+    def merged_history(self) -> OccupancyHistory:
+        """The occupancy history (one store: nothing to merge)."""
+        return self.history
+
+    def wals(self) -> List[Any]:
+        """The attached write-ahead logs: none or one."""
+        return [] if self.wal is None else [self.wal]
+
     def device_room(self, device_id: str) -> Optional[str]:
         """Last estimated room of ``device_id``, or ``None``."""
         return self._device_rooms.get(device_id)
@@ -508,116 +555,133 @@ class BuildingManagementServer:
         return self._now
 
     # ------------------------------------------------------------------
-    # REST interface (Section IV.B's Flask endpoints)
+    # REST sighting handlers (the rest of the surface: register_routes)
     # ------------------------------------------------------------------
-    def _register_routes(self) -> None:
-        @self.router.route("POST", "/fingerprints")
-        def post_fingerprint(request: Request, params: Dict[str, str]):
-            body = request.body or {}
-            try:
-                row_id = self.add_fingerprint(
-                    body.get("room", ""), body.get("beacons", {}),
-                    body.get("time", request.time),
-                )
-            except ValueError as exc:
-                raise HttpError(400, str(exc))
-            return {"id": row_id}
+    def post_sighting(self, request: Request, params: Dict[str, str]):
+        """``POST /sightings``: ingest one loose report."""
+        body = _json_body(request)
+        try:
+            room = self.ingest_sighting(
+                body.get("device_id"),
+                body.get("beacons"),
+                body.get("time", request.time),
+            )
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
+        except RuntimeError as exc:
+            raise HttpError(409, str(exc)) from None
+        return {"room": room}
 
-        @self.router.route("POST", "/train")
-        def post_train(request: Request, params: Dict[str, str]):
-            try:
-                train_accuracy = self.train()
-            except RuntimeError as exc:
-                raise HttpError(409, str(exc))
-            return {"train_accuracy": train_accuracy}
+    def post_sighting_batch(self, request: Request, params: Dict[str, str]):
+        """``POST /sightings/batch``: ingest every report, all or nothing."""
+        sightings = batch_sightings(request)
+        try:
+            rooms = self.ingest_batch(
+                [
+                    {"time": request.time, **s} if isinstance(s, dict) else s
+                    for s in sightings
+                ]
+            )
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
+        except RuntimeError as exc:
+            raise HttpError(409, str(exc)) from None
+        return {"rooms": rooms, "count": len(rooms)}
 
-        # A report without a time takes the request's; ingest validates
-        # the rest (normalise_sighting), and a ValueError is a 400.
-        @self.router.route("POST", "/sightings")
-        def post_sighting(request: Request, params: Dict[str, str]):
-            body = request.body if isinstance(request.body, dict) else {}
-            try:
-                room = self.ingest_sighting(
-                    body.get("device_id"),
-                    body.get("beacons"),
-                    body.get("time", request.time),
-                )
-            except ValueError as exc:
-                raise HttpError(400, str(exc))
-            except RuntimeError as exc:
-                raise HttpError(409, str(exc))
-            return {"room": room}
 
-        @self.router.route("POST", "/sightings/batch")
-        def post_sighting_batch(request: Request, params: Dict[str, str]):
-            body = request.body or {}
-            sightings = body.get("sightings")
-            if not isinstance(sightings, list) or not sightings:
-                raise HttpError(400, "batch needs a non-empty 'sightings' list")
-            try:
-                rooms = self.ingest_batch(
-                    [
-                        {"time": request.time, **s} if isinstance(s, dict) else s
-                        for s in sightings
-                    ]
-                )
-            except ValueError as exc:
-                raise HttpError(400, str(exc))
-            except RuntimeError as exc:
-                raise HttpError(409, str(exc))
-            return {"rooms": rooms, "count": len(rooms)}
+def _json_body(request: Request) -> Mapping[str, Any]:
+    """A POST body: a JSON object, ``{}`` when there is none; else 400."""
+    if request.body is not None and not isinstance(request.body, dict):
+        raise HttpError(400, f"body must be a JSON object, got {request.body!r}")
+    return request.body or {}
 
-        @self.router.route("GET", "/occupancy")
-        def get_occupancy(request: Request, params: Dict[str, str]):
-            snap = self.snapshot(request.time if request.time > 0 else None)
-            return {"time": snap.time, "rooms": snap.rooms, "devices": snap.devices}
 
-        @self.router.route("GET", "/occupancy/<room>")
-        def get_room(request: Request, params: Dict[str, str]):
-            snap = self.snapshot(request.time if request.time > 0 else None)
-            return {"room": params["room"], "count": snap.count(params["room"])}
+def batch_sightings(request: Request) -> List[Any]:
+    """The non-empty ``sightings`` list of a batch post; else 400."""
+    sightings = _json_body(request).get("sightings")
+    if not isinstance(sightings, list) or not sightings:
+        raise HttpError(400, "batch needs a non-empty 'sightings' list")
+    return sightings
 
-        @self.router.route("GET", "/devices/<device_id>/location")
-        def get_device(request: Request, params: Dict[str, str]):
-            room = self.device_room(params["device_id"])
-            if room is None:
-                raise HttpError(404, f"unknown device {params['device_id']!r}")
-            return {"device_id": params["device_id"], "room": room}
 
-        @self.router.route("GET", "/history/<room>")
-        def get_history(request: Request, params: Dict[str, str]):
-            room = params["room"]
-            return {
-                "room": room,
-                "series": self.history.series(room),
-                "peak": self.history.peak(room),
-                "mean_occupancy": self.history.mean_occupancy(room),
-                "utilisation": self.history.utilisation(room),
-            }
+def register_routes(server) -> None:
+    """Register the BMS REST surface (Section IV.B's Flask endpoints).
 
-        @self.router.route("POST", "/model/refresh")
-        def post_refresh(request: Request, params: Dict[str, str]):
-            body = request.body or {}
-            fingerprints = body.get("fingerprints")
-            if not isinstance(fingerprints, list) or not fingerprints:
-                raise HttpError(
-                    400, "refresh needs a non-empty 'fingerprints' list"
-                )
-            try:
-                return self.refresh(fingerprints)
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, str(exc))
-            except RuntimeError as exc:
-                raise HttpError(409, str(exc))
+    One table for the single store and the sharded front door: each
+    brings its ``router`` and its two sighting handlers, the one thing
+    they do differently; every other route runs over operations both
+    expose.  Malformed input (a non-object body too) is a 400.
+    """
+    route = server.router.route
+    route("POST", "/sightings")(server.post_sighting)
+    route("POST", "/sightings/batch")(server.post_sighting_batch)
 
-        @self.router.route("GET", "/wal")
-        def get_wal(request: Request, params: Dict[str, str]):
-            if self.wal is None:
-                return {"attached": False}
-            return {"attached": True, **self.wal.describe()}
+    @route("POST", "/fingerprints")
+    def post_fingerprint(request: Request, params: Dict[str, str]):
+        body = _json_body(request)
+        try:
+            row_id = server.add_fingerprint(
+                body.get("room"), body.get("beacons"), body.get("time", request.time)
+            )
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
+        return {"id": row_id}
 
-        @self.router.route("POST", "/wal/compact")
-        def post_wal_compact(request: Request, params: Dict[str, str]):
-            if self.wal is None:
-                raise HttpError(409, "no WAL attached")
-            return {"compacted": self.wal.compact()}
+    @route("POST", "/train")
+    def post_train(request: Request, params: Dict[str, str]):
+        try:
+            return {"train_accuracy": server.train()}
+        except RuntimeError as exc:
+            raise HttpError(409, str(exc)) from None
+
+    @route("GET", "/occupancy")
+    def get_occupancy(request: Request, params: Dict[str, str]):
+        snap = server.snapshot(request.time if request.time > 0 else None)
+        return {"time": snap.time, "rooms": snap.rooms, "devices": snap.devices}
+
+    @route("GET", "/occupancy/<room>")
+    def get_room(request: Request, params: Dict[str, str]):
+        snap = server.snapshot(request.time if request.time > 0 else None)
+        return {"room": params["room"], "count": snap.count(params["room"])}
+
+    @route("GET", "/devices/<device_id>/location")
+    def get_device(request: Request, params: Dict[str, str]):
+        room = server.device_room(params["device_id"])
+        if room is None:
+            raise HttpError(404, f"unknown device {params['device_id']!r}")
+        return {"device_id": params["device_id"], "room": room}
+
+    @route("GET", "/history/<room>")
+    def get_history(request: Request, params: Dict[str, str]):
+        room, history = params["room"], server.merged_history()
+        return {
+            "room": room,
+            "series": history.series(room),
+            "peak": history.peak(room),
+            "mean_occupancy": history.mean_occupancy(room),
+            "utilisation": history.utilisation(room),
+        }
+
+    @route("POST", "/model/refresh")
+    def post_refresh(request: Request, params: Dict[str, str]):
+        fingerprints = _json_body(request).get("fingerprints")
+        if not isinstance(fingerprints, list) or not fingerprints:
+            raise HttpError(400, "refresh needs a non-empty 'fingerprints' list")
+        try:
+            return server.refresh(fingerprints)
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
+        except RuntimeError as exc:
+            raise HttpError(409, str(exc)) from None
+
+    @route("GET", "/wal")
+    def get_wal(request: Request, params: Dict[str, str]):
+        described = [wal.describe() for wal in server.wals()]
+        return {"attached": bool(described), "shards": described}
+
+    @route("POST", "/wal/compact")
+    def post_wal_compact(request: Request, params: Dict[str, str]):
+        wals = server.wals()
+        if not wals:
+            raise HttpError(409, "no WAL attached")
+        return {"compacted": [wal.compact() for wal in wals]}

@@ -36,8 +36,12 @@ production shape while keeping every request in-process:
 The service is a drop-in for the single-store BMS inside
 :class:`~repro.core.system.OccupancyDetectionSystem`: it exposes the
 same coordination surface (``router``, ``add_fingerprint``, ``train``,
-``trained``, ``snapshot``, ``record_history``, ``device_room_at``),
+``trained``, ``refresh``, ``snapshot``, ``record_history``,
+``merged_history``, ``device_room``, ``device_room_at``, ``wals``),
 and `FleetLoadGenerator(service_shards=K)` swaps it in for fleet runs.
+Its REST surface is the store's table
+(:func:`~repro.server.bms.register_routes`) with the door's two
+sighting handlers, plus ``GET /shards`` and ``GET /telemetry``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ from repro.server.bms import (
     DEFAULT_DEVICE_TIMEOUT_S,
     BuildingManagementServer,
     OccupancySnapshot,
+    batch_sightings,
     normalise_sighting,
+    register_routes,
 )
 from repro.traces.wal import SightingWal
 from repro.server.history import OccupancyHistory
@@ -274,10 +280,7 @@ class ShardedBmsService:
         Returns:
             The row id on shard 0 (identical on every shard).
         """
-        row_ids = [
-            shard.add_fingerprint(room, beacons, time) for shard in self._shards
-        ]
-        return row_ids[0]
+        return [shard.add_fingerprint(room, beacons, time) for shard in self._shards][0]
 
     def train(self) -> float:
         """Fit every shard's classifier on the broadcast fingerprints.
@@ -289,8 +292,7 @@ class ShardedBmsService:
         Returns:
             The (shared) training accuracy.
         """
-        accuracies = [shard.train() for shard in self._shards]
-        return accuracies[0]
+        return [shard.train() for shard in self._shards][0]
 
     @property
     def trained(self) -> bool:
@@ -304,19 +306,22 @@ class ShardedBmsService:
         :meth:`~repro.server.bms.BuildingManagementServer.refresh`
         (and logs its own WAL refresh record), so the shard models
         stay identical across shard counts — the invariant all the
-        merged reads rely on.
+        merged reads rely on.  A malformed row fails shard 0's
+        validation before any shard stores anything.
 
         Returns:
-            Shard 0's refresh report plus the shard fan-out.
+            Shard 0's refresh report (identical on every shard).
         """
-        reports = [shard.refresh(fingerprints) for shard in self._shards]
-        return {**reports[0], "shards": self.shards}
+        return [shard.refresh(fingerprints) for shard in self._shards][0]
+
+    def wals(self) -> List[SightingWal]:
+        """The shards' attached write-ahead logs, in shard order."""
+        return [shard.wal for shard in self._shards if shard.wal is not None]
 
     def close_wals(self) -> None:
         """Seal every shard's write-ahead log (no-op when none attached)."""
-        for shard in self._shards:
-            if shard.wal is not None:
-                shard.wal.close()
+        for wal in self.wals():
+            wal.close()
 
     def classify(self, beacons: Mapping[str, float]) -> str:
         """Predict the room for one fingerprint (any shard's model)."""
@@ -527,136 +532,75 @@ class ShardedBmsService:
             sighting = normalise_sighting(body, default_time)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
-        shard_index = self.shard_index_for(
-            sighting["device_id"], building=body.get("building")
-        )
-        return shard_index, sighting
+        building = body.get("building")
+        if building is not None and not isinstance(building, str):
+            raise HttpError(400, f"building must be a string, got {building!r}")
+        return self.shard_index_for(sighting["device_id"], building), sighting
 
     def _drain_after_enqueue(self, shard_indices: Sequence[int]) -> DrainResult:
         """Apply the drain policy after accepting new sightings."""
-        if self.drain_policy == "immediate":
-            entries: List[Tuple[int, str, str]] = []
-            for index in sorted(set(shard_indices)):
+        if self.drain_policy == "manual":
+            return DrainResult(entries=())
+        entries: List[Tuple[int, str, str]] = []
+        for index in sorted(set(shard_indices)):
+            if (
+                self.drain_policy == "immediate"
+                or len(self._queues[index]) >= self.coalesce_max
+            ):
                 entries.extend(self.drain(shard=index).entries)
-            entries.sort(key=lambda entry: entry[0])
-            return DrainResult(entries=tuple(entries))
-        if self.drain_policy == "watermark":
-            entries = []
-            for index in sorted(set(shard_indices)):
-                if len(self._queues[index]) >= self.coalesce_max:
-                    entries.extend(self.drain(shard=index).entries)
-            entries.sort(key=lambda entry: entry[0])
-            return DrainResult(entries=tuple(entries))
-        return DrainResult(entries=())
+        entries.sort(key=lambda entry: entry[0])
+        return DrainResult(entries=tuple(entries))
+
+    # The rest of the surface is the store's table (register_routes).
+    def post_sighting(self, request: Request, params: Dict[str, str]):
+        """``POST /sightings``: the room once drained, else a 202 ticket."""
+        shard_index, sighting = self._normalise_sighting(request.body, request.time)
+        if not self.trained:
+            raise HttpError(409, "BMS classifier is not trained; call train()")
+        if len(self._queues[shard_index]) + 1 > self.queue_maxsize:
+            self._capacity_error(shard_index, 1)
+        self._c_loose.inc()
+        seq = self._enqueue(shard_index, sighting)
+        drained = self._drain_after_enqueue([shard_index])
+        room = drained.rooms_by_seq().get(seq)
+        if room is not None:
+            return {"room": room, "shard": shard_index}
+        return Response(202, {"queued": True, "shard": shard_index, "seq": seq})
+
+    def post_sighting_batch(self, request: Request, params: Dict[str, str]):
+        """``POST /sightings/batch``: the rooms once drained, else a 202."""
+        routed = [
+            self._normalise_sighting(sighting, request.time)
+            for sighting in batch_sightings(request)
+        ]
+        if not self.trained:
+            raise HttpError(409, "BMS classifier is not trained; call train()")
+        # All-or-nothing capacity check: a partially accepted batch
+        # would make the client's bounded retry re-send duplicates.
+        incoming: Dict[int, int] = {}
+        for shard_index, _ in routed:
+            incoming[shard_index] = incoming.get(shard_index, 0) + 1
+        for shard_index in sorted(incoming):
+            if (
+                len(self._queues[shard_index]) + incoming[shard_index]
+                > self.queue_maxsize
+            ):
+                self._capacity_error(shard_index, len(routed))
+        self._c_batches.inc()
+        self._h_batch_size.observe(float(len(routed)))
+        seqs = [
+            self._enqueue(shard_index, sighting)
+            for shard_index, sighting in routed
+        ]
+        drained = self._drain_after_enqueue([index for index, _ in routed])
+        rooms_by_seq = drained.rooms_by_seq()
+        if all(seq in rooms_by_seq for seq in seqs):
+            rooms = [rooms_by_seq[seq] for seq in seqs]
+            return {"rooms": rooms, "count": len(rooms)}
+        return Response(202, {"queued": len(seqs), "shards": sorted(incoming)})
 
     def _register_routes(self) -> None:
-        @self.router.route("POST", "/fingerprints")
-        def post_fingerprint(request: Request, params: Dict[str, str]):
-            body = request.body or {}
-            try:
-                row_id = self.add_fingerprint(
-                    body.get("room", ""),
-                    body.get("beacons", {}),
-                    body.get("time", request.time),
-                )
-            except ValueError as exc:
-                raise HttpError(400, str(exc))
-            return {"id": row_id}
-
-        @self.router.route("POST", "/train")
-        def post_train(request: Request, params: Dict[str, str]):
-            try:
-                train_accuracy = self.train()
-            except RuntimeError as exc:
-                raise HttpError(409, str(exc))
-            return {"train_accuracy": train_accuracy, "shards": self.shards}
-
-        @self.router.route("POST", "/sightings")
-        def post_sighting(request: Request, params: Dict[str, str]):
-            body = request.body or {}
-            shard_index, sighting = self._normalise_sighting(body, request.time)
-            if not self.trained:
-                raise HttpError(409, "BMS classifier is not trained; call train()")
-            if len(self._queues[shard_index]) + 1 > self.queue_maxsize:
-                self._capacity_error(shard_index, 1)
-            self._c_loose.inc()
-            seq = self._enqueue(shard_index, sighting)
-            drained = self._drain_after_enqueue([shard_index])
-            room = drained.rooms_by_seq().get(seq)
-            if room is not None:
-                return {"room": room, "shard": shard_index}
-            return Response(
-                status=202,
-                body={"queued": True, "shard": shard_index, "seq": seq},
-            )
-
-        @self.router.route("POST", "/sightings/batch")
-        def post_sighting_batch(request: Request, params: Dict[str, str]):
-            body = request.body or {}
-            sightings = body.get("sightings")
-            if not isinstance(sightings, list) or not sightings:
-                raise HttpError(400, "batch needs a non-empty 'sightings' list")
-            routed = [
-                self._normalise_sighting(sighting, request.time)
-                for sighting in sightings
-            ]
-            if not self.trained:
-                raise HttpError(409, "BMS classifier is not trained; call train()")
-            # All-or-nothing capacity check: a partially accepted batch
-            # would make the client's bounded retry re-send duplicates.
-            incoming: Dict[int, int] = {}
-            for shard_index, _ in routed:
-                incoming[shard_index] = incoming.get(shard_index, 0) + 1
-            for shard_index in sorted(incoming):
-                if (
-                    len(self._queues[shard_index]) + incoming[shard_index]
-                    > self.queue_maxsize
-                ):
-                    self._capacity_error(shard_index, len(routed))
-            self._c_batches.inc()
-            self._h_batch_size.observe(float(len(routed)))
-            seqs = [
-                self._enqueue(shard_index, sighting)
-                for shard_index, sighting in routed
-            ]
-            drained = self._drain_after_enqueue([index for index, _ in routed])
-            rooms_by_seq = drained.rooms_by_seq()
-            if all(seq in rooms_by_seq for seq in seqs):
-                rooms = [rooms_by_seq[seq] for seq in seqs]
-                return {"rooms": rooms, "count": len(rooms)}
-            return Response(
-                status=202,
-                body={"queued": len(seqs), "shards": sorted(incoming)},
-            )
-
-        @self.router.route("GET", "/occupancy")
-        def get_occupancy(request: Request, params: Dict[str, str]):
-            snap = self.snapshot(request.time if request.time > 0 else None)
-            return {"time": snap.time, "rooms": snap.rooms, "devices": snap.devices}
-
-        @self.router.route("GET", "/occupancy/<room>")
-        def get_room(request: Request, params: Dict[str, str]):
-            snap = self.snapshot(request.time if request.time > 0 else None)
-            return {"room": params["room"], "count": snap.count(params["room"])}
-
-        @self.router.route("GET", "/devices/<device_id>/location")
-        def get_device(request: Request, params: Dict[str, str]):
-            room = self.device_room(params["device_id"])
-            if room is None:
-                raise HttpError(404, f"unknown device {params['device_id']!r}")
-            return {"device_id": params["device_id"], "room": room}
-
-        @self.router.route("GET", "/history/<room>")
-        def get_history(request: Request, params: Dict[str, str]):
-            room = params["room"]
-            merged = self.merged_history()
-            return {
-                "room": room,
-                "series": merged.series(room),
-                "peak": merged.peak(room),
-                "mean_occupancy": merged.mean_occupancy(room),
-                "utilisation": merged.utilisation(room),
-            }
+        register_routes(self)
 
         @self.router.route("GET", "/shards")
         def get_shards(request: Request, params: Dict[str, str]):
@@ -671,38 +615,3 @@ class ShardedBmsService:
         @self.router.route("GET", "/telemetry")
         def get_telemetry(request: Request, params: Dict[str, str]):
             return {"metrics": self.merged_telemetry().snapshot()}
-
-        @self.router.route("POST", "/model/refresh")
-        def post_refresh(request: Request, params: Dict[str, str]):
-            body = request.body or {}
-            fingerprints = body.get("fingerprints")
-            if not isinstance(fingerprints, list) or not fingerprints:
-                raise HttpError(
-                    400, "refresh needs a non-empty 'fingerprints' list"
-                )
-            try:
-                return self.refresh(fingerprints)
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, str(exc))
-            except RuntimeError as exc:
-                raise HttpError(409, str(exc))
-
-        @self.router.route("GET", "/wal")
-        def get_wal(request: Request, params: Dict[str, str]):
-            described = [
-                shard.wal.describe()
-                for shard in self._shards
-                if shard.wal is not None
-            ]
-            return {"attached": bool(described), "shards": described}
-
-        @self.router.route("POST", "/wal/compact")
-        def post_wal_compact(request: Request, params: Dict[str, str]):
-            if all(shard.wal is None for shard in self._shards):
-                raise HttpError(409, "no WAL attached")
-            return {
-                "compacted": [
-                    shard.wal.compact() if shard.wal is not None else 0
-                    for shard in self._shards
-                ]
-            }

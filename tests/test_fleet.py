@@ -152,11 +152,7 @@ class TestFleetWal:
             live_snap.rooms,
             live_snap.devices,
         )
-        history = (
-            server.merged_history()
-            if service_shards is not None
-            else server.history
-        )
+        history = server.merged_history()
         live_history = generator.last_history
         assert {r: history.series(r) for r in history.rooms()} == {
             r: live_history.series(r) for r in live_history.rooms()

@@ -1,24 +1,44 @@
-"""Tests for the BMS server (fingerprints, training, occupancy)."""
+"""Tests for the BMS server (fingerprints, training, occupancy).
+
+The REST tests run against the single store and the sharded front
+door, which serve one route table.
+"""
 
 import pytest
 
 from repro.ml.proximity import ProximityClassifier
 from repro.server.bms import BuildingManagementServer
 from repro.server.rest import Request
+from repro.server.sharded import ShardedBmsService
+from tests.test_server_sighting_path import fingerprint_counts
 
 
-def untrained_bms(**kwargs):
+def front_door(beacon_ids, **kwargs):
+    """A write-through sharded front door, a drop-in for the store."""
+    return ShardedBmsService(beacon_ids, shards=2, drain_policy="immediate", **kwargs)
+
+
+#: Both servers answer the one BMS REST surface.
+SERVERS = {"store": BuildingManagementServer, "door": front_door}
+
+
+@pytest.fixture(params=sorted(SERVERS))
+def make_server(request):
+    return SERVERS[request.param]
+
+
+def untrained_bms(make=BuildingManagementServer, **kwargs):
     """A BMS holding two rooms' worth of easy, separable fingerprints."""
-    bms = BuildingManagementServer(["1-1", "1-2"], **kwargs)
+    bms = make(["1-1", "1-2"], **kwargs)
     for i in range(12):
         bms.add_fingerprint("kitchen", {"1-1": 1.0 + 0.1 * i, "1-2": 8.0}, i)
         bms.add_fingerprint("living", {"1-1": 8.0, "1-2": 1.0 + 0.1 * i}, i)
     return bms
 
 
-def trained_bms(**kwargs):
+def trained_bms(make=BuildingManagementServer, **kwargs):
     """:func:`untrained_bms`, trained."""
-    bms = untrained_bms(**kwargs)
+    bms = untrained_bms(make, **kwargs)
     bms.train()
     return bms
 
@@ -154,29 +174,29 @@ class TestOccupancy:
 
 
 class TestRestApi:
-    def test_post_fingerprint(self):
-        bms = BuildingManagementServer(["1-1", "1-2"])
+    def test_post_fingerprint(self, make_server):
+        bms = make_server(["1-1", "1-2"])
         response = bms.router.dispatch(
             Request("POST", "/fingerprints",
                     body={"room": "kitchen", "beacons": {"1-1": 2.0}})
         )
         assert response.ok
-        assert len(bms.fingerprints) == 1
+        assert set(fingerprint_counts(bms)) == {1}
 
-    def test_post_fingerprint_validation_400(self):
-        bms = BuildingManagementServer(["1-1"])
+    def test_post_fingerprint_validation_400(self, make_server):
+        bms = make_server(["1-1"])
         response = bms.router.dispatch(
             Request("POST", "/fingerprints", body={"room": "", "beacons": {}})
         )
         assert response.status == 400
 
-    def test_post_train_conflict_when_insufficient(self):
-        bms = BuildingManagementServer(["1-1"])
+    def test_post_train_conflict_when_insufficient(self, make_server):
+        bms = make_server(["1-1"])
         response = bms.router.dispatch(Request("POST", "/train"))
         assert response.status == 409
 
-    def test_full_rest_flow(self):
-        bms = BuildingManagementServer(["1-1", "1-2"])
+    def test_full_rest_flow(self, make_server):
+        bms = make_server(["1-1", "1-2"])
         for i in range(6):
             bms.router.dispatch(Request(
                 "POST", "/fingerprints",
@@ -201,20 +221,20 @@ class TestRestApi:
         )
         assert location.body["room"] == "kitchen"
 
-    def test_sighting_missing_fields_400(self):
-        bms = trained_bms()
+    def test_sighting_missing_fields_400(self, make_server):
+        bms = trained_bms(make_server)
         response = bms.router.dispatch(Request("POST", "/sightings", body={}))
         assert response.status == 400
 
-    def test_sighting_before_training_409(self):
-        bms = BuildingManagementServer(["1-1"])
+    def test_sighting_before_training_409(self, make_server):
+        bms = make_server(["1-1"])
         response = bms.router.dispatch(Request(
             "POST", "/sightings", body={"device_id": "a", "beacons": {"1-1": 1.0}}
         ))
         assert response.status == 409
 
-    def test_unknown_device_location_404(self):
-        bms = trained_bms()
+    def test_unknown_device_location_404(self, make_server):
+        bms = trained_bms(make_server)
         response = bms.router.dispatch(Request("GET", "/devices/ghost/location"))
         assert response.status == 404
 
@@ -290,8 +310,8 @@ class TestBatchIngestion:
 
 
 class TestBatchRestRoute:
-    def test_batch_route_matches_per_report_route(self):
-        batch_bms, seq_bms = trained_bms(), trained_bms()
+    def test_batch_route_matches_per_report_route(self, make_server):
+        batch_bms, seq_bms = trained_bms(make_server), trained_bms(make_server)
         fingerprints = _random_fingerprints(16, seed=3)
         sightings = [
             {"device_id": f"dev-{i}", "beacons": fp, "time": float(i)}
@@ -311,20 +331,20 @@ class TestBatchRestRoute:
         assert batch_response.body["rooms"] == seq_rooms
         assert batch_response.body["count"] == 16
 
-    def test_batch_route_empty_list_400(self):
-        response = trained_bms().router.dispatch(
+    def test_batch_route_empty_list_400(self, make_server):
+        response = trained_bms(make_server).router.dispatch(
             Request("POST", "/sightings/batch", body={"sightings": []})
         )
         assert response.status == 400
 
-    def test_batch_route_missing_fields_400(self):
-        response = trained_bms().router.dispatch(
+    def test_batch_route_missing_fields_400(self, make_server):
+        response = trained_bms(make_server).router.dispatch(
             Request("POST", "/sightings/batch", body={"sightings": [{"x": 1}]})
         )
         assert response.status == 400
 
-    def test_batch_route_untrained_409(self):
-        bms = BuildingManagementServer(["1-1"])
+    def test_batch_route_untrained_409(self, make_server):
+        bms = make_server(["1-1"])
         response = bms.router.dispatch(
             Request(
                 "POST",
@@ -334,8 +354,8 @@ class TestBatchRestRoute:
         )
         assert response.status == 409
 
-    def test_batch_route_default_time_from_request(self):
-        bms = trained_bms()
+    def test_batch_route_default_time_from_request(self, make_server):
+        bms = trained_bms(make_server)
         bms.router.dispatch(
             Request(
                 "POST",

@@ -117,21 +117,13 @@ def server_metrics(registry):
 
 
 def observable_state(server):
-    history = (
-        server.merged_history()
-        if hasattr(server, "merged_history")
-        else server.history
-    )
+    history = server.merged_history()
     return {
         "snapshot": server.snapshot(),
         "history": {
             room: history.series(room) for room in history.rooms()
         },
-        "sightings": (
-            server.sighting_count()
-            if callable(server.sighting_count)
-            else server.sighting_count
-        ),
+        "sightings": server.sighting_count,
     }
 
 

@@ -81,9 +81,9 @@ def single_store(wal_dir=None, **kwargs):
 
 def sharded_door(wal_dir=None, **kwargs):
     kwargs.setdefault("drain_policy", "immediate")
+    kwargs.setdefault("shards", 2)
     return ShardedBmsService(
         BEACONS,
-        shards=2,
         classifier_factory=make_classifier,
         registry=MetricsRegistry(),
         wal_dir=wal_dir,
@@ -125,19 +125,24 @@ def server_metrics(store, skip=()):
     }
 
 
+def fingerprint_counts(store):
+    """Calibration rows held by each shard (one entry for a store)."""
+    shards = store._shards if isinstance(store, ShardedBmsService) else [store]
+    return [len(shard.fingerprints) for shard in shards]
+
+
 def observed(store):
     """Everything a rejected request must leave as it was."""
     wal = store.router.dispatch(Request("GET", "/wal")).body
     return {
         "sightings": store.sighting_count,
+        "fingerprints": fingerprint_counts(store),
         "rooms": {d: store.device_room(d) for d in ("alice", "bob", "carol", "7")},
         "server": server_metrics(store),
         "queued": (
             store.queue_depth() if isinstance(store, ShardedBmsService) else 0
         ),
-        "wal_records": sum(
-            log["records_appended"] for log in wal.get("shards", [wal])
-        ),
+        "wal_records": sum(log["records_appended"] for log in wal["shards"]),
     }
 
 
