@@ -116,6 +116,11 @@ class Uplink:
     ``uplink.backpressure_dropped``.  The :attr:`on_backpressure` seam
     (``f(request, attempt)``) fires before each retry — where a real
     radio would sleep, and where tests drain the server.
+
+    Only a 2xx answer books reports as delivered.  Any other final
+    status (a 400, or a 409 from an untrained store) means the server
+    stored nothing: the reports are booked as failed with
+    ``leg="server"``.
     """
 
     TRANSPORT = "uplink"
@@ -221,11 +226,13 @@ class Uplink:
         loss, with up to :attr:`max_retries` retransmissions.  A
         request past the radio leg crosses the relay hop when the
         channel has one, then dispatches honouring 429 hints.  The
-        reports are booked delivered or failed together.
+        reports are booked together: delivered on a 2xx answer,
+        failed otherwise.
 
         Returns:
             The final response (a 429 when backpressure outlasted the
-            retries), or ``None`` when the radio or relay leg lost it.
+            retries, any other non-2xx status when the server refused
+            it), or ``None`` when the radio or relay leg lost it.
         """
         per_report = [self._obs_attrs(r) for r in reports]
         self.stats.attempts += len(reports)
@@ -252,6 +259,9 @@ class Uplink:
         if response.status == 429:
             self._c_bp_dropped.inc(float(len(reports)), **attrs)
             self._book_failed(per_report, relay_leg)
+            return response
+        if not 200 <= response.status < 300:
+            self._book_failed(per_report, "server")
             return response
         self.stats.delivered += len(reports)
         for labels in per_report:

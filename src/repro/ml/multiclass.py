@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.ml import gram_cache
 from repro.ml.kernels import Kernel
-from repro.ml.svm import BinarySVM
+from repro.ml.svm import BinarySVM, SupportVectorBank
 
 __all__ = ["OneVsRestClassifier"]
 
@@ -40,7 +40,7 @@ class OneVsRestClassifier:
         self.factory = factory if factory is not None else BinarySVM
         self.classes_: List = []
         self._machines: Dict = {}
-        self._bank_kernel: Optional[Kernel] = None
+        self._bank: Optional[SupportVectorBank] = None
         # Training data retained for incremental refresh (see refresh()).
         self._fit_X: Optional[np.ndarray] = None
         self._fit_y: Optional[np.ndarray] = None
@@ -170,39 +170,26 @@ class OneVsRestClassifier:
         return self.fit(X, y, gram=gram)
 
     def _build_sv_bank(self, X: np.ndarray, kernel: Optional[Kernel]) -> None:
-        """Deduplicate support vectors across the per-class machines.
+        """Fold the per-class machines into one :class:`SupportVectorBank`.
 
         The machines all train on the full ``X``, so their support
-        indices address the same rows; :meth:`decision_matrix`
-        evaluates the kernel against the union once and each machine
-        slices out its own rows — one Gram per batch instead of one
-        per class (mirroring the one-vs-one bank in
-        :class:`repro.ml.svm.SupportVectorClassifier`).
+        indices address the same rows; :meth:`decision_matrix` then
+        takes one Gram per batch instead of one per class (as the
+        one-vs-one :class:`repro.ml.svm.SupportVectorClassifier` does).
+        Machines that do not share ``kernel`` get no bank.
         """
-        self._bank_kernel = None
+        self._bank = None
         machines = [self._machines[cls] for cls in self.classes_]
         if kernel is None or not all(
             isinstance(m, BinarySVM) and m.kernel == kernel for m in machines
         ):
             return
-        unique_rows = sorted(
-            {int(i) for m in machines for i in m.support_indices_}
+        self._bank = SupportVectorBank(
+            kernel, X, machines, [m.support_indices_ for m in machines]
         )
-        bank_index = {row: k for k, row in enumerate(unique_rows)}
         #: Training-set row of each bank vector (see the matching
         #: attribute on SupportVectorClassifier).
-        self.sv_bank_indices_ = np.asarray(unique_rows, dtype=int)
-        self._sv_bank = (
-            X[unique_rows] if unique_rows else np.empty((0, X.shape[1]))
-        )
-        self._sv_bank_sq = kernel.row_sq_norms(self._sv_bank)
-        self._sv_bank_rows = {
-            cls: np.asarray(
-                [bank_index[int(i)] for i in m.support_indices_], dtype=int
-            )
-            for cls, m in self._machines.items()
-        }
-        self._bank_kernel = kernel
+        self.sv_bank_indices_ = self._bank.rows
 
     def decision_matrix(
         self,
@@ -221,7 +208,7 @@ class OneVsRestClassifier:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        if self._bank_kernel is None:
+        if self._bank is None:
             # Heterogeneous machines: one Gram per class machine.
             return np.column_stack(
                 [
@@ -229,30 +216,7 @@ class OneVsRestClassifier:
                     for cls in self.classes_
                 ]
             )
-        bank = self._sv_bank
-        if bank_gram is not None and bank.shape[0]:
-            bank_gram = np.asarray(bank_gram, dtype=float)
-            if bank_gram.shape != (bank.shape[0], X.shape[0]):
-                raise ValueError(
-                    f"bank_gram must have shape "
-                    f"{(bank.shape[0], X.shape[0])}, got {bank_gram.shape}"
-                )
-            K_bank = bank_gram
-        else:
-            K_bank = (
-                self._bank_kernel.gram(bank, X, x_sq=self._sv_bank_sq)
-                if bank.shape[0]
-                else None
-            )
-        columns = []
-        for cls in self.classes_:
-            machine = self._machines[cls]
-            rows = self._sv_bank_rows[cls]
-            if K_bank is None or rows.size == 0:
-                columns.append(np.full(X.shape[0], -machine.intercept_))
-            else:
-                columns.append(machine.decision_from_gram(K_bank[rows]))
-        return np.column_stack(columns)
+        return self._bank.decisions(X, bank_gram)
 
     def predict(
         self,

@@ -19,10 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ml import gram_cache
-from repro.ml.kernels import Kernel, RbfKernel
+from repro.ml.kernels import Kernel, RbfKernel, stable_dot
 from repro.obs import profiling
 
-__all__ = ["BinarySVM", "SupportVectorClassifier"]
+__all__ = ["BinarySVM", "SupportVectorBank", "SupportVectorClassifier"]
 
 
 class BinarySVM:
@@ -447,22 +447,74 @@ class BinarySVM:
         K = self.kernel.gram(self.support_vectors_, X, x_sq=self._sv_sq_norms)
         return self.dual_coef_ @ K - self.intercept_
 
-    def decision_from_gram(self, K_sv_rows: np.ndarray) -> np.ndarray:
-        """Decision values from precomputed kernel rows.
-
-        Args:
-            K_sv_rows: ``(n_support, m)`` kernel evaluations between
-                this machine's support vectors (in training order) and
-                the query points.
-        """
-        if not self._fitted:
-            raise RuntimeError("BinarySVM is not fitted")
-        return self.dual_coef_ @ K_sv_rows - self.intercept_
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted labels in {-1, +1}."""
         scores = self.decision_function(X)
         return np.where(scores >= 0.0, 1.0, -1.0)
+
+
+class SupportVectorBank:
+    """The support vectors of several machines, each row held once.
+
+    A training row is often a support vector of several machines.
+    Row ``p`` of :attr:`coef` holds machine ``p``'s dual coefficients
+    in its support vectors' bank columns and zeros elsewhere, so one
+    Gram ``K(X, bank)`` and one product give every machine's decision
+    values.
+
+    Args:
+        kernel: the kernel every machine was fitted with.
+        X: the training rows the machines' support vectors come from.
+        machines: fitted machines.
+        support_rows: each machine's support vectors, as rows of ``X``.
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        X: np.ndarray,
+        machines: Sequence[BinarySVM],
+        support_rows: Sequence[np.ndarray],
+    ) -> None:
+        self.kernel = kernel
+        #: Row of ``X`` behind each bank vector, ascending.
+        self.rows = np.unique(np.concatenate(support_rows))
+        self.vectors = X[self.rows]
+        self.sq_norms = kernel.row_sq_norms(self.vectors)
+        self.coef = np.zeros((len(machines), len(self.rows)))
+        for p, (machine, rows) in enumerate(zip(machines, support_rows)):
+            self.coef[p, np.searchsorted(self.rows, rows)] = machine.dual_coef_
+        self.intercept = np.asarray([m.intercept_ for m in machines], dtype=float)
+
+    def decisions(
+        self, X: np.ndarray, bank_gram: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Every machine's decision values, shape ``(n, machines)``.
+
+        The Gram ``K(X, bank)`` and its product with :attr:`coef` both
+        reduce each output element over its own row in a fixed order
+        (:func:`repro.ml.kernels.stable_dot` over a C-contiguous
+        ``(n, bank)`` Gram), so a row's decisions are a bitwise
+        function of that row alone, whatever batch it rides in.
+
+        Args:
+            X: query points, ``(n, d)``.
+            bank_gram: optional precomputed ``kernel(bank, X)``, e.g.
+                sliced out of a cached full-dataset Gram; it equals
+                ``kernel(X, bank).T`` bit for bit.
+        """
+        n = X.shape[0]
+        if bank_gram is None:
+            K = self.kernel.gram(X, self.vectors, y_sq=self.sq_norms)
+        else:
+            bank_gram = np.asarray(bank_gram, dtype=float)
+            if bank_gram.shape != (self.rows.size, n):
+                raise ValueError(
+                    f"bank_gram must have shape {(self.rows.size, n)}, "
+                    f"got {bank_gram.shape}"
+                )
+            K = np.ascontiguousarray(bank_gram.T)
+        return stable_dot(K, self.coef) - self.intercept
 
 
 class SupportVectorClassifier:
@@ -688,26 +740,27 @@ class SupportVectorClassifier:
     def _build_sv_bank(
         self, X: np.ndarray, sv_global: Dict[Tuple[int, int], np.ndarray]
     ) -> None:
-        """Deduplicate support vectors across the pairwise machines.
+        """Fold the pairwise machines into one :class:`SupportVectorBank`.
 
-        A training row is often a support vector of several machines;
-        :meth:`predict` evaluates the kernel against the union once and
-        each machine slices out its own rows, so the whole one-vs-one
-        ensemble costs a single Gram computation per batch.
+        ``_wins_a``/``_wins_b`` map a pair's win for its first/second
+        class onto the class axis, so the vote is a product too.
         """
-        unique_rows = sorted({int(i) for rows in sv_global.values() for i in rows})
-        bank_index = {row: k for k, row in enumerate(unique_rows)}
+        self._bank = SupportVectorBank(
+            self.kernel,
+            X,
+            [self._machines[pair] for pair in sv_global],
+            list(sv_global.values()),
+        )
         #: Training-set row of each bank vector, in bank order — lets
         #: callers that know where the training rows sit inside a
         #: larger cached dataset slice the bank Gram instead of
         #: recomputing it (see model_selection._score_fold).
-        self.sv_bank_indices_ = np.asarray(unique_rows, dtype=int)
-        self._sv_bank = X[unique_rows] if unique_rows else np.empty((0, X.shape[1]))
-        self._sv_bank_sq = self.kernel.row_sq_norms(self._sv_bank)
-        self._sv_bank_rows = {
-            pair: np.asarray([bank_index[int(i)] for i in rows], dtype=int)
-            for pair, rows in sv_global.items()
-        }
+        self.sv_bank_indices_ = self._bank.rows
+        self._wins_a = np.zeros((len(self.classes_), len(sv_global)))
+        self._wins_b = np.zeros_like(self._wins_a)
+        for p, (a, b) in enumerate(sv_global):
+            self._wins_a[a, p] = self._wins_b[b, p] = 1.0
+        self._classes = np.asarray(self.classes_)
 
     def predict(
         self,
@@ -717,8 +770,10 @@ class SupportVectorClassifier:
     ) -> np.ndarray:
         """Majority vote across pairwise machines.
 
-        Ties are broken by the summed absolute decision values, then by
-        class order (deterministic).
+        Pair ``(a, b)`` votes for ``a`` where its decision is >= 0 and
+        for ``b`` elsewhere.  Ties are broken by the summed signed
+        decisions (a class adds those of the pairs it comes first in
+        and subtracts the others), then by class order.
 
         Args:
             X: query points.
@@ -733,45 +788,17 @@ class SupportVectorClassifier:
             X = np.asarray(X, dtype=float)
             if X.ndim == 1:
                 X = X.reshape(1, -1)
-            n = X.shape[0]
-            n_classes = len(self.classes_)
-            votes = np.zeros((n, n_classes))
-            scores = np.zeros((n, n_classes))
-            # One shared Gram against the deduplicated support-vector
-            # bank serves every pairwise machine.
-            bank = self._sv_bank
-            if bank_gram is not None and bank.shape[0]:
-                bank_gram = np.asarray(bank_gram, dtype=float)
-                if bank_gram.shape != (bank.shape[0], n):
-                    raise ValueError(
-                        f"bank_gram must have shape {(bank.shape[0], n)}, "
-                        f"got {bank_gram.shape}"
-                    )
-                K_bank = bank_gram
-            else:
-                K_bank = (
-                    self.kernel.gram(bank, X, x_sq=self._sv_bank_sq)
-                    if bank.shape[0]
-                    else None
-                )
-            # repro: noqa[numeric-dict-reduction] _machines is built in a
-            # fixed nested loop over sorted class pairs, so iteration
-            # order replays
-            for (a, b), machine in self._machines.items():
-                rows = self._sv_bank_rows[(a, b)]
-                if rows.size == 0:
-                    decision = np.full(n, -machine.intercept_)
-                else:
-                    decision = machine.decision_from_gram(K_bank[rows])
-                winner_a = decision >= 0.0
-                votes[winner_a, a] += 1
-                votes[~winner_a, b] += 1
-                scores[:, a] += decision
-                scores[:, b] -= decision
+            decision = self._bank.decisions(X, bank_gram)
+            wins_a = (decision >= 0.0).astype(float)
+            # Votes are small exact integers, so the order of these
+            # sums does not matter.
+            votes = stable_dot(wins_a, self._wins_a) + stable_dot(
+                1.0 - wins_a, self._wins_b
+            )
+            scores = stable_dot(decision, self._wins_a - self._wins_b)
             # Lexicographic: votes first, aggregate score as tiebreak.
             ranking = votes + 1e-9 * np.tanh(scores)
-            winners = np.argmax(ranking, axis=1)
-            return np.asarray([self.classes_[w] for w in winners])
+            return self._classes[np.argmax(ranking, axis=1)]
 
     def score(
         self,

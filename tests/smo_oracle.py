@@ -14,13 +14,17 @@ inherit ``_take_step`` and the rest of the solver, so a test that
 fits the same data both ways and compares alphas, intercepts and
 support indices pins exactly the shortcuts.  The tests and
 ``benchmarks/test_perf_svm_train.py`` use it as their reference.
+
+:func:`vote_predict` is the matching oracle for prediction: each
+machine's own ``decision_function`` and a per-machine vote loop, with
+none of the shared support-vector bank's matrix products.
 """
 
 import numpy as np
 
 from repro.ml.svm import BinarySVM, SupportVectorClassifier
 
-__all__ = ["ReferenceBinarySVM", "ReferenceSVC"]
+__all__ = ["ReferenceBinarySVM", "ReferenceSVC", "vote_predict"]
 
 
 class ReferenceBinarySVM(BinarySVM):
@@ -103,3 +107,25 @@ class ReferenceSVC(SupportVectorClassifier):
                 sv_global[(a, b)] = pair_rows[machine.support_indices_]
         self._build_sv_bank(X, sv_global)
         return self
+
+
+def vote_predict(model, X):
+    """One-vs-one labels of ``X`` by a vote loop over ``model``'s machines.
+
+    The same rule as :meth:`SupportVectorClassifier.predict`: a pair
+    votes for its first class where its decision is >= 0, ties go to
+    the larger summed signed decision, then to class order.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    votes = np.zeros((n, len(model.classes_)))
+    scores = np.zeros((n, len(model.classes_)))
+    for (a, b), machine in model._machines.items():
+        decision = machine.decision_function(X)
+        winner_a = decision >= 0.0
+        votes[winner_a, a] += 1
+        votes[~winner_a, b] += 1
+        scores[:, a] += decision
+        scores[:, b] -= decision
+    ranking = votes + 1e-9 * np.tanh(scores)
+    return np.asarray([model.classes_[w] for w in np.argmax(ranking, axis=1)])

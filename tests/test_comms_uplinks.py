@@ -12,7 +12,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink
 from repro.obs.tracing import TraceContext
 from repro.phone.app import RangedBeacon, SightingReport
-from repro.server import BmsClient, ShardedBmsService
+from repro.server import BmsClient, BuildingManagementServer, ShardedBmsService
 from repro.server.rest import Router
 
 TRANSPORTS = pytest.mark.parametrize(
@@ -262,12 +262,13 @@ class TestBatchPolicy:
             BatchPolicy(max_delay_s=-1.0)
 
 
-def backpressured_router(reject_first_n, retry_after_s=0.5):
+def backpressured_router(reject_first_n, retry_after_s=0.5, refuse_with=None):
     """A router that 429s the first N dispatches, then accepts.
 
     Mirrors the sharded front door's backpressure wire format; records
     every dispatched request in ``router.seen`` so tests can check the
-    retry's advanced logical time.
+    retry's advanced logical time.  With ``refuse_with`` set, every
+    dispatch after the 429s answers that status instead of accepting.
     """
     from repro.server.rest import HttpError
 
@@ -284,6 +285,8 @@ def backpressured_router(reject_first_n, retry_after_s=0.5):
                 "ingress queue full",
                 extra={"retry_after_s": retry_after_s, "shard": 0},
             )
+        if refuse_with is not None:
+            raise HttpError(refuse_with, "refused")
 
     @router.route("POST", "/sightings")
     def post(request, params):
@@ -371,6 +374,56 @@ class TestUplinkBackpressure:
         assert len(router.seen) == 1
 
 
+@TRANSPORTS
+class TestServerRefusal:
+    """Only a 2xx answer books reports as delivered (regression: a 400,
+    or a 409 from an untrained store, was booked delivered with
+    nothing stored)."""
+
+    @pytest.mark.parametrize("status", [400, 409])
+    def test_refused_loose_post_is_failed(self, transport, status):
+        uplink = transport(
+            backpressured_router(0, refuse_with=status),
+            rng=np.random.default_rng(0),
+        )
+        uplink.LOSS_PROBABILITY = 0.0
+        response = uplink.send_report(report(1.0))
+        assert response.status == status
+        assert (uplink.stats.delivered, uplink.stats.failed) == (0, 1)
+        failed = uplink.obs.counter("uplink.failed")
+        assert failed.value == 1.0
+        assert failed.value_for(
+            leg="server", transport=uplink.TRANSPORT, device="alice"
+        ) == 1.0
+
+    def test_refused_batch_fails_every_report(self, transport):
+        uplink = transport(
+            backpressured_router(0, refuse_with=400),
+            rng=np.random.default_rng(0),
+        )
+        uplink.LOSS_PROBABILITY = 0.0
+        response = uplink.send_batch([report(1.0), report(2.0), report(3.0)])
+        assert response.status == 400
+        assert (uplink.stats.delivered, uplink.stats.failed) == (0, 3)
+        snapshot = uplink.obs.snapshot()
+        assert snapshot["uplink.delivered"]["value"] == 0.0
+        assert snapshot["uplink.backpressure_dropped"]["value"] == 0.0
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_untrained_store_409_is_failed(self, transport, batch):
+        store = BuildingManagementServer(["1-1"])
+        uplink = transport(store.router, rng=np.random.default_rng(0))
+        uplink.LOSS_PROBABILITY = 0.0
+        if batch:
+            response = uplink.send_batch([report(1.0), report(2.0)])
+        else:
+            response = uplink.send_report(report(1.0))
+        assert response.status == 409
+        assert uplink.stats.delivered == 0
+        assert uplink.stats.failed == uplink.stats.attempts
+        assert store.sighting_count == 0
+
+
 class ConstantClassifier:
     """Stub classifier answering the first trained room."""
 
@@ -438,14 +491,24 @@ probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.01, 0.99))
     max_retries=st.integers(0, 2),
     rejections=st.integers(0, 4),
     bp_retries=st.integers(0, 3),
+    refusal=st.sampled_from([None, 400, 409]),
     seed=st.integers(0, 2**16),
 )
 def test_delivery_ledger_balances(
-    transport, batch, loss, relay_loss, max_retries, rejections, bp_retries, seed
+    transport,
+    batch,
+    loss,
+    relay_loss,
+    max_retries,
+    rejections,
+    bp_retries,
+    refusal,
+    seed,
 ):
     """Every report is delivered or failed once, on both send paths
-    and both transports, whatever the radio, the relay and the 429s do."""
-    router = backpressured_router(reject_first_n=rejections)
+    and both transports, whatever the radio, the relay, the 429s and
+    the server's answer do; only a 2xx answer delivers."""
+    router = backpressured_router(reject_first_n=rejections, refuse_with=refusal)
     uplink = transport(
         router, rng=np.random.default_rng(seed), max_retries=max_retries
     )
@@ -488,4 +551,10 @@ def test_delivery_ledger_balances(
         assert total("uplink.backpressure_dropped") == len(sent)
     else:
         assert total("uplink.backpressure_dropped") == 0.0
-        assert stats.delivered == (len(sent) if response is not None else 0)
+        accepted = response is not None and 200 <= response.status < 300
+        assert stats.delivered == (len(sent) if accepted else 0)
+        if response is not None and not accepted:
+            failed = uplink.obs.counter("uplink.failed")
+            assert failed.value_for(
+                leg="server", transport=uplink.TRANSPORT, device="alice"
+            ) == len(sent)

@@ -72,3 +72,20 @@ class TestOneVsRest:
             lambda: BinarySVM(c=5.0, kernel=RbfKernel(gamma=1.0))
         ).fit(X, y)
         assert model.score(X, y) > 0.95
+
+    def test_decision_matrix_matches_machine_decision_functions(self):
+        """The shared bank's product agrees with each machine's own
+        decision function, up to rounding, and picks the same class."""
+        rng = np.random.default_rng(6)
+        X, y = blobs(rng, [(0, 0), (4, 0), (0, 4), (4, 4)], spread=1.0)
+        model = OneVsRestClassifier(lambda: BinarySVM(c=5.0)).fit(X, y)
+        assert model._bank is not None
+        queries = rng.uniform(-1.0, 5.0, size=(60, 2))
+        matrix = model.decision_matrix(queries)
+        columns = np.column_stack(
+            [model._machines[c].decision_function(queries) for c in model.classes_]
+        )
+        np.testing.assert_allclose(matrix, columns, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(
+            np.argmax(matrix, axis=1), np.argmax(columns, axis=1)
+        )

@@ -6,12 +6,30 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ml.kernels import LinearKernel, RbfKernel
 from repro.ml.svm import BinarySVM, SupportVectorClassifier
+from tests.smo_oracle import vote_predict
 
 
 def blobs(rng, centers, n_per=40, spread=0.6):
     X = np.vstack([rng.normal(c, spread, size=(n_per, len(c))) for c in centers])
     y = np.concatenate([np.full(n_per, i) for i in range(len(centers))])
     return X, y
+
+
+QUERY_ROWS = 40
+
+#: (classes, features, seed) of a random one-vs-one model.
+random_models = st.tuples(
+    st.integers(2, 6), st.integers(1, 8), st.integers(0, 2**16)
+)
+
+
+def random_model(n_classes, n_features, seed):
+    """A fitted classifier on random blobs, and query rows around them."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 6.0, size=(n_classes, n_features))
+    X, y = blobs(rng, centers, n_per=12, spread=1.0)
+    model = SupportVectorClassifier(c=10.0, kernel=RbfKernel(0.5)).fit(X, y)
+    return model, rng.uniform(-1.0, 7.0, size=(QUERY_ROWS, n_features))
 
 
 class TestBinarySVM:
@@ -218,15 +236,18 @@ class TestBatchedPrediction:
 
     def test_sv_bank_deduplicates_shared_support_vectors(self):
         model = self._fingerprint_model(n_classes=4, seed=3)
-        bank_rows = model._sv_bank.shape[0]
-        total_sv = model.n_support_total
-        assert 0 < bank_rows <= total_sv
-        for pair, machine in model._machines.items():
-            assert len(model._sv_bank_rows[pair]) == machine.n_support_
-            np.testing.assert_allclose(
-                model._sv_bank[model._sv_bank_rows[pair]],
-                machine.support_vectors_,
+        bank = model._bank
+        assert 0 < bank.rows.size <= model.n_support_total
+        assert bank.coef.shape == (len(model._machines), bank.rows.size)
+        # Every bank row is some machine's support vector.
+        assert np.all(np.any(bank.coef != 0.0, axis=0))
+        for p, machine in enumerate(model._machines.values()):
+            columns = np.flatnonzero(bank.coef[p])
+            np.testing.assert_array_equal(bank.coef[p, columns], machine.dual_coef_)
+            np.testing.assert_array_equal(
+                bank.vectors[columns], machine.support_vectors_
             )
+            assert bank.intercept[p] == machine.intercept_
 
     def test_sv_sq_norms_cached_per_machine(self):
         model = self._fingerprint_model()
@@ -236,26 +257,47 @@ class TestBatchedPrediction:
                 np.sum(machine.support_vectors_ ** 2, axis=1),
             )
 
-    def test_batch_path_matches_per_machine_decision_functions(self):
-        """Predictions from the shared Gram equal the legacy per-machine
-        path (the bank is an optimisation, not a semantic change)."""
-        model = self._fingerprint_model(seed=7)
-        rng = np.random.default_rng(11)
-        X = rng.uniform(0.0, 8.0, size=(32, 4))
-        batched = model.predict(X)
-        # Recompute the vote with the unshared decision functions.
-        n = X.shape[0]
-        votes = np.zeros((n, len(model.classes_)))
-        scores = np.zeros((n, len(model.classes_)))
-        for (a, b), machine in model._machines.items():
-            decision = machine.decision_function(X)
-            winner_a = decision >= 0.0
-            votes[winner_a, a] += 1
-            votes[~winner_a, b] += 1
-            scores[:, a] += decision
-            scores[:, b] -= decision
-        ranking = votes + 1e-9 * np.tanh(scores)
-        expected = np.asarray(
-            [model.classes_[w] for w in np.argmax(ranking, axis=1)]
+    @given(random_models)
+    @settings(max_examples=25, deadline=None)
+    def test_predict_matches_per_machine_vote_oracle(self, spec):
+        """The bank's matrix products vote as the per-machine loop
+        does (the bank is an optimisation, not a semantic change)."""
+        model, X = random_model(*spec)
+        np.testing.assert_array_equal(model.predict(X), vote_predict(model, X))
+        # The decisions sum the same terms in another order.  Every RBF
+        # Gram entry is at most 1, so each of the bank + 1 roundings
+        # (terms, then the intercept) moves a value by at most
+        # eps * (sum |coef| + |intercept|).
+        bank = model._bank
+        scale = np.abs(bank.coef).sum(axis=1) + np.abs(bank.intercept)
+        tol = (bank.rows.size + 1) * np.finfo(float).eps * scale.max()
+        per_machine = np.column_stack(
+            [m.decision_function(X) for m in model._machines.values()]
         )
-        np.testing.assert_array_equal(batched, expected)
+        np.testing.assert_allclose(bank.decisions(X), per_machine, rtol=0, atol=tol)
+
+    @given(random_models, st.lists(st.integers(0, QUERY_ROWS), max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_decisions_are_row_pure(self, spec, cuts):
+        """A row's pairwise decisions are bitwise the same in any batch."""
+        model, X = random_model(*spec)
+        full = model._bank.decisions(X)
+        bounds = sorted({0, len(X), *cuts})
+        for start, stop in zip(bounds, bounds[1:]):
+            part = model._bank.decisions(X[start:stop])
+            assert part.tobytes() == full[start:stop].tobytes(), (start, stop)
+
+    @given(random_models)
+    @settings(max_examples=15, deadline=None)
+    def test_bank_gram_path_bitwise_equals_compute_here(self, spec):
+        """A bank Gram sliced out of a full-dataset Gram, as
+        cross-validation passes it, gives the same bits."""
+        model, X = random_model(*spec)
+        Z = np.vstack([model._fit_X, X])
+        queries = len(model._fit_X) + np.arange(len(X))
+        bank_gram = model.kernel(Z, Z)[np.ix_(model.sv_bank_indices_, queries)]
+        sliced = model._bank.decisions(X, bank_gram)
+        assert sliced.tobytes() == model._bank.decisions(X).tobytes()
+        np.testing.assert_array_equal(
+            model.predict(X, bank_gram=bank_gram), model.predict(X)
+        )

@@ -250,11 +250,8 @@ class TestCommittedBaseline:
         baseline = load_baseline(REPO_ROOT / "benchmarks" / "bench_baseline.json")
         files = {key.split("::")[0] for key in baseline["series"]}
         assert files == {
-            "benchmarks/test_perf_batch.py",
-            "benchmarks/test_perf_columnar.py",
             "benchmarks/test_perf_parallel.py",
             "benchmarks/test_perf_refresh.py",
-            "benchmarks/test_perf_sharded_service.py",
             "benchmarks/test_perf_svm_train.py",
             "benchmarks/test_perf_wal_replay.py",
         }

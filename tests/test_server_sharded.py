@@ -7,12 +7,14 @@ totals — is invariant to the shard count.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.server import (
     BmsApiError,
     BmsClient,
+    BuildingManagementServer,
     Request,
     RoomHistory,
     ShardedBmsService,
@@ -59,6 +61,18 @@ def calibrate(service):
                 room, {k: v + jitter for k, v in base.items()}
             )
     return service.train()
+
+
+def calibrate_svm(server):
+    """Train ``server``'s SVM on noisy fingerprints around each room."""
+    rng = np.random.default_rng(0)
+    for room, base in ROOM_BASES.items():
+        for _ in range(12):
+            server.add_fingerprint(
+                room, {k: v + float(rng.normal(0.0, 0.5)) for k, v in base.items()}
+            )
+    server.train()
+    return server
 
 
 def make_service(shards, **kwargs):
@@ -436,6 +450,43 @@ class TestShardCountInvariance:
         reference = run_config(1, batches)
         for shards in (2, 4):
             assert run_config(shards, batches) == reference
+
+
+class TestCoalescedSvmDrain:
+    def test_rooms_match_plain_store_loose_posts(self):
+        """Loose posts to the single store and one batch drained in
+        coalesced chunks across four shards classify alike with the
+        real SVM."""
+        rng = np.random.default_rng(1)
+        sightings = [
+            {
+                "device_id": f"dev-{k:03d}",
+                "beacons": dict(zip(BEACONS, rng.uniform(0.5, 9.0, 3).tolist())),
+                "time": 1.0,
+            }
+            for k in range(120)
+        ]
+        store = calibrate_svm(BuildingManagementServer(BEACONS))
+        rooms = [
+            store.router.dispatch(
+                Request("POST", "/sightings", body=s, time=1.0)
+            ).body["room"]
+            for s in sightings
+        ]
+        door = calibrate_svm(
+            ShardedBmsService(
+                BEACONS,
+                shards=4,
+                queue_maxsize=1000,
+                coalesce_max=25,
+                drain_policy="manual",
+            )
+        )
+        response = door.router.dispatch(
+            Request("POST", "/sightings/batch", body={"sightings": sightings}, time=1.0)
+        )
+        assert response.status == 202
+        assert [room for _, _, room in door.drain().entries] == rooms
 
 
 class TestClientBackpressure:
