@@ -80,9 +80,9 @@ def pytest_runtest_logreport(report):
 def _check_row(row):
     """Validate one result row against the persistence schema.
 
-    The perf-regression gate (:mod:`repro.obs.bench`) consumes these
-    rows, so a malformed row must fail the benchmark session loudly
-    here rather than silently corrupting the history it gates on.
+    ``BENCH_results.json`` is the paper-vs-measured record of every
+    benchmark session, so a malformed row must fail the session loudly
+    here rather than silently corrupting that record.
     """
     for key in ("test", "title", "label", "paper", "measured"):
         value = row.get(key)

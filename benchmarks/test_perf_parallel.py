@@ -56,20 +56,23 @@ def test_perf_parallel_fleet_speedup():
     assert pooled == serial
 
     speedup = t_serial / t_pool
+    floor = 2.0 if cores >= 4 else 1.2
     print_table(
         f"Parallel fleet run, {SHARDS} shards, {POOL} workers",
         [
             ("usable cores", "-", f"{cores}"),
             ("serial (s)", "-", f"{t_serial:.2f}"),
             (f"{POOL} workers (s)", "-", f"{t_pool:.2f}"),
-            ("speedup", ">= 2x on >= 4 cores", f"{speedup:.2f}x"),
+            (
+                "speedup",
+                f">= {floor:g}x" if cores >= 2 else "pool <= 3x serial",
+                f"{speedup:.2f}x",
+            ),
         ],
     )
 
-    if cores >= 4:
-        assert speedup >= 2.0, f"pool only {speedup:.2f}x faster on {cores} cores"
-    elif cores >= 2:
-        assert speedup >= 1.2, f"pool only {speedup:.2f}x faster on {cores} cores"
+    if cores >= 2:
+        assert speedup >= floor, f"pool only {speedup:.2f}x faster on {cores} cores"
     else:
         # Single usable core: parallelism cannot win wall clock; the
         # pool must still finish within reasonable overhead of serial.

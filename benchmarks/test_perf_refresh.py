@@ -98,10 +98,13 @@ def test_perf_incremental_refresh(benchmark):
     assert stats["reused_pairs"] == (N_CLASSES - 1) * (N_CLASSES - 2) // 2
 
     speedup = cold_s / refresh_s
+    cores = available_workers()
+    floor = 3.0 if cores >= 2 else 1.5
     print_table(
         "Incremental refresh vs cold refit "
         f"({N_CLASSES} rooms, {N_NEW} new rows in one)",
         [
+            ("usable cores", "-", f"{cores}"),
             ("cold refit (s)", "full retrain", f"{cold_s:.3f}"),
             ("refresh (s)", "n/a (ours)", f"{refresh_s:.3f}"),
             (
@@ -109,10 +112,9 @@ def test_perf_incremental_refresh(benchmark):
                 f"{N_CLASSES * (N_CLASSES - 1) // 2} (full retrain)",
                 f"{stats['refitted_pairs']}",
             ),
-            ("speedup", ">= 3x", f"{speedup:.1f}x"),
+            ("speedup", f">= {floor:g}x", f"{speedup:.1f}x"),
         ],
     )
-    floor = 3.0 if available_workers() >= 2 else 1.5
     assert speedup >= floor, (
         f"refresh speedup {speedup:.2f}x below the {floor}x floor"
     )

@@ -16,10 +16,12 @@ dataset has 520 WAP columns of the same shape).  Wide fingerprints
 are exactly where the shared Gram pays: the reference solver computes
 O(candidates x folds) fold Grams at O(n^2 d) each, the shared path one.
 
-The hard >= 3x grid-search bar applies on hosts with at least four
-usable cores; loaded or pinned containers time too noisily for a
-sharp bar and only assert the invariance plus a relaxed floor —
-mirroring ``test_perf_parallel.py``.
+The hard bars (grid search >= 3x, one-vs-one fit >= 1.2x) apply on
+hosts with at least four usable cores; loaded or pinned containers
+time too noisily for a sharp bar and assert the invariance plus
+relaxed floors (grid search >= 2x on two or three cores and >= 1.472x
+on one, one-vs-one fit >= 0.252x below four) — mirroring
+``test_perf_parallel.py``.
 """
 
 import time
@@ -140,6 +142,11 @@ def test_perf_svm_training_fast_path():
 
     fit_speedup = t_fit_reference / t_fit_fast
     grid_speedup = t_grid_reference / t_grid_fast
+    # The speedup is algorithmic, not parallel, but sharp timing
+    # bars still need a quiet host; mirror the parallel benchmark's
+    # core gating.
+    fit_floor = 1.2 if cores >= 4 else 0.252
+    grid_floor = 3.0 if cores >= 4 else 2.0 if cores >= 2 else 1.472
     print_table(
         f"SVM training vs reference solver, {ROOMS} rooms x {PER_ROOM}, "
         f"{BEACONS} beacons",
@@ -147,28 +154,15 @@ def test_perf_svm_training_fast_path():
             ("usable cores", "-", f"{cores}"),
             ("OvO fit reference (s)", "-", f"{t_fit_reference:.2f}"),
             ("OvO fit fast (s)", "-", f"{t_fit_fast:.2f}"),
-            ("OvO fit speedup", "-", f"{fit_speedup:.2f}x"),
+            ("OvO fit speedup", f">= {fit_floor:g}x", f"{fit_speedup:.2f}x"),
             (f"grid {len(C_GRID)}xC reference (s)", "-", f"{t_grid_reference:.2f}"),
             (f"grid {len(C_GRID)}xC fast (s)", "-", f"{t_grid_fast:.2f}"),
-            ("grid speedup", ">= 3x on >= 4 cores", f"{grid_speedup:.2f}x"),
+            ("grid speedup", f">= {grid_floor:g}x", f"{grid_speedup:.2f}x"),
         ],
     )
-
-    # The speedup is algorithmic, not parallel, but sharp timing
-    # bars still need a quiet host; mirror the parallel benchmark's
-    # core gating.
-    if cores >= 4:
-        assert grid_speedup >= 3.0, (
-            f"grid search only {grid_speedup:.2f}x faster on {cores} cores"
-        )
-        assert fit_speedup >= 1.2, (
-            f"OvO fit only {fit_speedup:.2f}x faster on {cores} cores"
-        )
-    elif cores >= 2:
-        assert grid_speedup >= 2.0, (
-            f"grid search only {grid_speedup:.2f}x faster on {cores} cores"
-        )
-    else:
-        assert grid_speedup >= 1.2, (
-            f"grid search only {grid_speedup:.2f}x faster on one core"
-        )
+    assert grid_speedup >= grid_floor, (
+        f"grid search only {grid_speedup:.2f}x faster on {cores} cores"
+    )
+    assert fit_speedup >= fit_floor, (
+        f"OvO fit only {fit_speedup:.2f}x faster on {cores} cores"
+    )

@@ -15,8 +15,10 @@ Three things are asserted, in this order:
 2. **Overhead**: WAL-on ingest sustains >= 80% of the WAL-off
    sightings/sec (the contract is <10% overhead; the bar leaves room
    for timer noise on loaded CI boxes).
-3. **Replay speed**: replay runs >= 20x faster than the simulated
-   real time the log covers.
+3. **Replay speed**: replay runs >= 90x faster than the simulated
+   real time the log covers, on every host (it measures hundreds to
+   over a thousand x on a 2-vCPU guest; replay is serial, so the core
+   count does not move the floor).
 """
 
 import json
@@ -25,6 +27,7 @@ import time
 import numpy as np
 
 from conftest import print_table
+from repro.parallel import available_workers
 from repro.server.replay import replay_sharded
 from repro.server.rest import Request
 from repro.server.sharded import ShardedBmsService
@@ -34,6 +37,7 @@ POST_BATCH = 2_000
 COALESCE = 1_000
 SHARDS = 4
 SIM_SPAN_S = 600.0
+REPLAY_FLOOR = 90.0
 
 BEACON_IDS = [f"1-{i}" for i in range(1, 7)]
 ROOMS = ["kitchen", "living", "bedroom"]
@@ -155,16 +159,21 @@ def test_perf_wal_overhead_and_replay(benchmark, tmp_path):
         f"WAL overhead and replay throughput ({N_SIGHTINGS} sightings, "
         f"{SHARDS} shards, {SIM_SPAN_S:.0f}s sim span)",
         [
+            ("usable cores", "-", f"{available_workers()}"),
             ("ingest, WAL off (sightings/s)", "n/a", f"{bare_rate:,.0f}"),
             ("ingest, WAL on (sightings/s)", "n/a", f"{logged_rate:,.0f}"),
             ("wal_on/wal_off ratio", ">= 0.80", f"{overhead_ratio:.2f}"),
             ("replay wall (s)", "n/a", f"{replay_wall:.2f}"),
-            ("replay realtime factor", ">= 20x", f"{realtime_factor:.0f}x"),
+            (
+                "replay realtime factor",
+                f">= {REPLAY_FLOOR:.0f}x",
+                f"{realtime_factor:.0f}x",
+            ),
         ],
     )
     assert overhead_ratio >= 0.80, (
         f"WAL overhead too high: ratio {overhead_ratio:.2f}"
     )
-    assert realtime_factor >= 20.0, (
+    assert realtime_factor >= REPLAY_FLOOR, (
         f"replay only {realtime_factor:.1f}x real time"
     )

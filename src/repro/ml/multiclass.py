@@ -31,9 +31,11 @@ class OneVsRestClassifier:
     decision value.
 
     Args:
-        factory: builds one fresh binary classifier per class;
+        factory: builds one fresh :class:`BinarySVM` per class;
             defaults to a :class:`BinarySVM` with its default RBF
-            kernel.
+            kernel.  Every machine it builds must share one kernel
+            (:meth:`fit` refuses anything else), so one Gram trains
+            them all and one support-vector bank decides for them all.
     """
 
     def __init__(self, factory: Optional[BinaryFactory] = None) -> None:
@@ -53,19 +55,13 @@ class OneVsRestClassifier:
         """An unfitted copy with the same factory."""
         return OneVsRestClassifier(self.factory)
 
-    def gram_kernel(self) -> Optional[Kernel]:
-        """Kernel shared by this factory's machines, if Gram-reusable.
+    def gram_kernel(self) -> Kernel:
+        """The kernel shared by this factory's machines.
 
         Every one-vs-rest machine trains on the *same* rows (all of
-        ``X``), so a single full-dataset Gram serves all of them —
-        but only when the factory builds :class:`BinarySVM` instances,
-        whose ``fit`` accepts a precomputed Gram.  Exotic factories
-        return ``None`` and take the ordinary per-machine path.
+        ``X``), so a single full-dataset Gram serves all of them.
         """
-        probe = self.factory()
-        if not isinstance(probe, BinarySVM):
-            return None
-        return probe.kernel
+        return self.factory().kernel
 
     def fit(
         self,
@@ -85,6 +81,11 @@ class OneVsRestClassifier:
             X: feature matrix.
             y: class labels.
             gram: optional precomputed full-dataset Gram.
+
+        Raises:
+            ValueError: mismatched shapes, fewer than two classes, or a
+                factory whose machines are not :class:`BinarySVM`
+                instances sharing one kernel.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
@@ -95,30 +96,26 @@ class OneVsRestClassifier:
         self.classes_ = sorted(set(y.tolist()))
         if len(self.classes_) < 2:
             raise ValueError("need at least two classes")
-        kernel = self.gram_kernel()
+        machines = [self.factory() for _ in self.classes_]
+        kernel = getattr(machines[0], "kernel", None)
+        if not all(
+            isinstance(m, BinarySVM) and m.kernel == kernel for m in machines
+        ):
+            raise ValueError(
+                "one-vs-rest needs a factory of BinarySVMs that share one kernel"
+            )
         n = X.shape[0]
-        if gram is not None:
+        if gram is None:
+            gram = gram_cache.default_cache().full(kernel, X)
+        else:
             gram = np.asarray(gram, dtype=float)
             if gram.shape != (n, n):
                 raise ValueError(
                     f"gram must have shape {(n, n)}, got {gram.shape}"
                 )
-        elif kernel is not None:
-            gram = gram_cache.default_cache().full(kernel, X)
         self._machines = {}
-        for cls in self.classes_:
-            labels = np.where(y == cls, 1.0, -1.0)
-            machine = self.factory()
-            # Only hand the shared Gram to machines that declared the
-            # same kernel; a factory alternating kernels falls back.
-            if (
-                gram is not None
-                and isinstance(machine, BinarySVM)
-                and machine.kernel == kernel
-            ):
-                machine.fit(X, labels, gram=gram)
-            else:
-                machine.fit(X, labels)
+        for cls, machine in zip(self.classes_, machines):
+            machine.fit(X, np.where(y == cls, 1.0, -1.0), gram=gram)
             self._machines[cls] = machine
         self._build_sv_bank(X, kernel)
         self._fit_X = X
@@ -139,7 +136,7 @@ class OneVsRestClassifier:
         result is byte-identical to a cold ``fit`` on the concatenated
         dataset.
         """
-        if not self._machines:
+        if self._bank is None:
             raise RuntimeError(
                 "refresh needs a fitted classifier; call fit() first"
             )
@@ -161,29 +158,20 @@ class OneVsRestClassifier:
             )
         X = np.concatenate([self._fit_X, new_X], axis=0)
         y = np.concatenate([self._fit_y, new_y], axis=0)
-        kernel = self.gram_kernel()
-        gram = None
-        if kernel is not None:
-            gram = gram_cache.default_cache().extend(
-                kernel, self._fit_X, new_X
-            )
+        gram = gram_cache.default_cache().extend(
+            self._bank.kernel, self._fit_X, new_X
+        )
         return self.fit(X, y, gram=gram)
 
-    def _build_sv_bank(self, X: np.ndarray, kernel: Optional[Kernel]) -> None:
+    def _build_sv_bank(self, X: np.ndarray, kernel: Kernel) -> None:
         """Fold the per-class machines into one :class:`SupportVectorBank`.
 
         The machines all train on the full ``X``, so their support
         indices address the same rows; :meth:`decision_matrix` then
         takes one Gram per batch instead of one per class (as the
         one-vs-one :class:`repro.ml.svm.SupportVectorClassifier` does).
-        Machines that do not share ``kernel`` get no bank.
         """
-        self._bank = None
         machines = [self._machines[cls] for cls in self.classes_]
-        if kernel is None or not all(
-            isinstance(m, BinarySVM) and m.kernel == kernel for m in machines
-        ):
-            return
         self._bank = SupportVectorBank(
             kernel, X, machines, [m.support_indices_ for m in machines]
         )
@@ -199,23 +187,17 @@ class OneVsRestClassifier:
     ) -> np.ndarray:
         """Per-class decision values, shape ``(n, n_classes)``.
 
-        ``bank_gram`` optionally supplies a precomputed
-        ``kernel(bank, X)`` (e.g. sliced from a cached full-dataset
-        Gram); slice-stable kernels make the output identical.
+        Row-pure: a row's decisions are bitwise the same in any batch
+        (:meth:`SupportVectorBank.decisions`).  ``bank_gram``
+        optionally supplies a precomputed ``kernel(bank, X)`` (e.g.
+        sliced from a cached full-dataset Gram); slice-stable kernels
+        make the output identical.
         """
-        if not self._machines:
+        if self._bank is None:
             raise RuntimeError("OneVsRestClassifier is not fitted")
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        if self._bank is None:
-            # Heterogeneous machines: one Gram per class machine.
-            return np.column_stack(
-                [
-                    self._machines[cls].decision_function(X)
-                    for cls in self.classes_
-                ]
-            )
         return self._bank.decisions(X, bank_gram)
 
     def predict(

@@ -17,7 +17,7 @@ import math
 import numbers
 from collections import abc
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +83,9 @@ def _mapping(report: Any, what: str) -> Mapping[str, Any]:
     return report
 
 
-def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]:
+def normalise_sighting(
+    report: Any, beacon_ids: AbstractSet[str], default_time: float = 0.0
+) -> Dict[str, Any]:
     """Validate one sighting report into the row every layer stores.
 
     The row is ``{"device_id": str, "beacons": {str: float}, "time":
@@ -92,8 +94,11 @@ def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]
     (``default_time`` when the report has none).  Integers widen to
     floats; anything else — NaN, infinities, a negative distance, a
     non-number — is rejected, so storage, the WAL and replay all see
-    one type per field and every stored device can expire.
-    Idempotent on its own output.
+    one type per field and every stored device can expire.  The map
+    must name at least one of the server's ``beacon_ids``: an empty
+    map, or one of unknown ids only, could only be classified from an
+    all-missing vector.  Unknown ids beside a known one are kept (the
+    vectoriser ignores them).  Idempotent on its own output.
 
     Raises:
         ValueError: the report is malformed (the REST routes answer 400).
@@ -102,6 +107,10 @@ def normalise_sighting(report: Any, default_time: float = 0.0) -> Dict[str, Any]
     if not isinstance(device_id, str) or not device_id:
         raise ValueError(f"device_id must be a non-empty string, got {device_id!r}")
     beacons = _beacon_values(report.get("beacons"), "beacon distance", 0.0)
+    if beacon_ids.isdisjoint(beacons):
+        raise ValueError(
+            f"sighting names none of the building's beacons, got {sorted(beacons)}"
+        )
     time = report.get("time", default_time)
     if not (type(time) is float and -_INF < time < _INF):
         time = _real(time, "time")
@@ -198,6 +207,7 @@ class BuildingManagementServer:
         self.db.create_table("sightings", ["time", "device_id", "beacons"])
         self.fingerprints = FingerprintStore(self.db)
         self.vectorizer = FingerprintVectorizer(beacon_ids, missing_value=missing_value)
+        self._known_beacons = frozenset(self.vectorizer.beacon_ids)
         self.scaler = StandardScaler()
         self.classifier = (
             classifier
@@ -419,8 +429,9 @@ class BuildingManagementServer:
             sightings: mappings with ``device_id``, ``beacons`` and
                 ``time`` keys (one per report; ``time`` defaults to 0).
                 Reports are applied in order, so a device appearing
-                twice ends up where its last report puts it — exactly
-                as if each report had been ingested individually.
+                twice ends up where its latest report (by time; the
+                last one on a tie) puts it — exactly as if each report
+                had been ingested individually.
             rooms: pre-computed room labels, one per sighting (replay
                 classifies in vectorised chunks and hands the labels
                 back here, so the bookkeeping still happens exactly
@@ -445,8 +456,16 @@ class BuildingManagementServer:
         *,
         loose: bool,
     ) -> List[str]:
-        """Validate and classify every row, then log, then book."""
-        rows = [normalise_sighting(sighting) for sighting in sightings]
+        """Validate and classify every row, then log, then book.
+
+        A row older than its device's last report (a late arrival) is
+        stored, counted and logged like any other, but moves neither
+        the device's room nor its last-seen time, so it can neither
+        rewind the device nor expire it early.  Equal times keep
+        arrival order: the later row wins.
+        """
+        known = self._known_beacons
+        rows = [normalise_sighting(sighting, known) for sighting in sightings]
         if not rows:
             return []
         if rooms is None:
@@ -467,14 +486,16 @@ class BuildingManagementServer:
             else:
                 self.wal.append_batch(rows)
         table = self.db.table("sightings")
+        last_seen = self._device_last_seen
         for row, room in zip(rows, rooms):
-            device_id = row["device_id"]
+            device_id, time = row["device_id"], row["time"]
             table.insert(row)
             self._c_sightings.inc(device=device_id)
             self._c_classifications.inc(room=room)
-            self._device_rooms[device_id] = room
-            self._device_last_seen[device_id] = row["time"]
-            self._now = max(self._now, row["time"])
+            if time >= last_seen.get(device_id, -_INF):
+                self._device_rooms[device_id] = room
+                last_seen[device_id] = time
+            self._now = max(self._now, time)
         if not loose:
             self._c_batches.inc()
             self._h_batch_size.observe(float(len(rows)))

@@ -18,8 +18,8 @@ method that applied it live — ``ingest_sighting(room=...)`` or
 state book exactly as they did live.  History marks and refreshes end
 a run and apply in place.  Chunking is invisible to the result: the
 batch predict path is pinned row-pure, so the chunk size only moves
-the wall clock (the replay benchmark drives this well past 20x
-real-time).
+the wall clock (the replay benchmark holds it at or above 90x
+real time).
 
 A WAL directory written by the fleet driver additionally carries a
 ``manifest.json`` (server construction parameters) and a

@@ -189,6 +189,7 @@ class ShardedBmsService:
                     f"[0, {self.shards})"
                 )
         self.obs = registry if registry is not None else MetricsRegistry()
+        self._known_beacons = frozenset(beacon_ids)
         self._shards: List[BuildingManagementServer] = []
         for index in range(self.shards):
             shard_registry = MetricsRegistry(clock=self.obs.now)
@@ -529,7 +530,7 @@ class ShardedBmsService:
         drain, which would drop the good rows queued beside it.
         """
         try:
-            sighting = normalise_sighting(body, default_time)
+            sighting = normalise_sighting(body, self._known_beacons, default_time)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
         building = body.get("building")

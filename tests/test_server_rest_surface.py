@@ -249,10 +249,18 @@ def beacon_maps(values, min_size=1):
     return st.dictionaries(BEACON_ID, values, min_size=min_size, max_size=4)
 
 
+def known_beacon_maps(values):
+    """A beacon map naming at least one of the building's beacons."""
+    return st.tuples(
+        st.dictionaries(st.sampled_from(BEACONS), values, min_size=1, max_size=3),
+        beacon_maps(values, min_size=0),
+    ).map(lambda maps: {**maps[1], **maps[0]})
+
+
 GOOD_SIGHTING = st.fixed_dictionaries(
     {
         "device_id": st.sampled_from(["alice", "bob", "zed"]),
-        "beacons": beacon_maps(st.floats(0.0, 40.0)),
+        "beacons": known_beacon_maps(st.floats(0.0, 40.0)),
         "time": TIMES,
     }
 )
@@ -279,6 +287,9 @@ BAD_SIGHTING_FIELDS = {
     "beacons": st.one_of(
         NOT_A_MAP,
         st.none(),
+        # No beacon the building knows: empty, or unknown ids only.
+        st.just({}),
+        st.dictionaries(st.sampled_from(["b9", "zzz"]), st.floats(0.0, 40.0), min_size=1),
         one_bad_value(
             st.one_of(
                 NON_FINITE,
@@ -377,3 +388,16 @@ def test_malformed_post_is_rejected_and_changes_nothing(live_servers, case):
         response = post(server, route, body, time=2.0)
         assert response.status in (400, 409), (kind, route, body, response.body)
         assert observed(server) == before, (kind, route, body)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=with_one_bad(GOOD_SIGHTING, BAD_SIGHTING))
+def test_ingest_batch_with_a_bad_row_raises_and_changes_nothing(live_servers, rows):
+    """``ingest_batch`` called directly, not through a route, is all or
+    nothing: no row is stored, counted or logged (``observed`` holds the
+    WAL's record count)."""
+    server = live_servers["single"]
+    before = observed(server)
+    with pytest.raises(ValueError):
+        server.ingest_batch(rows)
+    assert observed(server) == before

@@ -4,11 +4,17 @@ A loose sighting is a 1-row batch end to end.  One validator
 (:func:`~repro.server.bms.normalise_sighting`) guards both REST routes
 of the single store and of the sharded front door; every ingest
 validates and classifies each row before it stores, logs or counts
-anything; and whatever is accepted replays to the live state.
+anything; a late report never rewinds its device; and whatever is
+accepted replays to the live state.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.kernels import RbfKernel
 from repro.ml.svm import SupportVectorClassifier
@@ -35,6 +41,8 @@ MALFORMED = {
     "missing-device-id": {"beacons": {"b1": 1.0}, "time": 2.0},
     "beacons-list": {"device_id": "bob", "beacons": [1.0, 6.0], "time": 2.0},
     "beacons-missing": {"device_id": "bob", "time": 2.0},
+    "beacons-empty": {"device_id": "bob", "beacons": {}, "time": 2.0},
+    "beacons-unknown-only": {"device_id": "bob", "beacons": {"zzz": 1.0}, "time": 2.0},
     "beacon-id-not-str": {"device_id": "bob", "beacons": {1: 1.0}, "time": 2.0},
     "beacon-value-str": {"device_id": "bob", "beacons": {"b1": "near"}, "time": 2.0},
     "beacon-value-bool": {"device_id": "bob", "beacons": {"b1": True}, "time": 2.0},
@@ -169,15 +177,16 @@ def test_malformed_sighting_is_400_and_changes_nothing(
 @pytest.mark.parametrize("kind", sorted(STORES))
 def test_accepted_variants_replay_to_the_live_state(tmp_path, kind):
     live = calibrate(STORES[kind](tmp_path / "wal"))
-    # Integer times and distances, numpy scalars and a default time
-    # from the request are all accepted and widened to floats.
+    # Integer times and distances, numpy scalars, a default time from
+    # the request and unknown beacons beside a known one are all
+    # accepted (the vectoriser ignores unknown beacons).
     loose = [
         {"device_id": "alice", "beacons": {"b1": 1, "b2": 6, "b3": 9}, "time": 3},
-        {"device_id": "bob", "beacons": {"b2": np.float32(1.0)}},
+        {"device_id": "bob", "beacons": {"b2": np.float32(1.0), "zzz": 2.0}},
     ]
     batch = [
         {"device_id": "carol", "beacons": near("hall"), "time": np.int64(5)},
-        {"device_id": "dave", "beacons": {"b3": 1}},
+        {"device_id": "dave", "beacons": {"b3": 1, "zzz": 2}},
     ]
     assert all(post(live, "/sightings", body, time=4.0).ok for body in loose)
     assert post(live, "/sightings/batch", {"sightings": batch}, time=6.0).ok
@@ -195,10 +204,46 @@ def test_accepted_variants_replay_to_the_live_state(tmp_path, kind):
 
 
 def test_normalise_sighting_widens_to_one_type_per_field():
-    row = normalise_sighting({"device_id": "a", "beacons": {"b1": 1}}, 3)
+    known = frozenset(BEACONS)
+    row = normalise_sighting({"device_id": "a", "beacons": {"b1": 1}}, known, 3)
     assert row == {"device_id": "a", "beacons": {"b1": 1.0}, "time": 3.0}
     assert type(row["time"]) is float and type(row["beacons"]["b1"]) is float
-    assert normalise_sighting(row) == row
+    assert normalise_sighting(row, known) == row
+
+
+#: Beacon maps that name none of the building's beacons (ids are
+#: matched exactly, so ``B1`` is not ``b1``).
+NO_KNOWN_BEACON = {
+    "empty": {},
+    "unknown-only": {"zzz": 1.0},
+    "several-unknown": {"zzz": 1.0, "B1": 2.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_KNOWN_BEACON))
+def test_normalise_sighting_needs_a_known_beacon(case):
+    report = {"device_id": "a", "beacons": NO_KNOWN_BEACON[case], "time": 1.0}
+    with pytest.raises(ValueError, match="none of the building's beacons"):
+        normalise_sighting(report, frozenset(BEACONS))
+
+
+def test_normalise_sighting_keeps_unknown_ids_beside_a_known_one():
+    report = {"device_id": "a", "beacons": {"zzz": 1, "b2": 2}, "time": 1.0}
+    row = normalise_sighting(report, frozenset(BEACONS))
+    assert row["beacons"] == {"zzz": 1.0, "b2": 2.0}
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_fingerprints_keep_their_rule(kind):
+    """The known-beacon rule is for sightings only: a calibration row
+    still needs just one beacon, known or not."""
+    store = STORES[kind]()
+    body = {"room": "lab", "beacons": {"zzz": -60.0}, "time": 0.0}
+    assert post(store, "/fingerprints", body).status == 200
+    empty = {"room": "lab", "beacons": {}, "time": 0.0}
+    assert post(store, "/fingerprints", empty).status == 400
+    # The door hands every calibration row to every shard.
+    assert set(fingerprint_counts(store)) == {1}
 
 
 class TestAllOrNothing:
@@ -249,3 +294,140 @@ class TestAllOrNothing:
             ("dev-3", "lab"),
         ]
         assert store.sighting_count == 4
+
+    @pytest.mark.parametrize("case", ["beacons-empty", "beacons-unknown-only"])
+    @pytest.mark.parametrize("route", ["/sightings", "/sightings/batch"])
+    def test_no_known_beacon_is_refused_before_the_queue(self, tmp_path, route, case):
+        """On a door that queues, a sighting with no known beacon is a
+        400 at the door: the queue depth, the WAL and the store stay as
+        they were, and the good row queued before it still drains."""
+        store = calibrate(sharded_door(tmp_path / "wal", drain_policy="manual"))
+        alice = {"device_id": "alice", "beacons": near("lab"), "time": 1.0}
+        assert post(store, "/sightings", alice).status == 202
+        before = observed(store)
+        assert before["queued"] == 1
+        report = MALFORMED[case]
+        if route == "/sightings/batch":
+            good = {"device_id": "carol", "beacons": near("hall"), "time": 2.0}
+            report = {"sightings": [good, report]}
+        assert post(store, route, report, time=2.0).status == 400
+        assert observed(store) == before
+        assert [entry[1:] for entry in store.drain().entries] == [("alice", "lab")]
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: late reports
+# ----------------------------------------------------------------------
+@st.composite
+def late_arrivals(draw):
+    """One device's reports at distinct times, in time and arrival order.
+
+    The arrival order is grouped into posts: a group of one is a loose
+    post, a longer group one batch post.
+    """
+    times = draw(st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True))
+    rooms = st.sampled_from(sorted(ROOM_BASES))
+    in_time_order = [
+        {"device_id": "alice", "beacons": near(draw(rooms)), "time": float(t)}
+        for t in sorted(times)
+    ]
+    posts = []
+    for report in draw(st.permutations(in_time_order)):
+        if posts and draw(st.booleans()):
+            posts[-1].append(report)
+        else:
+            posts.append([report])
+    return in_time_order, posts
+
+
+def post_all(store, posts):
+    for rows in posts:
+        if len(rows) == 1:
+            response = post(store, "/sightings", rows[0])
+        else:
+            response = post(store, "/sightings/batch", {"sightings": rows})
+        assert response.status == 200, response.body
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=late_arrivals(), wait=st.integers(0, 45))
+def test_late_reports_end_where_time_order_ends(case, wait):
+    """Any arrival order of a device's reports ends where time order
+    ends: the same room, the same snapshot at any later time, and a
+    replay of the log ends there too."""
+    in_time_order, posts = case
+    now = in_time_order[-1]["time"] + wait
+    for kind, make in STORES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            wal_dir = Path(tmp) / "wal"
+            live = calibrate(make(wal_dir))
+            post_all(live, posts)
+            reference = calibrate(make())
+            post_all(reference, [[row] for row in in_time_order])
+            restored = calibrate(make())
+            if kind == "sharded":
+                live.close_wals()
+                replay_sharded(restored, wal_dir)
+            else:
+                live.wal.close()
+                replay_wal(restored, wal_dir)
+            expected = reference.device_room("alice")
+            for store in (live, restored):
+                assert store.device_room("alice") == expected, kind
+                assert store.sighting_count == len(in_time_order)
+                assert store.snapshot(now) == reference.snapshot(now), kind
+
+
+def send(store, route, report):
+    """Post one report as a loose sighting or as a 1-row batch."""
+    body = report if route == "/sightings" else {"sightings": [report]}
+    response = post(store, route, body)
+    assert response.status == 200, response.body
+
+
+class TestLateReport:
+    """``alice`` reports ``lab`` at t = 40, then a t = 5 ``hall`` report
+    arrives; the device timeout is the default 30 s."""
+
+    ON_TIME = {"device_id": "alice", "beacons": near("lab"), "time": 40.0}
+    LATE = {"device_id": "alice", "beacons": near("hall"), "time": 5.0}
+
+    @pytest.mark.parametrize("route", ["/sightings", "/sightings/batch"])
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    def test_late_report_moves_neither_room_nor_last_seen(self, kind, route):
+        store = calibrate(STORES[kind]())
+        send(store, route, self.ON_TIME)
+        send(store, route, self.LATE)
+        assert store.device_room("alice") == "lab"
+        assert store.now == 40.0
+        # Last seen stays 40: kept until the cutoff passes it.
+        assert store.snapshot(40.0).devices == {"alice": "lab"}
+        assert store.snapshot(70.0).devices == {"alice": "lab"}
+        assert store.snapshot(70.5).devices == {}
+
+    @pytest.mark.parametrize("route", ["/sightings", "/sightings/batch"])
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    def test_late_report_is_stored_counted_and_logged(self, tmp_path, kind, route):
+        """Everything but the device's booking sees the late row exactly
+        as it sees the same rows in time order."""
+        late = calibrate(STORES[kind](tmp_path / "late"))
+        send(late, route, self.ON_TIME)
+        send(late, route, self.LATE)
+        in_order = calibrate(STORES[kind](tmp_path / "in-order"))
+        send(in_order, route, self.LATE)
+        send(in_order, route, self.ON_TIME)
+        assert late.sighting_count == 2
+        assert observed(late)["wal_records"] == 2
+        assert observed(late) == observed(in_order)
+
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    def test_equal_times_keep_arrival_order(self, kind):
+        store = calibrate(STORES[kind]())
+        twice = [
+            {"device_id": "alice", "beacons": near("lab"), "time": 10.0},
+            {"device_id": "alice", "beacons": near("hall"), "time": 10.0},
+        ]
+        assert post(store, "/sightings/batch", {"sightings": twice}).ok
+        assert store.device_room("alice") == "hall"
+        send(store, "/sightings", {**twice[0], "beacons": near("office")})
+        assert store.device_room("alice") == "office"
