@@ -35,7 +35,7 @@ def test_fig08_coefficient_tradeoff(benchmark):
     rows = [
         (
             f"coeff {r['coefficient']:.2f}",
-            "0.65 chosen" if r["coefficient"] == 0.65 else "",
+            "0.65 chosen" if r["coefficient"] == 0.65 else "n/a",
             f"lag {r['lag']:.1f}s  std {r['std']:.2f}m  rmse {r['rmse']:.2f}m",
         )
         for r in sweep

@@ -13,6 +13,7 @@ and repeatably.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List
 
@@ -26,9 +27,16 @@ __all__ = ["ADV_DELAY_MAX_S", "advertisement_times", "Advertiser"]
 #: Maximum pseudo-random advertising delay (BLE spec: 0-10 ms).
 ADV_DELAY_MAX_S = 0.010
 
+#: Entries of the process-wide advDelay memo.  Every phone scanning a
+#: window, and every calibration walk re-scanning the same first
+#: windows, asks for the same (beacon, slot) jitters; 1,024 holds the
+#: slots those repeats revisit while staying a few hundred kB.
+_JITTER_MEMO_SIZE = 1024
 
+
+@functools.lru_cache(maxsize=_JITTER_MEMO_SIZE)
 def _slot_jitter(seed: int, slot: int) -> float:
-    """Deterministic advDelay for a given advertiser slot."""
+    """Deterministic advDelay for a given advertiser slot (memoised)."""
     rng = np.random.default_rng(derive_seed(seed, f"adv-jitter:{slot}"))
     return float(rng.uniform(0.0, ADV_DELAY_MAX_S))
 

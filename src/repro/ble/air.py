@@ -9,7 +9,7 @@ which advertisements were received and at what RSSI?*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.ibeacon.packet import IBeaconPacket
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DeviceRadioProfile
 
-__all__ = ["Sighting", "AirInterface"]
+__all__ = ["Sighting", "WindowSchedule", "AirInterface"]
 
 #: Callable giving the receiver position at a time (mobility binding).
 PositionFn = Callable[[float], Point]
@@ -51,14 +51,49 @@ class Sighting:
     payload: bytes = b""
 
 
+@dataclass(frozen=True)
+class WindowSchedule:
+    """Every advertisement on the air in one listening window.
+
+    Columns run beacon-major: each advertiser's advertisements in time
+    order, advertisers in installation order.  That is the order the
+    channel draws its random components in.
+
+    Attributes:
+        t_start: window start (inclusive), seconds.
+        t_end: window end (exclusive), seconds.
+        times: advertisement instants, shape ``(n,)``.
+        advertiser: index into ``AirInterface.advertisers`` per
+            advertisement.
+        runs: ``(start, end, advertiser index)`` of each advertiser's
+            slice of the columns; silent advertisers are left out.
+        tx_ids: beacon id per advertisement (the shadowing-field key).
+        tx: transmitter position per advertisement, shape ``(n, 2)``.
+        tx_power_dbm: effective radiated power per advertisement.
+        order: the advertisements' stable time order.
+    """
+
+    t_start: float
+    t_end: float
+    times: np.ndarray
+    advertiser: np.ndarray
+    runs: List[Tuple[int, int, int]]
+    tx_ids: List[str]
+    tx: np.ndarray
+    tx_power_dbm: np.ndarray
+    order: np.ndarray
+
+
 class AirInterface:
     """Samples the channel for every advertisement in a window.
+
+    The advertisers are fixed at construction.
 
     Args:
         plan: floor plan with installed beacons (also provides the
             wall oracle unless the channel already has one).
         channel: the statistical channel; if its ``wall_oracle`` is
-            unset, the plan's :meth:`~repro.building.floorplan.FloorPlan.walls_crossed`
+            unset, the plan's :meth:`~repro.building.floorplan.FloorPlan.wall_losses`
             is installed.
     """
 
@@ -66,15 +101,62 @@ class AirInterface:
         self.plan = plan
         self.channel = channel if channel is not None else ChannelModel()
         if self.channel.wall_oracle is None:
-            self.channel.wall_oracle = plan.walls_crossed
+            self.channel.wall_oracle = plan.wall_losses
         self.advertisers: List[Advertiser] = [
             Advertiser(placement=b) for b in plan.beacons
         ]
-        # Encode each beacon's payload once; every advertisement of a
-        # beacon carries identical bytes.
-        self._payloads = {
-            b.beacon_id: b.packet.encode() for b in plan.beacons
-        }
+        # Per-advertiser columns, made once: every advertisement of a
+        # beacon carries the same id, packet, payload bytes, position
+        # and power.
+        placements = [adv.placement for adv in self.advertisers]
+        self._beacon_ids = [b.beacon_id for b in placements]
+        self._packets = [b.packet for b in placements]
+        self._payloads = [b.packet.encode() for b in placements]
+        self._tx = np.array(
+            [b.position.as_tuple() for b in placements], dtype=float
+        ).reshape(-1, 2)
+        self._tx_power = np.array(
+            [b.effective_radiated_power_dbm for b in placements], dtype=float
+        )
+        self._window: Optional[WindowSchedule] = None
+
+    def schedule(self, t_start: float, t_end: float) -> WindowSchedule:
+        """The advertisements on the air in ``[t_start, t_end)``.
+
+        The last window's schedule is kept: every phone of a fleet
+        scans the same window at each period boundary, so the
+        advertisers' schedules are derived once per window, not once
+        per phone.
+        """
+        window = self._window
+        if window is not None and window.t_start == t_start and window.t_end == t_end:
+            return window
+        times: List[float] = []
+        runs: List[Tuple[int, int, int]] = []
+        for k, adv in enumerate(self.advertisers):
+            ts = adv.times_in(t_start, t_end)
+            if ts:
+                runs.append((len(times), len(times) + len(ts), k))
+                times.extend(ts)
+        advertiser = np.empty(len(times), dtype=np.intp)
+        tx_ids: List[str] = []
+        for start, end, k in runs:
+            advertiser[start:end] = k
+            tx_ids.extend([self._beacon_ids[k]] * (end - start))
+        time_column = np.array(times, dtype=float)
+        window = WindowSchedule(
+            t_start=t_start,
+            t_end=t_end,
+            times=time_column,
+            advertiser=advertiser,
+            runs=runs,
+            tx_ids=tx_ids,
+            tx=self._tx[advertiser],
+            tx_power_dbm=self._tx_power[advertiser],
+            order=np.argsort(time_column, kind="stable"),
+        )
+        self._window = window
+        return window
 
     def observe(
         self,
@@ -95,47 +177,35 @@ class AirInterface:
             rng: random stream for fading/noise/loss draws.
 
         Returns:
-            Sightings sorted by reception time.
+            Sightings sorted by reception time (ties in beacon order).
 
-        The window's advertisements are gathered beacon-major (every
-        advertiser's schedule in turn) and pushed through one
+        The window's :meth:`schedule` is pushed through one
         :meth:`~repro.radio.channel.ChannelModel.link_budget_many`
         call, so the whole window costs a single numpy pass instead of
         one Python-level budget per advertisement.
         """
-        times: List[float] = []
-        tx_ids: List[str] = []
-        tx_positions: List[tuple] = []
-        rx_positions: List[tuple] = []
-        tx_powers: List[float] = []
-        placements = []
-        for adv in self.advertisers:
-            placement = adv.placement
-            tx_pos = placement.position.as_tuple()
-            for t in adv.times_in(t_start, t_end):
-                times.append(t)
-                tx_ids.append(placement.beacon_id)
-                tx_positions.append(tx_pos)
-                rx_positions.append(position_fn(t).as_tuple())
-                tx_powers.append(placement.effective_radiated_power_dbm)
-                placements.append(placement)
-        if not times:
+        window = self.schedule(t_start, t_end)
+        if not window.tx_ids:
             return []
+        times = window.times.tolist()
+        rx = np.array([position_fn(t).as_tuple() for t in times], dtype=float)
         batch = self.channel.link_budget_many(
-            tx_ids, tx_positions, rx_positions, tx_powers, device, rng
+            window.tx_ids, window.tx, rx, window.tx_power_dbm, device, rng
         )
-        sightings: List[Sighting] = []
-        for i in np.flatnonzero(batch.received):
-            placement = placements[i]
-            sightings.append(
-                Sighting(
-                    time=times[i],
-                    beacon_id=placement.beacon_id,
-                    packet=placement.packet,
-                    rssi=float(batch.rssi[i]),
-                    true_distance_m=float(batch.distance_m[i]),
-                    payload=self._payloads[placement.beacon_id],
-                )
+        heard = window.order[batch.received[window.order]]
+        return [
+            Sighting(
+                time=times[i],
+                beacon_id=self._beacon_ids[k],
+                packet=self._packets[k],
+                rssi=rssi,
+                true_distance_m=distance,
+                payload=self._payloads[k],
             )
-        sightings.sort(key=lambda s: s.time)
-        return sightings
+            for i, k, rssi, distance in zip(
+                heard.tolist(),
+                window.advertiser[heard].tolist(),
+                batch.rssi[heard].tolist(),
+                batch.distance_m[heard].tolist(),
+            )
+        ]

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from repro.building.geometry import Point, Segment, segments_intersect
+import numpy as np
+
+from repro.building.geometry import (
+    Point,
+    Segment,
+    segments_intersect,
+    segments_intersect_many,
+)
 from repro.ibeacon.packet import IBeaconPacket
 from repro.radio.materials import WALL_MATERIALS
 
@@ -231,8 +238,8 @@ class FloorPlan:
     def walls_crossed(self, p1: PointLike, p2: PointLike) -> list[str]:
         """Materials of the walls crossed by the ray ``p1`` to ``p2``.
 
-        Accepts :class:`Point` instances or plain tuples — this is the
-        ``wall_oracle`` signature the radio channel model calls with.
+        Accepts :class:`Point` instances or plain tuples.  The scalar
+        oracle of :meth:`wall_losses`, which the radio channel calls.
         """
         ray = Segment(_as_point(p1), _as_point(p2))
         return [
@@ -240,6 +247,32 @@ class FloorPlan:
             for wall in self.walls
             if segments_intersect(ray, wall.segment)
         ]
+
+    def wall_losses(self, tx, rx) -> np.ndarray:
+        """Loss in dB of the walls crossed by each ray ``tx`` to ``rx``.
+
+        The array form of ``wall_loss_db(walls_crossed(tx, rx))`` and
+        the ``wall_oracle`` the radio channel model calls.  ``tx`` and
+        ``rx`` are arrays of positions, shape ``(..., 2)``, that
+        broadcast together; the result has their broadcast shape minus
+        the last axis.  Each ray's losses are added in plan wall order,
+        as ``wall_loss_db`` adds them, so every element is bitwise the
+        scalar sum.
+        """
+        tx = np.asarray(tx, dtype=float)
+        rx = np.asarray(rx, dtype=float)
+        total = np.zeros(np.broadcast_shapes(tx.shape, rx.shape)[:-1])
+        if not self.walls:
+            return total
+        # One wall per leading index, broadcast against every ray.
+        ends = np.array(
+            [(w.segment.a.as_tuple(), w.segment.b.as_tuple()) for w in self.walls],
+            dtype=float,
+        ).reshape((len(self.walls),) + (1,) * total.ndim + (2, 2))
+        crossed = segments_intersect_many(tx, rx, ends[..., 0, :], ends[..., 1, :])
+        for wall, hit in zip(self.walls, crossed):
+            total += WALL_MATERIALS[wall.material].loss_db * hit
+        return total
 
     def bounds(self) -> tuple[float, float, float, float]:
         """Bounding box ``(x_min, y_min, x_max, y_max)`` over all rooms.

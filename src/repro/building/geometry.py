@@ -1,8 +1,9 @@
 """Planar geometry primitives for floor plans.
 
 Points, line segments, and the segment-intersection predicate used to
-count wall crossings in the multi-wall path-loss model.  All
-coordinates are metres in a building-local frame.
+count wall crossings in the multi-wall path-loss model, in scalar form
+and vectorised over arrays of segments.  All coordinates are metres in
+a building-local frame.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Point", "Segment", "segments_intersect"]
+import numpy as np
+
+__all__ = ["Point", "Segment", "segments_intersect", "segments_intersect_many"]
 
 #: Tolerance for the orientation predicate; floor-plan coordinates are
 #: metres, so this is far below any physically meaningful distance.
@@ -122,3 +125,55 @@ def segments_intersect(s1: Segment, s2: Segment) -> bool:
     if o4 == 0 and _on_segment(p2, q1, q2):
         return True
     return False
+
+
+def _orient_signs(px, py, qx, qy, rx, ry):
+    """``_orient(p, q, r) > 0`` and ``_orient(p, q, r) < 0`` over arrays."""
+    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return cross > _EPS, cross < -_EPS
+
+
+def _on_segment_many(p, q, r) -> np.ndarray:
+    """:func:`_on_segment` over arrays of points, shape ``(..., 2)``."""
+    return ((np.minimum(p, r) - _EPS <= q) & (q <= np.maximum(p, r) + _EPS)).all(
+        axis=-1
+    )
+
+
+def segments_intersect_many(p1, q1, p2, q2) -> np.ndarray:
+    """:func:`segments_intersect` over arrays of segments ``p1q1``, ``p2q2``.
+
+    Each argument is an array of points, shape ``(..., 2)``; the four
+    broadcast together and the result has their broadcast shape minus
+    the last axis.  Every element is bitwise the scalar predicate's
+    answer: the orientation crosses use the same expressions, and the
+    collinear cases (rare off axis-aligned geometry) are evaluated only
+    where an orientation is zero.
+    """
+    p1x, p1y = p1[..., 0], p1[..., 1]
+    q1x, q1y = q1[..., 0], q1[..., 1]
+    p2x, p2y = p2[..., 0], p2[..., 1]
+    q2x, q2y = q2[..., 0], q2[..., 1]
+    pos1, neg1 = _orient_signs(p1x, p1y, q1x, q1y, p2x, p2y)
+    pos2, neg2 = _orient_signs(p1x, p1y, q1x, q1y, q2x, q2y)
+    pos3, neg3 = _orient_signs(p2x, p2y, q2x, q2y, p1x, p1y)
+    pos4, neg4 = _orient_signs(p2x, p2y, q2x, q2y, q1x, q1y)
+    crossed = np.asarray(
+        ((pos1 & neg2) | (neg1 & pos2)) & ((pos3 & neg4) | (neg3 & pos4))
+    )
+    nonzero = (pos1 | neg1, pos2 | neg2, pos3 | neg3, pos4 | neg4)
+    collinear = ~(nonzero[0] & nonzero[1] & nonzero[2] & nonzero[3])
+    if collinear.any():
+        # A proper crossing has no zero orientation, so these elements
+        # are decided by the collinear branches alone.
+        p1c, q1c, p2c, q2c = (
+            v[collinear] for v in np.broadcast_arrays(p1, q1, p2, q2)
+        )
+        z1, z2, z3, z4 = (~v[collinear] for v in np.broadcast_arrays(*nonzero))
+        crossed[collinear] = (
+            (z1 & _on_segment_many(p1c, p2c, q1c))
+            | (z2 & _on_segment_many(p1c, q2c, q1c))
+            | (z3 & _on_segment_many(p2c, p1c, q2c))
+            | (z4 & _on_segment_many(p2c, q1c, q2c))
+        )
+    return crossed

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.ble.sniffer import BeaconFormat, sniff
 from repro.building.floorplan import OUTSIDE
-from repro.building.geometry import _EPS as _GEOM_EPS
 from repro.core.system import DetectionRun, OccupancyDetectionSystem, PhoneRuntime
 from repro.energy.profiles import PHONE_ENERGY_PROFILES
 from repro.filters.ewma import EwmaFilter
@@ -50,7 +49,6 @@ from repro.ibeacon.region import RegionEventKind
 from repro.obs import profiling
 from repro.phone.app import AppState, RangedBeacon, SightingReport
 from repro.phone.scanner import AndroidScanner, IosScanner
-from repro.radio.materials import WALL_MATERIALS
 from repro.radio.pathloss import MAX_ESTIMATED_DISTANCE_M, MIN_DISTANCE_M
 from repro.sim.clock import Clock
 
@@ -59,23 +57,6 @@ __all__ = ["ColumnarUnsupported", "ColumnarFleetDrive", "run_columnar"]
 
 class ColumnarUnsupported(RuntimeError):
     """The system uses a feature the columnar engine does not model."""
-
-
-def _sign(cross: np.ndarray) -> np.ndarray:
-    """Vectorised orientation sign matching ``geometry._orient``."""
-    return (cross > _GEOM_EPS).astype(np.int8) - (cross < -_GEOM_EPS).astype(
-        np.int8
-    )
-
-
-def _on_segment(px, py, qx, qy, rx, ry) -> np.ndarray:
-    """Vectorised ``geometry._on_segment`` bounding-box test."""
-    return (
-        (np.minimum(px, rx) - _GEOM_EPS <= qx)
-        & (qx <= np.maximum(px, rx) + _GEOM_EPS)
-        & (np.minimum(py, ry) - _GEOM_EPS <= qy)
-        & (qy <= np.maximum(py, ry) + _GEOM_EPS)
-    )
 
 
 class ColumnarFleetDrive:
@@ -101,7 +82,6 @@ class ColumnarFleetDrive:
         self.runtimes: List[PhoneRuntime] = list(system._runtimes.values())
         self._validate()
         self._build_beacon_columns()
-        self._build_wall_columns()
         self._build_device_columns()
 
     # ------------------------------------------------------------------
@@ -145,12 +125,11 @@ class ColumnarFleetDrive:
         cycle; payloads are constant per beacon, so format, region
         match and TX-power byte are static run-wide.
         """
-        self.advertisers = self.system.air.advertisers
         region = self.system.region
         eligible: List[Tuple[str, int]] = []  # (beacon_id, tx_power)
         self._decodable: List[bool] = []
         self._adv_col: List[int] = []
-        for adv in self.advertisers:
+        for adv in self.system.air.advertisers:
             placement = adv.placement
             result = sniff(placement.packet.encode())
             packet = result.packet
@@ -179,31 +158,6 @@ class ColumnarFleetDrive:
             [float(txp) for _, txp in eligible], dtype=float
         )
         self.n_eligible = len(eligible)
-
-    def _build_wall_columns(self) -> None:
-        """Flatten the plan's walls when the channel uses its oracle.
-
-        A foreign wall oracle falls back to the scalar per-sample loop
-        (still correct, just not vectorised across devices).
-        """
-        oracle = self.system.channel.wall_oracle
-        plan = self.system.plan
-        self._plan_oracle = (
-            oracle is not None
-            and getattr(oracle, "__self__", None) is plan
-            and getattr(oracle, "__name__", "") == "walls_crossed"
-        )
-        if self._plan_oracle:
-            self._walls = [
-                (
-                    wall.segment.a.x,
-                    wall.segment.a.y,
-                    wall.segment.b.x,
-                    wall.segment.b.y,
-                    WALL_MATERIALS[wall.material].loss_db,
-                )
-                for wall in plan.walls
-            ]
 
     def _build_device_columns(self) -> None:
         M, E = len(self.runtimes), self.n_eligible
@@ -296,14 +250,15 @@ class ColumnarFleetDrive:
         t_end = t0 + self.settings.scan_period_s
         M, E = len(self.runtimes), self.n_eligible
 
-        schedule = self._schedule(t0, listen_end)
-        if schedule is None:
+        # The tick's advertisement schedule, shared by every device.
+        window = self.system.air.schedule(t0, listen_end)
+        if not window.runs:
             received_total = raw_count = surfaced = np.zeros(M, dtype=np.int64)
             measured = np.zeros((M, E), dtype=bool)
             mean = np.zeros((M, E))
         else:
             received_total, raw_count, surfaced, measured, mean = (
-                self._radio_pass(t0, schedule)
+                self._radio_pass(t0, window)
             )
         entering, exiting, reporting = self._tracker_pass(measured, mean)
         self._apply(
@@ -317,44 +272,17 @@ class ColumnarFleetDrive:
             reporting,
         )
 
-    def _schedule(self, t0: float, listen_end: float):
-        """The tick's advertisement schedule, shared by every device.
-
-        The scalar path re-derives these (seeded, pure) times per
-        device; computing them once per tick is the first M-fold win.
-        """
-        times_by_adv = [
-            adv.times_in(t0, listen_end) for adv in self.advertisers
-        ]
-        n = sum(len(ts) for ts in times_by_adv)
-        if n == 0:
-            return None
-        times = np.empty(n)
-        tx_x = np.empty(n)
-        tx_y = np.empty(n)
-        txp = np.empty(n)
-        decodable = np.zeros(n, dtype=bool)
+    def _radio_pass(self, t0: float, window):
+        """RSSI, reception, surfacing and per-beacon means for all M."""
+        times, txp = window.times, window.tx_power_dbm
+        tx_x, tx_y = window.tx[:, 0], window.tx[:, 1]
+        decodable = np.asarray(self._decodable)[window.advertiser]
         # One segment of samples per advertiser with traffic:
         # (start, end, eligible column or -1, beacon id).
-        segs: List[Tuple[int, int, int, str]] = []
-        pos = 0
-        for i, (adv, ts) in enumerate(zip(self.advertisers, times_by_adv)):
-            if not ts:
-                continue
-            end = pos + len(ts)
-            times[pos:end] = ts
-            placement = adv.placement
-            tx_x[pos:end] = placement.position.x
-            tx_y[pos:end] = placement.position.y
-            txp[pos:end] = placement.effective_radiated_power_dbm
-            decodable[pos:end] = self._decodable[i]
-            segs.append((pos, end, self._adv_col[i], placement.beacon_id))
-            pos = end
-        return times, tx_x, tx_y, txp, decodable, segs
-
-    def _radio_pass(self, t0: float, schedule):
-        """RSSI, reception, surfacing and per-beacon means for all M."""
-        times, tx_x, tx_y, txp, decodable, segs = schedule
+        segs = [
+            (start, end, self._adv_col[k], window.tx_ids[start])
+            for start, end, k in window.runs
+        ]
         system = self.system
         channel = system.channel
         n = len(times)
@@ -372,7 +300,11 @@ class ColumnarFleetDrive:
         distance = np.hypot(rx_x - tx_x, rx_y - tx_y)
         mean_rssi = channel.path_loss.rssi(np.maximum(distance, 1e-6), txp)
         path_loss = txp - mean_rssi
-        walls = self._wall_losses(tx_x, tx_y, rx_x, rx_y)
+        walls = (
+            channel.wall_oracle(window.tx, rx)
+            if channel.wall_oracle is not None
+            else np.zeros((M, n))
+        )
         shadow = np.empty((M, n))
         for start, end, _, beacon_id in segs:
             field = channel._shadow_field(beacon_id)
@@ -440,49 +372,6 @@ class ColumnarFleetDrive:
                     values[0] if count == 1 else float(np.mean(values))
                 )
         return received_total, raw_count, surfaced, measured, mean
-
-    def _wall_losses(self, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
-        """Accumulated wall losses per (device, sample).
-
-        With the plan's own oracle the ``segments_intersect`` predicate
-        runs vectorised per wall; accumulating ``loss_db * crossed`` in
-        plan wall order reproduces the scalar subset sum bit-exactly
-        (adding 0.0 to a finite float is the identity).
-        """
-        M, n = rx_x.shape
-        oracle = self.system.channel.wall_oracle
-        if oracle is None:
-            return np.zeros((M, n))
-        if not self._plan_oracle:
-            loss = np.empty((M, n))
-            from repro.radio.materials import wall_loss_db
-
-            for d in range(M):
-                for i in range(n):
-                    loss[d, i] = wall_loss_db(
-                        oracle((tx_x[i], tx_y[i]), (rx_x[d, i], rx_y[d, i]))
-                    )
-            return loss
-        loss = np.zeros((M, n))
-        for ax, ay, bx, by, loss_db in self._walls:
-            o1 = _sign((rx_x - tx_x) * (ay - tx_y) - (rx_y - tx_y) * (ax - tx_x))
-            o2 = _sign((rx_x - tx_x) * (by - tx_y) - (rx_y - tx_y) * (bx - tx_x))
-            o3 = _sign((bx - ax) * (tx_y - ay) - (by - ay) * (tx_x - ax))
-            o4 = _sign((bx - ax) * (rx_y - ay) - (by - ay) * (rx_x - ax))
-            crossed = (
-                (o1 != o2)
-                & (o3 != o4)
-                & (o1 != 0)
-                & (o2 != 0)
-                & (o3 != 0)
-                & (o4 != 0)
-            )
-            crossed |= (o1 == 0) & _on_segment(tx_x, tx_y, ax, ay, rx_x, rx_y)
-            crossed |= (o2 == 0) & _on_segment(tx_x, tx_y, bx, by, rx_x, rx_y)
-            crossed |= (o3 == 0) & _on_segment(ax, ay, tx_x, tx_y, bx, by)
-            crossed |= (o4 == 0) & _on_segment(ax, ay, rx_x, rx_y, bx, by)
-            loss += loss_db * crossed
-        return loss
 
     def _surface(self, t0, times, segs, rec) -> np.ndarray:
         """Platform surfacing masks for all devices at once.

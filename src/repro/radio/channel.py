@@ -28,7 +28,6 @@ import numpy as np
 from repro.obs import profiling
 from repro.radio.devices import DeviceRadioProfile
 from repro.radio.fading import RicianFading
-from repro.radio.materials import wall_loss_db
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.radio.shadowing import ShadowingField
 from repro.sim.rng import derive_seed
@@ -37,9 +36,11 @@ __all__ = ["LinkBudget", "LinkBudgetBatch", "ChannelModel"]
 
 Position = Tuple[float, float]
 
-#: Callable that reports the wall materials crossed by the straight
-#: segment between two positions.  Provided by the building geometry.
-WallOracle = Callable[[Position, Position], Sequence[str]]
+#: Callable giving the wall loss in dB along the straight rays between
+#: arrays of transmitter and receiver positions, shape ``(..., 2)``;
+#: the loss array has their broadcast shape minus the last axis.
+#: Provided by the building geometry (``FloorPlan.wall_losses``).
+WallOracle = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ class ChannelModel:
             fields; 0 disables shadowing.
         shadowing_correlation_m: Gudmundson correlation distance.
         fading: fast-fading model; ``None`` disables fading.
-        wall_oracle: callable returning materials crossed between two
-            positions; ``None`` means free space (no walls).
+        wall_oracle: callable returning the wall loss in dB along rays
+            between arrays of positions (see :data:`WallOracle`);
+            ``None`` means free space (no walls).
         collision_loss_prob: probability a given advertisement is lost
             to co-channel collisions / scanner duty-cycle misses,
             independent of the device's own stack bugs.
@@ -178,7 +180,11 @@ class ChannelModel:
         path_loss = tx_power_dbm - mean_rssi
         walls = 0.0
         if self.wall_oracle is not None:
-            walls = wall_loss_db(self.wall_oracle(tx_pos, rx_pos))
+            walls = float(
+                self.wall_oracle(
+                    np.asarray(tx_pos, dtype=float), np.asarray(rx_pos, dtype=float)
+                )
+            )
         shadow = self._shadow_field(tx_id).sample(rx_pos[0], rx_pos[1])
         return distance, path_loss, walls, shadow
 
@@ -278,12 +284,11 @@ class ChannelModel:
             mean_rssi = self.path_loss.rssi(np.maximum(distance, 1e-6), tx_powers)
             path_loss = tx_powers - mean_rssi
 
-            walls = np.zeros(n)
-            if self.wall_oracle is not None:
-                for i in range(n):
-                    walls[i] = wall_loss_db(
-                        self.wall_oracle(tuple(tx_xy[i]), tuple(rx_xy[i]))
-                    )
+            walls = (
+                self.wall_oracle(tx_xy, rx_xy)
+                if self.wall_oracle is not None
+                else np.zeros(n)
+            )
 
             shadow = np.empty(n)
             tx_id_arr = np.asarray(tx_ids, dtype=object)

@@ -93,25 +93,31 @@ class ShadowingField:
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if self.sigma_db == 0.0:
+        if self.sigma_db == 0.0 or xs.size == 0:
             return np.zeros(xs.shape)
         gx = xs / self.correlation_distance_m
         gy = ys / self.correlation_distance_m
         ix = np.floor(gx).astype(int)
         iy = np.floor(gy).astype(int)
         fx, fy = gx - ix, gy - iy
-        # Distinct corner cells are few (positions cluster within a
-        # building), so fill the cache once per unique cell and gather
-        # every corner lookup from the deduplicated value table.
-        cx = np.stack([ix, ix + 1, ix, ix + 1])
-        cy = np.stack([iy, iy, iy + 1, iy + 1])
-        keys = np.stack([cx.ravel(), cy.ravel()], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        values = np.array(
-            [self._cell_value(int(a), int(b)) for a, b in uniq], dtype=float
-        )
-        corners = values[inverse].reshape((4,) + xs.shape)
-        v00, v10, v01, v11 = corners
+        # Gather every corner from a dense table of the cells the query
+        # spans (positions cluster within a building, so it is small).
+        # Only cells that are some position's corner are filled, each
+        # from the same seeded cache as the scalar path.
+        x0, y0 = int(ix.min()), int(iy.min())
+        lx, ly = ix - x0, iy - y0
+        ny = int(ly.max()) + 2
+        cell = lx * ny + ly  # flat table index of each (ix, iy) corner
+        used = np.zeros((int(lx.max()) + 2) * ny, dtype=bool)
+        for offset in (0, 1, ny, ny + 1):
+            used[cell + offset] = True
+        table = np.zeros(used.shape)
+        for k in np.flatnonzero(used).tolist():
+            table[k] = self._cell_value(x0 + k // ny, y0 + k % ny)
+        v00 = table[cell]
+        v10 = table[cell + ny]
+        v01 = table[cell + 1]
+        v11 = table[cell + ny + 1]
         top = v00 * (1 - fx) + v10 * fx
         bottom = v01 * (1 - fx) + v11 * fx
         return top * (1 - fy) + bottom * fy

@@ -458,10 +458,11 @@ class BuildingManagementServer:
     ) -> List[str]:
         """Validate and classify every row, then log, then book.
 
-        A row older than its device's last report (a late arrival) is
-        stored, counted and logged like any other, but moves neither
-        the device's room nor its last-seen time, so it can neither
-        rewind the device nor expire it early.  Equal times keep
+        A row older than its device's last report (a late arrival,
+        also after the device has expired) is stored, counted and
+        logged like any other, but moves neither the device's room nor
+        its last-seen time, so it can neither rewind the device, book
+        an expired one again nor expire it early.  Equal times keep
         arrival order: the later row wins.
         """
         known = self._known_beacons
@@ -503,12 +504,17 @@ class BuildingManagementServer:
         return rooms
 
     def _expire_devices(self, now: float) -> None:
+        """Drop the room of every device silent past the timeout.
+
+        The device's last-seen time stays, so a report older than it
+        that arrives after expiry is still late and books nothing.  The
+        sweep walks only the devices that have a room.
+        """
         cutoff = now - self.device_timeout_s
-        for device_id in list(self._device_last_seen):
-            if self._device_last_seen[device_id] < cutoff:
-                del self._device_last_seen[device_id]
-                del self._device_rooms[device_id]
-                self._c_expired.inc(device=device_id)
+        last_seen = self._device_last_seen
+        for device_id in [d for d in self._device_rooms if last_seen[d] < cutoff]:
+            del self._device_rooms[device_id]
+            self._c_expired.inc(device=device_id)
 
     def snapshot(self, now: Optional[float] = None) -> OccupancySnapshot:
         """Current occupancy estimate (devices silent too long dropped)."""

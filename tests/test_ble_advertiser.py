@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.ble.advertiser import ADV_DELAY_MAX_S, Advertiser, advertisement_times
+from repro.ble.advertiser import (
+    ADV_DELAY_MAX_S,
+    Advertiser,
+    _slot_jitter,
+    advertisement_times,
+)
 from repro.building.geometry import Point
 from repro.building.presets import make_beacon
 
@@ -72,3 +77,27 @@ class TestAdvertiser:
         a = Advertiser(placement=make_beacon(1, Point(0, 0), "a"))
         b = Advertiser(placement=make_beacon(2, Point(0, 0), "a"))
         assert a.times_in(0.0, 2.0) != b.times_in(0.0, 2.0)
+
+
+class TestJitterMemo:
+    """The process-wide advDelay memo never changes a schedule."""
+
+    def test_cleared_and_warm_memo_give_the_same_times(self):
+        _slot_jitter.cache_clear()
+        cold = advertisement_times(0.0, 20.0, 0.1, seed=7)
+        warm = advertisement_times(0.0, 20.0, 0.1, seed=7)
+        assert _slot_jitter.cache_info().hits > 0
+        assert warm == cold
+
+    def test_memo_equals_the_pure_jitter(self):
+        _slot_jitter.cache_clear()
+        first = [_slot_jitter(7, k) for k in range(50)]
+        assert [_slot_jitter.__wrapped__(7, k) for k in range(50)] == first
+
+    def test_windows_past_the_memo_bound_stay_the_same(self):
+        # 4,000 slots evict the bounded memo's early entries several times.
+        _slot_jitter.cache_clear()
+        long_window = advertisement_times(0.0, 400.0, 0.1, seed=3)
+        _slot_jitter.cache_clear()
+        assert advertisement_times(0.0, 400.0, 0.1, seed=3) == long_window
+        assert advertisement_times(0.0, 2.0, 0.1, seed=3) == long_window[:20]

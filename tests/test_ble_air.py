@@ -88,3 +88,30 @@ class TestObserve:
         for s in sightings:
             by_beacon.setdefault(s.beacon_id, []).append(s.rssi)
         assert np.mean(by_beacon["1-1"]) > np.mean(by_beacon["1-2"])
+
+
+class TestWindowSchedule:
+    def test_schedule_is_kept_for_the_same_window(self):
+        air = AirInterface(two_room_corridor())
+        window = air.schedule(0.0, 2.0)
+        assert air.schedule(0.0, 2.0) is window
+        assert air.schedule(2.0, 4.0) is not window
+        assert [k for _, _, k in window.runs] == [0, 1]
+        assert window.tx_ids == [
+            air.advertisers[k].placement.beacon_id for k in window.advertiser
+        ]
+        assert list(window.times[window.order]) == sorted(window.times)
+
+    def test_a_shared_window_observes_like_a_fresh_one(self):
+        """A phone scanning a window another phone scanned first sees
+        what it would see on a fresh air interface."""
+        plan = two_room_corridor()
+
+        def walk(t):
+            return Point(3.0 + 0.5 * t, 1.0)
+
+        shared = AirInterface(plan, ChannelModel(seed=4))
+        shared.observe(lambda t: Point(9.0, 2.0), IDEAL, 0.0, 2.0, np.random.default_rng(1))
+        after = shared.observe(walk, IDEAL, 0.0, 2.0, np.random.default_rng(2))
+        fresh = AirInterface(plan, ChannelModel(seed=4))
+        assert after == fresh.observe(walk, IDEAL, 0.0, 2.0, np.random.default_rng(2))

@@ -1,7 +1,11 @@
 """Tests for rooms, walls, beacon placement and ground truth."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.building import presets
 from repro.building.floorplan import (
     OUTSIDE,
     BeaconPlacement,
@@ -11,6 +15,7 @@ from repro.building.floorplan import (
 )
 from repro.building.geometry import Point, Segment
 from repro.building.presets import BUILDING_UUID, make_beacon
+from repro.radio.materials import WALL_MATERIALS, wall_loss_db
 
 
 class TestRoom:
@@ -131,3 +136,96 @@ class TestFloorPlan:
 
     def test_repr_mentions_rooms(self):
         assert "a" in repr(self.make_plan())
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: the array wall predicate against its scalar oracle
+# ----------------------------------------------------------------------
+#: Exact multipliers: with integer wall coordinates, every point built
+#: from them lies exactly where it is meant to (on a wall, its line or
+#: an end point), so the predicate's _EPS branches are reached.
+DYADIC = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+FREE_POINT = st.tuples(
+    st.floats(-3.0, 15.0, allow_nan=False), st.floats(-3.0, 10.0, allow_nan=False)
+)
+
+
+@st.composite
+def rays(draw, plan):
+    """One ray ``(tx, rx)``, mostly meeting a wall at an edge case.
+
+    Kinds: free; through a wall end point; ending on a wall or its
+    line (either end); running along a wall's line; zero length.
+    """
+    walls = [(w.segment.a.as_tuple(), w.segment.b.as_tuple()) for w in plan.walls]
+    kind = draw(st.sampled_from(["free", "through-end", "ends-on", "along", "zero"]))
+    if not walls or kind == "free":
+        return draw(FREE_POINT), draw(FREE_POINT)
+    a, b = draw(st.sampled_from(walls))
+
+    def on_line(t):
+        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+    if kind == "through-end":
+        e = draw(st.sampled_from([a, b]))
+        dx, dy, k = draw(DYADIC), draw(DYADIC), draw(DYADIC)
+        tx, rx = (e[0] + dx, e[1] + dy), (e[0] - k * dx, e[1] - k * dy)
+    elif kind == "ends-on":
+        tx, rx = draw(FREE_POINT), on_line(draw(DYADIC))
+    elif kind == "along":
+        tx, rx = on_line(draw(DYADIC)), on_line(draw(DYADIC))
+    else:
+        tx = rx = draw(st.one_of(FREE_POINT, DYADIC.map(on_line)))
+    return (rx, tx) if draw(st.booleans()) else (tx, rx)
+
+
+@st.composite
+def random_plans(draw):
+    """Up to six walls on an integer grid, zero-length ones included."""
+    corner = st.tuples(st.integers(-2, 12), st.integers(-2, 8))
+    walls = [
+        Wall(Segment(Point(*draw(corner)), Point(*draw(corner))), material)
+        for material in draw(
+            st.lists(st.sampled_from(sorted(WALL_MATERIALS)), max_size=6)
+        )
+    ]
+    return FloorPlan(rooms=[Room("a", -2.0, -2.0, 12.0, 8.0)], walls=walls)
+
+
+def assert_wall_losses_match_oracle(plan, pairs):
+    """Every input shape the drives use: one pair, ``(n,)`` and ``(M, n)``."""
+    tx = np.array([t for t, _ in pairs], dtype=float)
+    rx = np.array([r for _, r in pairs], dtype=float)
+    oracle = np.array(
+        [wall_loss_db(plan.walls_crossed(t, r)) for t, r in pairs], dtype=float
+    )
+    for i, (t, r) in enumerate(pairs):
+        one = plan.wall_losses(np.array(t), np.array(r))
+        assert one.shape == () and one == oracle[i], (t, r)
+    assert plan.wall_losses(tx, rx).tobytes() == oracle.tobytes()
+    # (M, n): M receivers per transmitter column, as in a columnar tick.
+    rx_m = np.stack([rx, rx[::-1], tx])
+    oracle_m = np.array(
+        [
+            [wall_loss_db(plan.walls_crossed(tuple(t), tuple(r))) for t, r in zip(tx, row)]
+            for row in rx_m
+        ]
+    )
+    assert plan.wall_losses(tx, rx_m).tobytes() == oracle_m.tobytes()
+
+
+HOUSE = presets.test_house()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(rays(HOUSE), min_size=1, max_size=12))
+def test_wall_losses_equal_scalar_oracle_on_the_test_house(pairs):
+    assert_wall_losses_match_oracle(HOUSE, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_wall_losses_equal_scalar_oracle_on_random_plans(data):
+    plan = data.draw(random_plans())
+    pairs = data.draw(st.lists(rays(plan), min_size=1, max_size=8))
+    assert_wall_losses_match_oracle(plan, pairs)

@@ -6,6 +6,7 @@ import pytest
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
 from repro.radio.fading import RicianFading
+from repro.radio.materials import wall_loss_db
 from repro.radio.pathloss import LogDistancePathLoss
 
 IDEAL = DEVICE_PROFILES["ideal"]
@@ -51,7 +52,11 @@ class TestLinkBudget:
 
     def test_wall_oracle_attenuates(self, rng):
         free = quiet_channel()
-        walled = quiet_channel(wall_oracle=lambda a, b: ["concrete"])
+        walled = quiet_channel(
+            wall_oracle=lambda tx, rx: np.full(
+                np.shape(rx)[:-1], wall_loss_db(["concrete"])
+            )
+        )
         open_rssi = free.link_budget("b1", (0, 0), (2, 0), -59.0, IDEAL, rng).rssi
         blocked = walled.link_budget("b1", (0, 0), (2, 0), -59.0, IDEAL, rng).rssi
         assert open_rssi - blocked == pytest.approx(12.0)
@@ -145,7 +150,9 @@ class TestLinkBudgetMany:
         channel = ChannelModel(
             shadowing_sigma_db=4.0,
             fading=RicianFading(k_factor=6.0),
-            wall_oracle=lambda a, b: ["drywall"] if a[0] < b[0] else [],
+            wall_oracle=lambda tx, rx: np.where(
+                tx[..., 0] < rx[..., 0], wall_loss_db(["drywall"]), 0.0
+            ),
             collision_loss_prob=0.05,
             seed=3,
         )

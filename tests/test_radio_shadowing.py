@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.radio.shadowing import ShadowingField
 
@@ -87,3 +89,35 @@ class TestSampleMany:
     def test_zero_sigma_shape(self):
         field = ShadowingField(sigma_db=0.0)
         assert field.sample_many(np.zeros((3, 2)), np.zeros((3, 2))).shape == (3, 2)
+
+    def test_empty_input(self):
+        field = ShadowingField(sigma_db=3.0, link_seed=3)
+        assert field.sample_many(np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+@st.composite
+def cell_positions(draw):
+    """A correlation distance and positions on both sides of zero,
+    often exactly on a cell edge (a multiple of the distance)."""
+    corr = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    edge = st.integers(-8, 8).map(lambda k: k * corr)
+    coord = st.one_of(st.floats(-12.0, 12.0, allow_nan=False), edge)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24))
+    return corr, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cell_positions(), seed=st.integers(0, 2**32 - 1))
+def test_sample_many_is_sample_bitwise(case, seed):
+    """The cell-table gather reads exactly the scalar path's corners,
+    for one position, a row and a (2, n) block alike."""
+    corr, points = case
+    field = ShadowingField(sigma_db=3.0, correlation_distance_m=corr, link_seed=seed)
+    oracle = ShadowingField(sigma_db=3.0, correlation_distance_m=corr, link_seed=seed)
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    expected = np.array([oracle.sample(x, y) for x, y in points])
+    assert field.sample_many(xs, ys).tobytes() == expected.tobytes()
+    block = field.sample_many(np.stack([xs, xs[::-1]]), np.stack([ys, ys[::-1]]))
+    assert block.tobytes() == np.stack([expected, expected[::-1]]).tobytes()
+    assert field.sample_many(xs[0], ys[0]) == expected[0]

@@ -378,6 +378,61 @@ def test_late_reports_end_where_time_order_ends(case, wait):
                 assert store.snapshot(now) == reference.snapshot(now), kind
 
 
+@st.composite
+def reports_and_sweeps(draw):
+    """One device's reports in any arrival order, with expiry sweeps
+    (history marks at rising times) between them."""
+    times = draw(st.lists(st.integers(0, 120), min_size=1, max_size=6, unique=True))
+    rooms = st.sampled_from(sorted(ROOM_BASES))
+    sweeps = iter(sorted(draw(st.lists(st.integers(0, 200), max_size=len(times)))))
+    events = []
+    for t in draw(st.permutations(times)):
+        if draw(st.booleans()):
+            sweep = next(sweeps, None)
+            if sweep is not None:
+                events.append(("sweep", float(sweep)))
+        report = {"device_id": "alice", "beacons": near(draw(rooms)), "time": float(t)}
+        events.append(("report", report))
+    return events
+
+
+def replay_into(kind, live, wal_dir):
+    """A fresh store of ``kind`` rebuilt from ``live``'s closed log."""
+    restored = calibrate(STORES[kind]())
+    if kind == "sharded":
+        live.close_wals()
+        replay_sharded(restored, wal_dir)
+    else:
+        live.wal.close()
+        replay_wal(restored, wal_dir)
+    return restored
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=reports_and_sweeps())
+def test_older_report_never_changes_device_room(events):
+    """Whatever expired in between, a report older than the device's
+    newest one leaves its room as it was; replay ends in the same
+    state."""
+    for kind, make in STORES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            wal_dir = Path(tmp) / "wal"
+            live = calibrate(make(wal_dir))
+            newest = -float("inf")
+            for what, value in events:
+                if what == "sweep":
+                    live.record_history(value)
+                    continue
+                before = live.device_room("alice")
+                send(live, "/sightings", value)
+                if value["time"] < newest:
+                    assert live.device_room("alice") == before, kind
+                newest = max(newest, value["time"])
+            restored = replay_into(kind, live, wal_dir)
+            assert restored.device_room("alice") == live.device_room("alice"), kind
+            assert restored.snapshot(newest) == live.snapshot(newest), kind
+
+
 def send(store, route, report):
     """Post one report as a loose sighting or as a 1-row batch."""
     body = report if route == "/sightings" else {"sightings": [report]}
@@ -419,6 +474,22 @@ class TestLateReport:
         assert late.sighting_count == 2
         assert observed(late)["wal_records"] == 2
         assert observed(late) == observed(in_order)
+
+    @pytest.mark.parametrize("route", ["/sightings", "/sightings/batch"])
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    def test_late_report_after_expiry_books_nothing(self, tmp_path, kind, route):
+        """Expiry drops the room, not the last-seen time: the t = 5
+        report that arrives after alice expired is still late."""
+        store = calibrate(STORES[kind](tmp_path / "wal"))
+        send(store, route, self.ON_TIME)
+        assert store.record_history(100.0).devices == {}
+        send(store, route, self.LATE)
+        assert store.device_room("alice") is None
+        assert store.snapshot(50.0).devices == {}
+        assert store.sighting_count == 2
+        restored = replay_into(kind, store, tmp_path / "wal")
+        assert restored.device_room("alice") is None
+        assert restored.snapshot(100.0) == store.snapshot(100.0)
 
     @pytest.mark.parametrize("kind", sorted(STORES))
     def test_equal_times_keep_arrival_order(self, kind):
