@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.ble.air import AirInterface
 from repro.building.geometry import Point
+from repro.building.mobility import StaticPosition
 from repro.building.presets import BUILDING_UUID, test_house as make_test_house
 from repro.ibeacon.packet import IBeaconPacket, decode_packet
 from repro.ml.kernels import RbfKernel
@@ -67,10 +68,10 @@ def test_perf_scan_cycle(benchmark):
     plan = make_test_house()
     air = AirInterface(plan, ChannelModel(seed=2))
     scanner = AndroidScanner(air, device="s3_mini", rng=np.random.default_rng(1))
-    position = Point(3.0, 2.5)
+    position = StaticPosition(Point(3.0, 2.5))
 
     def cycle():
-        return scanner.scan_cycle(lambda t: position, 0.0)
+        return scanner.scan_cycle(position, 0.0)
 
     result = benchmark(cycle)
     assert result.t_end == 2.0

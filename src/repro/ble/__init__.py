@@ -7,13 +7,14 @@ a scan window.
 """
 
 from repro.ble.advertiser import Advertiser, advertisement_times
-from repro.ble.air import AirInterface, Sighting
+from repro.ble.air import AirInterface, Reception, Sighting
 from repro.ble.scanner_params import ScanSettings
 
 __all__ = [
     "Advertiser",
     "advertisement_times",
     "AirInterface",
+    "Reception",
     "Sighting",
     "ScanSettings",
 ]

@@ -2,28 +2,26 @@
 
 Glues together the floor plan (beacon placement + wall oracle), the
 advertisers' schedules and the statistical channel model.  Scanners ask
-it: *given a receiver at these positions during this listening window,
-which advertisements were received and at what RSSI?*
+it: *given a receiver on this trajectory during this listening window,
+which advertisements were received and at what RSSI?*  The answer is a
+:class:`Reception`: the heard advertisements as columns, in time order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ble.advertiser import Advertiser
 from repro.building.floorplan import FloorPlan
-from repro.building.geometry import Point
+from repro.building.mobility import MobilityModel
 from repro.ibeacon.packet import IBeaconPacket
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DeviceRadioProfile
 
-__all__ = ["Sighting", "WindowSchedule", "AirInterface"]
-
-#: Callable giving the receiver position at a time (mobility binding).
-PositionFn = Callable[[float], Point]
+__all__ = ["Sighting", "Reception", "WindowSchedule", "AirInterface"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +47,60 @@ class Sighting:
     rssi: float
     true_distance_m: float
     payload: bytes = b""
+
+
+@dataclass(frozen=True)
+class Reception:
+    """The advertisements received in one listening window, as columns.
+
+    Rows are in reception time order (ties in advertiser order).  The
+    per-advertiser tables are the air interface's own, indexed by the
+    ``advertiser`` column; :meth:`sightings` expands the columns to
+    :class:`Sighting` rows, as ``LinkBudgetBatch.budgets()`` does for
+    link budgets.
+
+    Attributes:
+        times: reception times, seconds, shape ``(k,)``.
+        advertiser: index into ``AirInterface.advertisers`` per row.
+        rssi: received signal strength per row, dBm (device-quantised).
+        true_distance_m: ground-truth transmitter-receiver distance per
+            row (kept for evaluation, never shown to the classifier).
+        beacon_ids: ``"major-minor"`` id per advertiser.  A floor plan
+            rejects duplicate beacon ids, so an advertiser index names
+            one beacon id and keys like it.
+        packets: iBeacon payload per advertiser.
+        payloads: raw 30-byte advertisement per advertiser.
+    """
+
+    times: np.ndarray
+    advertiser: np.ndarray
+    rssi: np.ndarray
+    true_distance_m: np.ndarray
+    beacon_ids: Sequence[str]
+    packets: Sequence[IBeaconPacket]
+    payloads: Sequence[bytes]
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def sightings(self) -> List[Sighting]:
+        """Per-advertisement :class:`Sighting` rows, in time order."""
+        return [
+            Sighting(
+                time=time,
+                beacon_id=self.beacon_ids[k],
+                packet=self.packets[k],
+                rssi=rssi,
+                true_distance_m=distance,
+                payload=self.payloads[k],
+            )
+            for time, k, rssi, distance in zip(
+                self.times.tolist(),
+                self.advertiser.tolist(),
+                self.rssi.tolist(),
+                self.true_distance_m.tolist(),
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -160,24 +212,26 @@ class AirInterface:
 
     def observe(
         self,
-        position_fn: PositionFn,
+        trajectory: MobilityModel,
         device: DeviceRadioProfile,
         t_start: float,
         t_end: float,
         rng: np.random.Generator,
-    ) -> List[Sighting]:
+    ) -> Reception:
         """All advertisements received in ``[t_start, t_end)``.
 
         Args:
-            position_fn: receiver position as a function of time (the
-                receiver may be moving during the window).
+            trajectory: the receiver's mobility (it may be moving
+                during the window); asked for every advertisement's
+                position in one ``positions_at`` call.
             device: receiver radio profile.
             t_start: window start, seconds.
             t_end: window end, seconds.
             rng: random stream for fading/noise/loss draws.
 
         Returns:
-            Sightings sorted by reception time (ties in beacon order).
+            The received advertisements as columns, sorted by reception
+            time (ties in beacon order).
 
         The window's :meth:`schedule` is pushed through one
         :meth:`~repro.radio.channel.ChannelModel.link_budget_many`
@@ -185,27 +239,21 @@ class AirInterface:
         one Python-level budget per advertisement.
         """
         window = self.schedule(t_start, t_end)
-        if not window.tx_ids:
-            return []
-        times = window.times.tolist()
-        rx = np.array([position_fn(t).as_tuple() for t in times], dtype=float)
-        batch = self.channel.link_budget_many(
-            window.tx_ids, window.tx, rx, window.tx_power_dbm, device, rng
+        heard = window.order
+        rssi = distance = np.empty(0)
+        if window.tx_ids:
+            rx = trajectory.positions_at(window.times)
+            batch = self.channel.link_budget_many(
+                window.tx_ids, window.tx, rx, window.tx_power_dbm, device, rng
+            )
+            heard = window.order[batch.received[window.order]]
+            rssi, distance = batch.rssi, batch.distance_m
+        return Reception(
+            times=window.times[heard],
+            advertiser=window.advertiser[heard],
+            rssi=rssi[heard],
+            true_distance_m=distance[heard],
+            beacon_ids=self._beacon_ids,
+            packets=self._packets,
+            payloads=self._payloads,
         )
-        heard = window.order[batch.received[window.order]]
-        return [
-            Sighting(
-                time=times[i],
-                beacon_id=self._beacon_ids[k],
-                packet=self._packets[k],
-                rssi=rssi,
-                true_distance_m=distance,
-                payload=self._payloads[k],
-            )
-            for i, k, rssi, distance in zip(
-                heard.tolist(),
-                window.advertiser[heard].tolist(),
-                batch.rssi[heard].tolist(),
-                batch.distance_m[heard].tolist(),
-            )
-        ]

@@ -5,6 +5,12 @@ The paper's occupants walk through the test house at pedestrian speeds
 randomness is drawn from :mod:`numpy` generators seeded through
 :func:`repro.sim.rng.derive_seed`, so trajectories are reproducible and
 pure — querying positions out of order never changes the path.
+
+A scanner asks its trajectory for a whole listening window at once
+(:meth:`MobilityModel.positions_at`).  :class:`StaticPosition` and
+:class:`RandomWaypoint` answer that in one array pass, the other models
+with the base class's per-time loop; either way the result is
+bit-identical to :meth:`position_at`.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ class MobilityModel:
 
         The default evaluates :meth:`position_at` per time; overrides
         may vectorise but must return bit-identical coordinates, since
-        the columnar fleet engine relies on this to reproduce the
+        the scanner asks for a listening window's positions in one call
+        and the columnar fleet engine relies on this to reproduce the
         scalar pipeline exactly.
         """
         out = np.empty((len(times), 2), dtype=float)
@@ -71,6 +78,13 @@ class StaticPosition(MobilityModel):
     def position_at(self, t: float) -> Point:
         """The fixed position, at any time."""
         return self.position
+
+    def positions_at(self, times: Sequence[float]) -> np.ndarray:
+        """The fixed position, broadcast to every time."""
+        out = np.empty(np.shape(times) + (2,), dtype=float)
+        out[..., 0] = self.position.x
+        out[..., 1] = self.position.y
+        return out
 
     def speed_at(self, t: float) -> float:
         """Always exactly zero."""
@@ -164,10 +178,13 @@ class RandomWaypoint(MobilityModel):
             plan.room(start_room) if start_room is not None else self._pick_room()
         )
         self._cursor = self._point_in_room(first_room)
-        # Generated legs: parallel arrays of start time and (t0,t1,a,b).
+        # Generated legs: parallel lists of start time and (t0,t1,a,b).
         self._leg_starts: list[float] = []
         self._legs: list[tuple[float, float, Point, Point]] = []
-        self._leg_array: Optional[np.ndarray] = None
+        # The same legs as float rows (t0, t1, ax, ay, bx, by), one
+        # contiguous column per row, in a buffer that doubles when full.
+        self._columns = np.empty((6, 64), dtype=float)
+        self._columns_filled = 0
         self._horizon = 0.0
 
     def _pick_room(self) -> Room:
@@ -211,6 +228,27 @@ class RandomWaypoint(MobilityModel):
         frac = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         return a + (b - a).scaled(frac)
 
+    def _leg_columns(self) -> np.ndarray:
+        """The generated legs as ``(6, legs)`` float columns.
+
+        Only legs generated since the last call are converted, so a
+        query costs the same however long the trajectory has grown.
+        """
+        filled, n = self._columns_filled, len(self._legs)
+        if n > filled:
+            capacity = self._columns.shape[1]
+            if n > capacity:
+                grown = np.empty((6, max(n, 2 * capacity)), dtype=float)
+                grown[:, :filled] = self._columns[:, :filled]
+                self._columns = grown
+            new_legs = self._legs[filled:]
+            self._columns[:, filled:n] = np.asarray(
+                [(t0, t1, a.x, a.y, b.x, b.y) for t0, t1, a, b in new_legs],
+                dtype=float,
+            ).T
+            self._columns_filled = n
+        return self._columns[:, :n]
+
     def positions_at(self, times: Sequence[float]) -> np.ndarray:
         """Vectorised :meth:`position_at` over arbitrary query times.
 
@@ -223,16 +261,9 @@ class RandomWaypoint(MobilityModel):
         if ts.size == 0:
             return np.empty((0, 2), dtype=float)
         self._extend_to(float(ts.max()))
-        if self._leg_array is None or len(self._leg_array) != len(self._legs):
-            self._leg_array = np.asarray(
-                [(t0, t1, a.x, a.y, b.x, b.y) for t0, t1, a, b in self._legs],
-                dtype=float,
-            )
-        starts = np.asarray(self._leg_starts, dtype=float)
-        index = np.maximum(np.searchsorted(starts, ts, side="right") - 1, 0)
-        legs = self._leg_array
-        t0, t1 = legs[index, 0], legs[index, 1]
-        ax, ay, bx, by = (legs[index, k] for k in range(2, 6))
+        columns = self._leg_columns()
+        index = np.maximum(np.searchsorted(columns[0], ts, side="right") - 1, 0)
+        t0, t1, ax, ay, bx, by = columns[:, index]
         moving = t1 > t0
         # Guard the division on degenerate legs; those rows take ``b``.
         frac = np.clip((ts - t0) / np.where(moving, t1 - t0, 1.0), 0.0, 1.0)
@@ -279,6 +310,7 @@ class RoomSchedule(MobilityModel):
             duration = position.distance_to(target) / self.speed_mps
             self._legs.append((entry_time, entry_time + duration, position, target))
             position = target
+        self._entry_times = [t for t, _ in self.entries]
 
     def _room_anchor(self, room: str) -> Point:
         """Destination point for a scheduled room (or outside the door)."""
@@ -289,13 +321,12 @@ class RoomSchedule(MobilityModel):
 
     def room_at(self, t: float) -> str:
         """The scheduled (target) room at time ``t``."""
-        index = max(bisect.bisect_right([e[0] for e in self.entries], t) - 1, 0)
+        index = max(bisect.bisect_right(self._entry_times, t) - 1, 0)
         return self.entries[index][1]
 
     def position_at(self, t: float) -> Point:
         """Position at ``t``: parked at an anchor or walking between two."""
-        starts = [leg[0] for leg in self._legs]
-        index = max(bisect.bisect_right(starts, t) - 1, 0)
+        index = max(bisect.bisect_right(self._entry_times, t) - 1, 0)
         t0, t1, a, b = self._legs[index]
         if t <= t0 or t1 <= t0:
             return a if t <= t0 else b

@@ -838,7 +838,9 @@ def scan_semantics_experiment(
         seed=derive_seed(seed, "semantics"), collision_loss_prob=0.0
     )
     air = AirInterface(plan, channel)
-    position = Point(beacon.position.x + distance_m, beacon.position.y)
+    position = StaticPosition(
+        Point(beacon.position.x + distance_m, beacon.position.y)
+    )
     settings = ScanSettings(scan_period_s=scan_period_s)
 
     def count(scanner_cls) -> int:
@@ -851,7 +853,7 @@ def scan_semantics_experiment(
         total = 0
         t = 0.0
         while t < window_s:
-            cycle = scanner.scan_cycle(lambda _t: position, t)
+            cycle = scanner.scan_cycle(position, t)
             total += cycle.surfaced_count
             t += scan_period_s
         return total

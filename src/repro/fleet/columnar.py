@@ -278,11 +278,8 @@ class ColumnarFleetDrive:
         tx_x, tx_y = window.tx[:, 0], window.tx[:, 1]
         decodable = np.asarray(self._decodable)[window.advertiser]
         # One segment of samples per advertiser with traffic:
-        # (start, end, eligible column or -1, beacon id).
-        segs = [
-            (start, end, self._adv_col[k], window.tx_ids[start])
-            for start, end, k in window.runs
-        ]
+        # (start, end, eligible column or -1).
+        segs = [(start, end, self._adv_col[k]) for start, end, k in window.runs]
         system = self.system
         channel = system.channel
         n = len(times)
@@ -305,12 +302,7 @@ class ColumnarFleetDrive:
             if channel.wall_oracle is not None
             else np.zeros((M, n))
         )
-        shadow = np.empty((M, n))
-        for start, end, _, beacon_id in segs:
-            field = channel._shadow_field(beacon_id)
-            shadow[:, start:end] = field.sample_many(
-                rx_x[:, start:end], rx_y[:, start:end]
-            )
+        shadow = channel.shadowing_db(window.tx_ids, rx_x, rx_y)
 
         # Stochastic components: per-device draws in the scalar order
         # (fade, noise, collision uniforms, stack-loss uniforms).
@@ -359,7 +351,7 @@ class ColumnarFleetDrive:
         for d in range(M):
             picked_row = picked[d]
             rssi_row = rssi[d]
-            for start, end, col, _ in segs:
+            for start, end, col in segs:
                 if col < 0:
                     continue
                 sub = picked_row[start:end]
@@ -388,7 +380,7 @@ class ColumnarFleetDrive:
         cyc = ((times - t0) / AndroidScanner.HW_CYCLE_S).astype(np.int64)
         group_change = np.ones(n, dtype=bool)
         beacon_idx = np.empty(n, dtype=np.int64)
-        for i, (start, end, _, _) in enumerate(segs):
+        for i, (start, end, _) in enumerate(segs):
             beacon_idx[start:end] = i
         group_change[1:] = (beacon_idx[1:] != beacon_idx[:-1]) | (
             cyc[1:] != cyc[:-1]

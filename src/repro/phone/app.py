@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.ble.air import PositionFn
+from repro.building.mobility import MobilityModel
 from repro.filters.tracker import BeaconTracker, paper_filter_bank
 from repro.ibeacon.region import BeaconRegion, RegionEvent, RegionEventKind
 from repro.phone.scanner import ScanCycle, Scanner
@@ -152,8 +152,11 @@ class OccupancyApp:
     # ------------------------------------------------------------------
     # Per-cycle processing
     # ------------------------------------------------------------------
-    def run_cycle(self, position_fn: PositionFn, t_start: float) -> Optional[SightingReport]:
-        """Run one scan cycle at ``t_start``.
+    def run_cycle(
+        self, trajectory: MobilityModel, t_start: float
+    ) -> Optional[SightingReport]:
+        """Run one scan cycle at ``t_start`` along the phone's
+        ``trajectory``.
 
         While MONITORING, a cycle that sees any in-region beacon raises
         an ENTER event and switches to RANGING; while RANGING, the
@@ -166,7 +169,7 @@ class OccupancyApp:
         """
         if self.state in (AppState.OFF, AppState.BOOTED):
             raise RuntimeError(f"app not started (state {self.state}); call boot()")
-        cycle = self.scanner.scan_cycle(position_fn, t_start)
+        cycle = self.scanner.scan_cycle(trajectory, t_start)
         in_region = self._in_region_samples(cycle)
 
         if self.state is AppState.MONITORING:

@@ -77,8 +77,8 @@ class Smartphone:
         self.app.boot()
 
     def run_cycle(self, t_start: float) -> Optional[SightingReport]:
-        """Run one scan cycle with the occupant's current trajectory."""
-        return self.app.run_cycle(self.occupant.position_at, t_start)
+        """Run one scan cycle along the occupant's trajectory."""
+        return self.app.run_cycle(self.occupant.mobility, t_start)
 
     @property
     def device_id(self) -> str:

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ble.air import AirInterface, PositionFn, Sighting
+from repro.ble.air import AirInterface, Reception
 from repro.ble.scanner_params import ScanSettings
 from repro.ble.sniffer import BeaconFormat, sniff
+from repro.building.mobility import MobilityModel
 from repro.ibeacon.packet import IBeaconPacket
 from repro.obs.metrics import MetricsRegistry
 from repro.radio.devices import DEVICE_PROFILES, DeviceRadioProfile
@@ -67,10 +68,15 @@ class ScanCycle:
     def mean_rssi(self, beacon_id: str) -> float:
         """Mean surfaced RSSI for ``beacon_id``.
 
+        A single sample is returned as it is (bitwise ``np.mean`` of
+        one value, the columnar drive's rule).
+
         Raises:
             KeyError: beacon not surfaced this cycle.
         """
         values = self.samples[beacon_id]
+        if len(values) == 1:
+            return float(values[0])
         return float(np.mean(values))
 
 
@@ -113,66 +119,92 @@ class Scanner(abc.ABC):
         self._c_filtered = self.obs.counter("phone.samples_filtered")
         self._c_decode_drops = self.obs.counter("phone.decode_drops")
 
-    def scan_cycle(self, position_fn: PositionFn, t_start: float) -> ScanCycle:
+    def scan_cycle(self, trajectory: MobilityModel, t_start: float) -> ScanCycle:
         """Run one scan cycle starting at ``t_start``.
 
         The radio listens for ``settings.listen_window_s`` seconds at
         the start of the cycle; advertisements outside the listen
-        window are not receivable.
+        window are not receivable.  ``trajectory`` is the receiver's
+        mobility over the window.
         """
         t_end = t_start + self.settings.scan_period_s
         listen_end = t_start + self.settings.listen_window_s
-        sightings = self.air.observe(
-            position_fn, self.device, t_start, listen_end, self.rng
+        reception = self.air.observe(
+            trajectory, self.device, t_start, listen_end, self.rng
         )
-        raw = self._surface(sightings, t_start)
-        packets = self._decode_payloads(sightings, raw)
+        raw, first = _samples_by_beacon(reception, self._surface(reception, t_start))
+        packets = self._decode_payloads(reception, first)
         # Beacons whose payload did not decode are dropped entirely
         # (the stack cannot range what it cannot parse).
         samples = {b: v for b, v in raw.items() if b in packets}
         raw_count = sum(len(v) for v in raw.values())
         surfaced = sum(len(v) for v in samples.values())
+        received = len(reception)
         attrs = {"phone": self._obs_label} if self._obs_label else {}
         self._c_cycles.inc(**attrs)
-        self._c_received.inc(len(sightings), **attrs)
+        self._c_received.inc(received, **attrs)
         self._c_surfaced.inc(surfaced, **attrs)
         # Advertisements heard on the air but withheld from the app by
         # the platform's sampling semantics (the Android-vs-iOS gap).
-        self._c_filtered.inc(len(sightings) - raw_count, **attrs)
+        self._c_filtered.inc(received - raw_count, **attrs)
         if raw_count != surfaced:
             self._c_decode_drops.inc(raw_count - surfaced, **attrs)
         return ScanCycle(
             t_start=t_start,
             t_end=t_end,
             samples=samples,
-            received_count=len(sightings),
+            received_count=received,
             packets=packets,
         )
 
     @staticmethod
     def _decode_payloads(
-        sightings: List[Sighting], samples: Dict[str, List[float]]
+        reception: Reception, first: Dict[str, int]
     ) -> Dict[str, IBeaconPacket]:
-        """Sniff one payload per surfaced beacon into a typed packet."""
+        """Sniff one payload per surfaced beacon into a typed packet:
+        that of its first surfaced advertisement."""
         packets: Dict[str, IBeaconPacket] = {}
-        for s in sightings:
-            if s.beacon_id in packets or s.beacon_id not in samples:
-                continue
-            result = sniff(s.payload)
+        for beacon_id, k in first.items():
+            result = sniff(reception.payloads[k])
             if result.format is BeaconFormat.UNKNOWN or result.packet is None:
                 continue
             packet = result.packet
             if hasattr(packet, "to_ibeacon"):
                 packet = packet.to_ibeacon()
-            packets[s.beacon_id] = packet
+            packets[beacon_id] = packet
         return packets
 
     @abc.abstractmethod
-    def _surface(
-        self, sightings: List[Sighting], t_start: float
-    ) -> Dict[str, List[float]]:
+    def _surface(self, reception: Reception, t_start: float) -> np.ndarray:
         """Platform-specific reduction of received advertisements to
-        the samples visible to the app."""
+        the samples visible to the app: the rows of ``reception`` that
+        surface, ascending (so in time order)."""
+
+
+def _samples_by_beacon(
+    reception: Reception, picked: np.ndarray
+) -> Tuple[Dict[str, List[float]], Dict[str, int]]:
+    """The surfaced rows grouped per beacon, in time order.
+
+    Returns:
+        ``(samples, first)``: beacon id -> surfaced RSSI values, with
+        beacons in order of first appearance, and beacon id -> the
+        advertiser of its first surfaced row.
+    """
+    samples: Dict[str, List[float]] = {}
+    first: Dict[str, int] = {}
+    beacon_ids = reception.beacon_ids
+    for k, rssi in zip(
+        reception.advertiser[picked].tolist(), reception.rssi[picked].tolist()
+    ):
+        beacon_id = beacon_ids[k]
+        values = samples.get(beacon_id)
+        if values is None:
+            samples[beacon_id] = [rssi]
+            first[beacon_id] = k
+        else:
+            values.append(rssi)
+    return samples, first
 
 
 class AndroidScanner(Scanner):
@@ -191,22 +223,20 @@ class AndroidScanner(Scanner):
     #: Hardware scan restart cadence of the paper's Android 4.x stack.
     HW_CYCLE_S = 2.0
 
-    def _surface(
-        self, sightings: List[Sighting], t_start: float
-    ) -> Dict[str, List[float]]:
-        samples: Dict[str, List[float]] = {}
-        # Dedup on the full (beacon, hardware cycle) pair.  Remembering
-        # only the *last* cycle per beacon would re-surface duplicates
-        # whenever sightings arrive out of time order (cycle 0, 1, 0
-        # again), inflating the Android sample count.
-        seen: set = set()
-        for s in sightings:
-            key = (s.beacon_id, int((s.time - t_start) / self.HW_CYCLE_S))
-            if key in seen:
-                continue
-            seen.add(key)
-            samples.setdefault(s.beacon_id, []).append(s.rssi)
-        return samples
+    def _surface(self, reception: Reception, t_start: float) -> np.ndarray:
+        if not len(reception):
+            return np.empty(0, dtype=np.intp)
+        # Dedup on the full (beacon, hardware cycle) pair, keeping each
+        # pair's first row in time order; advertiser indices key like
+        # beacon ids (see Reception).  Remembering only the *last* cycle
+        # per beacon would re-surface duplicates whenever rows arrive
+        # out of time order (cycle 0, 1, 0 again), inflating the Android
+        # sample count.
+        cycle = ((reception.times - t_start) / self.HW_CYCLE_S).astype(np.int64)
+        cycle -= cycle.min()
+        key = reception.advertiser * (int(cycle.max()) + 1) + cycle
+        _, first = np.unique(key, return_index=True)
+        return np.sort(first)
 
 
 class IosScanner(Scanner):
@@ -217,10 +247,5 @@ class IosScanner(Scanner):
     are smoother (paper Section V).
     """
 
-    def _surface(
-        self, sightings: List[Sighting], t_start: float
-    ) -> Dict[str, List[float]]:
-        samples: Dict[str, List[float]] = {}
-        for s in sightings:
-            samples.setdefault(s.beacon_id, []).append(s.rssi)
-        return samples
+    def _surface(self, reception: Reception, t_start: float) -> np.ndarray:
+        return np.arange(len(reception))

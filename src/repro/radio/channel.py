@@ -29,7 +29,7 @@ from repro.obs import profiling
 from repro.radio.devices import DeviceRadioProfile
 from repro.radio.fading import RicianFading
 from repro.radio.pathloss import LogDistancePathLoss
-from repro.radio.shadowing import ShadowingField
+from repro.radio.shadowing import ShadowingField, sample_fields
 from repro.sim.rng import derive_seed
 
 __all__ = ["LinkBudget", "LinkBudgetBatch", "ChannelModel"]
@@ -163,6 +163,24 @@ class ChannelModel:
             )
         return self._shadow_fields[tx_id]
 
+    def shadowing_db(
+        self, tx_ids: Sequence[str], rx_x: np.ndarray, rx_y: np.ndarray
+    ) -> np.ndarray:
+        """Shadowing of every sample in one gather over the fields used.
+
+        ``tx_ids`` names the transmitter of each sample along the last
+        axis of the receiver coordinates ``rx_x``/``rx_y``, which may
+        carry leading axes (one row per device).  Each value equals the
+        transmitter field's scalar :meth:`ShadowingField.sample`.
+        """
+        used = list(dict.fromkeys(tx_ids))  # unique, first-seen order
+        slot = {tx_id: k for k, tx_id in enumerate(used)}
+        which = np.fromiter(
+            map(slot.__getitem__, tx_ids), dtype=np.intp, count=len(tx_ids)
+        )
+        fields = [self._shadow_field(tx_id) for tx_id in used]
+        return sample_fields(fields, which, rx_x, rx_y)
+
     def _deterministic_parts(
         self, tx_id: str, tx_pos: Position, rx_pos: Position, tx_power_dbm: float
     ) -> Tuple[float, float, float, float]:
@@ -290,13 +308,7 @@ class ChannelModel:
                 else np.zeros(n)
             )
 
-            shadow = np.empty(n)
-            tx_id_arr = np.asarray(tx_ids, dtype=object)
-            for tx_id in dict.fromkeys(tx_ids):  # unique, first-seen order
-                mask = tx_id_arr == tx_id
-                shadow[mask] = self._shadow_field(tx_id).sample_many(
-                    rx_xy[mask, 0], rx_xy[mask, 1]
-                )
+            shadow = self.shadowing_db(tx_ids, rx_xy[:, 0], rx_xy[:, 1])
 
             fade = (
                 self.fading.sample_db(rng, size=n)

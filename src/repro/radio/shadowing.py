@@ -17,13 +17,13 @@ paper's static traces (Figs 4-6) show.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.rng import derive_seed
 
-__all__ = ["ShadowingField"]
+__all__ = ["ShadowingField", "sample_fields"]
 
 
 @dataclass
@@ -59,11 +59,12 @@ class ShadowingField:
 
     def _cell_value(self, ix: int, iy: int) -> float:
         key = (ix, iy)
-        if key not in self._cells:
+        value = self._cells.get(key)
+        if value is None:
             seed = derive_seed(self.link_seed, f"shadow:{ix}:{iy}")
             rng = np.random.default_rng(seed)
-            self._cells[key] = float(rng.normal(0.0, self.sigma_db))
-        return self._cells[key]
+            value = self._cells[key] = float(rng.normal(0.0, self.sigma_db))
+        return value
 
     def sample(self, x: float, y: float) -> float:
         """Shadowing offset in dB at position ``(x, y)`` metres.
@@ -87,37 +88,69 @@ class ShadowingField:
     def sample_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`sample` over arrays of positions.
 
-        Cell values come from the same seeded cache as the scalar
-        path, so ``sample_many(xs, ys)[i] == sample(xs[i], ys[i])``
-        exactly.
+        The one-field call of :func:`sample_fields`, so
+        ``sample_many(xs, ys)[i] == sample(xs[i], ys[i])`` exactly.
         """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if self.sigma_db == 0.0 or xs.size == 0:
-            return np.zeros(xs.shape)
-        gx = xs / self.correlation_distance_m
-        gy = ys / self.correlation_distance_m
-        ix = np.floor(gx).astype(int)
-        iy = np.floor(gy).astype(int)
-        fx, fy = gx - ix, gy - iy
-        # Gather every corner from a dense table of the cells the query
-        # spans (positions cluster within a building, so it is small).
-        # Only cells that are some position's corner are filled, each
-        # from the same seeded cache as the scalar path.
-        x0, y0 = int(ix.min()), int(iy.min())
-        lx, ly = ix - x0, iy - y0
-        ny = int(ly.max()) + 2
-        cell = lx * ny + ly  # flat table index of each (ix, iy) corner
-        used = np.zeros((int(lx.max()) + 2) * ny, dtype=bool)
-        for offset in (0, 1, ny, ny + 1):
-            used[cell + offset] = True
-        table = np.zeros(used.shape)
-        for k in np.flatnonzero(used).tolist():
-            table[k] = self._cell_value(x0 + k // ny, y0 + k % ny)
-        v00 = table[cell]
-        v10 = table[cell + ny]
-        v01 = table[cell + 1]
-        v11 = table[cell + ny + 1]
-        top = v00 * (1 - fx) + v10 * fx
-        bottom = v01 * (1 - fx) + v11 * fx
-        return top * (1 - fy) + bottom * fy
+        return sample_fields([self], 0, xs, ys)
+
+
+def sample_fields(
+    fields: Sequence[ShadowingField],
+    which: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+) -> np.ndarray:
+    """Shadowing of many fields at many positions, in one gather.
+
+    Sample ``i`` reads ``fields[which[i]]`` at ``(xs[i], ys[i])``;
+    ``which`` broadcasts against the positions, so one transmitter
+    index per advertisement serves a ``(devices, advertisements)``
+    block.  Every corner comes from one table indexed by field, x-cell
+    and y-cell over the cells the query spans (positions cluster within
+    a building, so it is small); only cells that are some sample's
+    corner are filled, each from that field's seeded cache.  The
+    bilinear expressions are :meth:`ShadowingField.sample`'s, so each
+    value equals it exactly.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    out = np.zeros(xs.shape)
+    if xs.size == 0:
+        return out
+    which = np.broadcast_to(np.asarray(which, dtype=np.intp), xs.shape)
+    sigma = np.array([f.sigma_db for f in fields], dtype=float)
+    live = sigma[which] != 0.0
+    if not live.any():
+        return out
+    slot = which[live]
+    corr = np.array([f.correlation_distance_m for f in fields], dtype=float)[slot]
+    gx = xs[live] / corr
+    gy = ys[live] / corr
+    ix = np.floor(gx).astype(int)
+    iy = np.floor(gy).astype(int)
+    fx, fy = gx - ix, gy - iy
+    x0, y0 = int(ix.min()), int(iy.min())
+    lx, ly = ix - x0, iy - y0
+    nx = int(lx.max()) + 2
+    ny = int(ly.max()) + 2
+    cell = (slot * nx + lx) * ny + ly  # flat table index of each (ix, iy) corner
+    used = np.zeros(len(fields) * nx * ny, dtype=bool)
+    for offset in (0, 1, ny, ny + 1):
+        used[cell + offset] = True
+    corners = np.flatnonzero(used)
+    field_k, rest = np.divmod(corners, nx * ny)
+    table = np.zeros(used.shape)
+    table[corners] = [
+        fields[k]._cell_value(cx, cy)
+        for k, cx, cy in zip(
+            field_k.tolist(), (x0 + rest // ny).tolist(), (y0 + rest % ny).tolist()
+        )
+    ]
+    v00 = table[cell]
+    v10 = table[cell + ny]
+    v01 = table[cell + 1]
+    v11 = table[cell + ny + 1]
+    top = v00 * (1 - fx) + v10 * fx
+    bottom = v01 * (1 - fx) + v11 * fx
+    out[live] = top * (1 - fy) + bottom * fy
+    return out

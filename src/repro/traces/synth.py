@@ -105,7 +105,7 @@ def run_trace(
     n_cycles = int(duration_s / scan_period_s)
     for k in range(n_cycles):
         t0 = k * scan_period_s
-        cycle = scanner.scan_cycle(mobility.position_at, t0)
+        cycle = scanner.scan_cycle(mobility, t0)
         raw_rssi: Dict[str, float] = {
             b: cycle.mean_rssi(b) for b in cycle.beacon_ids
         }

@@ -5,6 +5,11 @@ import pytest
 
 from repro.ble.air import AirInterface
 from repro.building.geometry import Point
+from repro.building.mobility import (
+    MobilityModel,
+    StaticPosition,
+    WaypointPath,
+)
 from repro.building.presets import single_room, two_room_corridor
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
@@ -23,26 +28,28 @@ def quiet_air(plan):
 class TestObserve:
     def test_sees_all_advertisements_on_ideal_link(self):
         air = quiet_air(single_room())
-        sightings = air.observe(
-            lambda t: Point(1.5, 4.0), IDEAL, 0.0, 2.0, np.random.default_rng(0)
+        reception = air.observe(
+            StaticPosition(Point(1.5, 4.0)), IDEAL, 0.0, 2.0, np.random.default_rng(0)
         )
         # 100 ms interval over 2 s: ~20 advertisements.
-        assert 18 <= len(sightings) <= 22
+        assert 18 <= len(reception) <= 22
 
     def test_sightings_sorted_by_time(self):
         air = quiet_air(two_room_corridor())
-        sightings = air.observe(
-            lambda t: Point(6.0, 1.5), IDEAL, 0.0, 5.0, np.random.default_rng(0)
+        reception = air.observe(
+            StaticPosition(Point(6.0, 1.5)), IDEAL, 0.0, 5.0, np.random.default_rng(0)
         )
-        times = [s.time for s in sightings]
+        times = reception.times.tolist()
         assert times == sorted(times)
 
     def test_sightings_carry_packet_identity(self):
         plan = single_room()
         air = quiet_air(plan)
-        sightings = air.observe(
-            lambda t: Point(1.5, 4.0), IDEAL, 0.0, 1.0, np.random.default_rng(0)
+        reception = air.observe(
+            StaticPosition(Point(1.5, 4.0)), IDEAL, 0.0, 1.0, np.random.default_rng(0)
         )
+        sightings = reception.sightings()
+        assert len(sightings) == len(reception)
         assert all(s.packet == plan.beacons[0].packet for s in sightings)
 
     def test_true_distance_recorded(self):
@@ -50,21 +57,23 @@ class TestObserve:
         air = quiet_air(plan)
         beacon_pos = plan.beacons[0].position
         rx = Point(beacon_pos.x + 3.0, beacon_pos.y)
-        sightings = air.observe(
-            lambda t: rx, IDEAL, 0.0, 1.0, np.random.default_rng(0)
+        reception = air.observe(
+            StaticPosition(rx), IDEAL, 0.0, 1.0, np.random.default_rng(0)
         )
-        assert all(s.true_distance_m == pytest.approx(3.0) for s in sightings)
+        assert len(reception) > 0
+        assert all(d == pytest.approx(3.0) for d in reception.true_distance_m)
 
     def test_moving_receiver_changes_distance(self):
         plan = single_room()
         air = quiet_air(plan)
         beacon_pos = plan.beacons[0].position
 
-        def walk(t):
-            return Point(beacon_pos.x + 1.0 + t, beacon_pos.y)
+        class Walk(MobilityModel):
+            def position_at(self, t):
+                return Point(beacon_pos.x + 1.0 + t, beacon_pos.y)
 
-        sightings = air.observe(walk, IDEAL, 0.0, 4.0, np.random.default_rng(0))
-        distances = [s.true_distance_m for s in sightings]
+        reception = air.observe(Walk(), IDEAL, 0.0, 4.0, np.random.default_rng(0))
+        distances = reception.true_distance_m
         assert distances[0] < distances[-1]
 
     def test_wall_oracle_installed_from_plan(self):
@@ -74,18 +83,18 @@ class TestObserve:
 
     def test_both_beacons_visible_in_corridor(self):
         air = quiet_air(two_room_corridor())
-        sightings = air.observe(
-            lambda t: Point(6.0, 1.5), IDEAL, 0.0, 2.0, np.random.default_rng(0)
+        reception = air.observe(
+            StaticPosition(Point(6.0, 1.5)), IDEAL, 0.0, 2.0, np.random.default_rng(0)
         )
-        assert {s.beacon_id for s in sightings} == {"1-1", "1-2"}
+        assert {s.beacon_id for s in reception.sightings()} == {"1-1", "1-2"}
 
     def test_closer_beacon_is_stronger(self):
         air = quiet_air(two_room_corridor())
-        sightings = air.observe(
-            lambda t: Point(2.0, 1.5), IDEAL, 0.0, 2.0, np.random.default_rng(0)
+        reception = air.observe(
+            StaticPosition(Point(2.0, 1.5)), IDEAL, 0.0, 2.0, np.random.default_rng(0)
         )
         by_beacon = {}
-        for s in sightings:
+        for s in reception.sightings():
             by_beacon.setdefault(s.beacon_id, []).append(s.rssi)
         assert np.mean(by_beacon["1-1"]) > np.mean(by_beacon["1-2"])
 
@@ -107,11 +116,12 @@ class TestWindowSchedule:
         what it would see on a fresh air interface."""
         plan = two_room_corridor()
 
-        def walk(t):
-            return Point(3.0 + 0.5 * t, 1.0)
+        walk = WaypointPath([Point(3.0, 1.0), Point(4.0, 1.0)], speed_mps=0.5)
 
         shared = AirInterface(plan, ChannelModel(seed=4))
-        shared.observe(lambda t: Point(9.0, 2.0), IDEAL, 0.0, 2.0, np.random.default_rng(1))
+        parked = StaticPosition(Point(9.0, 2.0))
+        shared.observe(parked, IDEAL, 0.0, 2.0, np.random.default_rng(1))
         after = shared.observe(walk, IDEAL, 0.0, 2.0, np.random.default_rng(2))
         fresh = AirInterface(plan, ChannelModel(seed=4))
-        assert after == fresh.observe(walk, IDEAL, 0.0, 2.0, np.random.default_rng(2))
+        again = fresh.observe(walk, IDEAL, 0.0, 2.0, np.random.default_rng(2))
+        assert after.sightings() == again.sightings()

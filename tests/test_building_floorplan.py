@@ -107,6 +107,14 @@ class TestFloorPlan:
         with pytest.raises(ValueError):
             plan.add_beacon(make_beacon(1, Point(2, 2), "b"))
 
+    def test_duplicate_beacon_in_constructor_rejected(self):
+        """Beacon ids are unique per plan, so the scanner may key a
+        beacon by its advertiser index."""
+        rooms = self.make_plan().rooms
+        beacons = [make_beacon(1, Point(1, 1), "a"), make_beacon(1, Point(2, 2), "b")]
+        with pytest.raises(ValueError):
+            FloorPlan(rooms=rooms, beacons=beacons)
+
     def test_beacon_lookup(self):
         plan = self.make_plan()
         plan.add_beacon(make_beacon(3, Point(1, 1), "a"))

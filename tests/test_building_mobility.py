@@ -1,6 +1,9 @@
 """Tests for occupant mobility models."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.building.geometry import Point
 from repro.building.mobility import (
@@ -179,3 +182,82 @@ class TestVectorisedPositions:
         plan = make_test_house()
         walk = RandomWaypoint(plan, seed=1)
         assert walk.positions_at([]).shape == (0, 2)
+
+
+# -- positions_at is position_at, bit for bit --------------------------------
+#
+# The scanner asks a trajectory for a listening window's positions in one
+# positions_at call, so every model's array path must reproduce its scalar
+# path exactly: unsorted, duplicate, negative and far-future times, and
+# array queries interleaved with scalar ones (RandomWaypoint grows its legs
+# lazily).  Models without an array path use the base per-time loop.
+
+_GRID = st.integers(-4, 12).map(float)
+_POINTS = st.builds(Point, _GRID, _GRID) | st.builds(
+    Point, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)
+)
+
+
+def _bits(xy):
+    return np.asarray(xy, dtype=float).tobytes()
+
+
+def _assert_bitwise(model, oracle, times):
+    vec = model.positions_at(np.asarray(times, dtype=float))
+    assert vec.shape == (len(times), 2)
+    for i, t in enumerate(times):
+        assert _bits(vec[i]) == _bits(oracle.position_at(float(t)).as_tuple()), t
+
+
+def _times(special):
+    """Unsorted query times, often repeated or exactly on ``special``."""
+    return st.lists(
+        st.one_of(st.floats(-50.0, 400.0), st.sampled_from(special)),
+        max_size=25,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=_POINTS, data=st.data())
+def test_static_position_positions_at_is_position_at(point, data):
+    model = StaticPosition(point)
+    _assert_bitwise(model, model, data.draw(_times([0.0, -1.0, 1e9])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    queries=st.lists(
+        st.tuples(st.booleans(), _times([0.0, -0.0, -3.0, 1500.0])),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_random_waypoint_positions_at_is_position_at(seed, queries):
+    plan = make_test_house()
+    model = RandomWaypoint(plan, seed=seed)
+    oracle = RandomWaypoint(plan, seed=seed)
+    for scalar, times in queries:
+        if scalar:
+            # A scalar query first: it may grow the legs on its own.
+            for t in times:
+                assert _bits(model.position_at(t).as_tuple()) == _bits(
+                    oracle.position_at(t).as_tuple()
+                )
+        _assert_bitwise(model, oracle, times)
+
+
+def test_random_waypoint_leg_columns_follow_the_legs():
+    """positions_at answers from float columns of the generated legs;
+    a query inside the horizon converts nothing."""
+    walk = RandomWaypoint(make_test_house(), seed=3)
+    walk.positions_at([5000.0])
+    columns, filled = walk._columns, walk._columns_filled
+    walk.positions_at([10.0, 4000.0])
+    assert walk._columns is columns and walk._columns_filled == filled
+    n = len(walk._legs)
+    assert filled == n
+    expected = np.asarray(
+        [(t0, t1, a.x, a.y, b.x, b.y) for t0, t1, a, b in walk._legs]
+    ).T
+    assert np.array_equal(walk._columns[:, :n], expected)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ble.air import AirInterface
 from repro.building.geometry import Point
+from repro.building.mobility import StaticPosition
 from repro.building.presets import BUILDING_UUID, single_room, two_room_corridor
 from repro.ibeacon.region import BeaconRegion, RegionEventKind
 from repro.phone.app import AppState, OccupancyApp
@@ -24,7 +25,7 @@ def make_app(plan, *, position=None, region=None, seed=0):
 
 
 def at(point):
-    return lambda t: point
+    return StaticPosition(point)
 
 
 class TestLifecycle:

@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ble.air import AirInterface
+from repro.ble.air import AirInterface, Reception
 from repro.ble.scanner_params import ScanSettings
+from repro.building.floorplan import OUTSIDE
 from repro.building.geometry import Point
+from repro.building.mobility import RandomWaypoint, RoomSchedule, StaticPosition
 from repro.building.presets import single_room, two_room_corridor
-from repro.phone.scanner import AndroidScanner, IosScanner
+from repro.building.presets import test_house as make_test_house
+from repro.phone.scanner import AndroidScanner, IosScanner, _samples_by_beacon
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
+from tests.surfacing_oracle import reference_cycle
 
 
 def quiet_air(plan):
@@ -20,7 +26,7 @@ def quiet_air(plan):
 
 
 def fixed(point):
-    return lambda t: point
+    return StaticPosition(point)
 
 
 class TestAndroidSemantics:
@@ -48,28 +54,20 @@ class TestAndroidSemantics:
     def test_out_of_order_sightings_dedup_per_cycle(self):
         """Regression: dedup keyed on the *last-seen* cycle re-surfaced
         duplicates when sightings arrived out of time order."""
-        from repro.ble.air import Sighting
-
         air = quiet_air(single_room())
         scanner = AndroidScanner(air, device="ideal", rng=np.random.default_rng(0))
-
-        def sighting(time, rssi):
-            return Sighting(
-                time=time,
-                beacon_id="1-1",
-                packet=None,
-                rssi=rssi,
-                true_distance_m=1.0,
-            )
-
         # Cycle 0, then cycle 1, then cycle 0 again (out of order): the
-        # third sighting duplicates cycle 0 and must NOT surface.
-        sightings = [
-            sighting(0.1, -50.0),
-            sighting(2.1, -51.0),
-            sighting(0.5, -52.0),
-        ]
-        samples = scanner._surface(sightings, 0.0)
+        # third row duplicates cycle 0 and must NOT surface.
+        reception = Reception(
+            times=np.array([0.1, 2.1, 0.5]),
+            advertiser=np.array([0, 0, 0]),
+            rssi=np.array([-50.0, -51.0, -52.0]),
+            true_distance_m=np.ones(3),
+            beacon_ids=["1-1"],
+            packets=[None],
+            payloads=[b""],
+        )
+        samples, _ = _samples_by_beacon(reception, scanner._surface(reception, 0.0))
         assert samples == {"1-1": [-50.0, -51.0]}
 
     def test_surfaced_sample_is_first_reception(self):
@@ -77,12 +75,12 @@ class TestAndroidSemantics:
         scanner = AndroidScanner(air, device="ideal", rng=np.random.default_rng(1))
         pos = fixed(Point(2.0, 4.0))
         cycle = scanner.scan_cycle(pos, 0.0)
-        sightings = air.observe(
+        reception = air.observe(
             pos, DEVICE_PROFILES["ideal"], 0.0, 2.0, np.random.default_rng(1)
         )
         # Regenerate with the same rng seed: first sighting's RSSI must
         # match the surfaced sample.
-        assert cycle.samples["1-1"][0] == pytest.approx(sightings[0].rssi)
+        assert cycle.samples["1-1"][0] == pytest.approx(reception.rssi[0])
 
 
 class TestIosSemantics:
@@ -161,3 +159,59 @@ class TestScannerConstruction:
         air = quiet_air(single_room())
         with pytest.raises(KeyError):
             AndroidScanner(air, device="pixel_99")
+
+
+def _trajectory(kind, plan, seed):
+    if kind == "walk":
+        return RandomWaypoint(plan, seed=seed)
+    rooms = plan.room_names
+    # In, out past the footprint (most beacons lost), and back in.
+    return RoomSchedule(
+        plan, [(0.0, rooms[seed % len(rooms)]), (6.0, OUTSIDE), (21.0, rooms[0])]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    period=st.sampled_from([2.0, 5.0, 10.0]),
+    android=st.booleans(),
+    device=st.sampled_from(["s3_mini", "nexus_5", "ideal"]),
+    kind=st.sampled_from(["walk", "schedule"]),
+)
+def test_scan_cycle_matches_per_sighting_oracle(seed, period, android, device, kind):
+    """The column surfacing equals the per-sighting rules of
+    ``tests/surfacing_oracle.py`` on the same window: samples (values,
+    per-beacon order and beacon order), packets, received and surfaced
+    counts, and each beacon's mean."""
+    plan = make_test_house()
+    air = AirInterface(plan, ChannelModel(seed=seed % 1009))
+    scanner_cls = AndroidScanner if android else IosScanner
+    scanner = scanner_cls(
+        air,
+        device=device,
+        settings=ScanSettings(period),
+        rng=np.random.default_rng(seed),
+    )
+    trajectory = _trajectory(kind, plan, seed)
+    t = 0.0
+    for _ in range(4):
+        state = scanner.rng.bit_generator.state
+        cycle = scanner.scan_cycle(trajectory, t)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        reception = air.observe(
+            trajectory, scanner.device, t, t + scanner.settings.listen_window_s, rng
+        )
+        expected = reference_cycle(reception.sightings(), t, android)
+        assert cycle.samples == expected["samples"]
+        assert list(cycle.samples) == list(expected["samples"])
+        assert cycle.packets == expected["packets"]
+        assert list(cycle.packets) == list(expected["packets"])
+        assert cycle.received_count == expected["received_count"]
+        assert cycle.surfaced_count == expected["surfaced_count"]
+        for beacon_id, mean in expected["means"].items():
+            assert np.float64(cycle.mean_rssi(beacon_id)).tobytes() == (
+                np.float64(mean).tobytes()
+            )
+        t += period

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.radio.shadowing import ShadowingField
+from repro.radio.channel import ChannelModel
+from repro.radio.shadowing import ShadowingField, sample_fields
 
 
 class TestDeterminism:
@@ -121,3 +122,82 @@ def test_sample_many_is_sample_bitwise(case, seed):
     block = field.sample_many(np.stack([xs, xs[::-1]]), np.stack([ys, ys[::-1]]))
     assert block.tobytes() == np.stack([expected, expected[::-1]]).tobytes()
     assert field.sample_many(xs[0], ys[0]) == expected[0]
+
+
+@st.composite
+def field_samples(draw):
+    """Up to four fields (some with sigma 0, cell sizes may differ) and
+    samples that name them in any order, at positions on both sides of
+    zero and often exactly on a cell edge."""
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.5, 3.0]),
+                st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    edge = st.integers(-8, 8).map(lambda k: k * 1.5)
+    coord = st.one_of(st.floats(-12.0, 12.0, allow_nan=False), edge)
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(specs) - 1), coord, coord), max_size=30
+        )
+    )
+    return specs, rows
+
+
+def _fields(specs):
+    return [
+        ShadowingField(sigma_db=s, correlation_distance_m=c, link_seed=seed)
+        for s, c, seed in specs
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=field_samples())
+def test_sample_fields_is_sample_bitwise(case):
+    """One gather over mixed fields reads exactly each field's scalar
+    corners, including sigma-0 fields and an empty query."""
+    specs, rows = case
+    which = np.array([k for k, _, _ in rows], dtype=np.intp)
+    xs = np.array([x for _, x, _ in rows], dtype=float)
+    ys = np.array([y for _, _, y in rows], dtype=float)
+    oracle = _fields(specs)
+    expected = np.array(
+        [oracle[k].sample(x, y) for k, x, y in rows], dtype=float
+    ).reshape(xs.shape)
+    got = sample_fields(_fields(specs), which, xs, ys)
+    assert got.shape == xs.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sample_fields_broadcasts_one_field_per_column():
+    """A ``(devices, samples)`` block with one field index per column,
+    as the columnar drive asks for it."""
+    fields = _fields([(3.0, 2.0, 1), (3.0, 2.0, 2), (0.0, 2.0, 3)])
+    oracle = _fields([(3.0, 2.0, 1), (3.0, 2.0, 2), (0.0, 2.0, 3)])
+    which = np.array([2, 0, 1, 0, 1])
+    xs = np.linspace(-5.0, 9.0, 15).reshape(3, 5)
+    ys = xs[::-1] * 0.5
+    got = sample_fields(fields, which, xs, ys)
+    for d in range(3):
+        for i, k in enumerate(which):
+            assert got[d, i] == oracle[k].sample(xs[d, i], ys[d, i])
+
+
+def test_channel_shadowing_is_each_transmitters_field():
+    channel = ChannelModel(seed=5)
+    tx_ids = ["1-2", "1-1", "1-2", "1-3", "1-1"]
+    xs = np.array([0.5, -3.0, 4.0, 2.0, 2.0])
+    ys = np.array([1.0, 2.0, -1.0, 2.0, 2.0])
+    got = channel.shadowing_db(tx_ids, xs, ys)
+    fresh = ChannelModel(seed=5)
+    expected = [
+        fresh._shadow_field(t).sample(x, y) for t, x, y in zip(tx_ids, xs, ys)
+    ]
+    assert got.tolist() == expected
+    assert channel.shadowing_db([], np.zeros(0), np.zeros(0)).shape == (0,)
