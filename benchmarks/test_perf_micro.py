@@ -29,15 +29,20 @@ def test_perf_packet_roundtrip(benchmark):
 
 
 def test_perf_channel_sample(benchmark):
-    channel = ChannelModel(seed=1)
+    """One phone's link budgets over one 2 s test-house window."""
+    air = AirInterface(make_test_house(), ChannelModel(seed=1))
+    window = air.schedule(0.0, 2.0)
+    rx = np.tile([3.0, 2.5], (len(window.times), 1))
     rng = np.random.default_rng(0)
     device = DEVICE_PROFILES["s3_mini"]
 
     def sample():
-        return channel.link_budget("b1", (0.0, 0.0), (3.0, 4.0), -59.0, device, rng)
+        return air.channel.link_budget_many(
+            window.tx_ids, window.tx, rx, window.tx_power_dbm, device, rng
+        )
 
-    budget = benchmark(sample)
-    assert budget.distance_m == 5.0
+    batch = benchmark(sample)
+    assert len(batch) == len(window.times) > 0
 
 
 def test_perf_rbf_kernel(benchmark):

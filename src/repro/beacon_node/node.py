@@ -10,7 +10,6 @@ battery).
 
 from __future__ import annotations
 
-import uuid as uuid_module
 from typing import Optional
 
 from repro.beacon_node.hci import HciError, HciStack

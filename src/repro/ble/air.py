@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ble.advertiser import Advertiser
+from repro.ble.sniffer import decode_ibeacon
 from repro.building.floorplan import FloorPlan
 from repro.building.mobility import MobilityModel
 from repro.ibeacon.packet import IBeaconPacket
@@ -56,8 +57,7 @@ class Reception:
     Rows are in reception time order (ties in advertiser order).  The
     per-advertiser tables are the air interface's own, indexed by the
     ``advertiser`` column; :meth:`sightings` expands the columns to
-    :class:`Sighting` rows, as ``LinkBudgetBatch.budgets()`` does for
-    link budgets.
+    :class:`Sighting` rows for tests and diagnostics.
 
     Attributes:
         times: reception times, seconds, shape ``(k,)``.
@@ -164,6 +164,13 @@ class AirInterface:
         self._beacon_ids = [b.beacon_id for b in placements]
         self._packets = [b.packet for b in placements]
         self._payloads = [b.packet.encode() for b in placements]
+        #: What a phone's protocol sniffer decodes from each advertiser's
+        #: payload (``None`` where it does not decode).  Payloads are
+        #: constant per advertiser, so the table is made once and every
+        #: phone of both fleet drives reads it.
+        self.decoded: List[Optional[IBeaconPacket]] = [
+            decode_ibeacon(payload) for payload in self._payloads
+        ]
         self._tx = np.array(
             [b.position.as_tuple() for b in placements], dtype=float
         ).reshape(-1, 2)

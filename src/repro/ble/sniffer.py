@@ -21,7 +21,13 @@ from repro.ibeacon.packet import (
     decode_packet,
 )
 
-__all__ = ["BeaconFormat", "SniffedBeacon", "identify_format", "sniff"]
+__all__ = [
+    "BeaconFormat",
+    "SniffedBeacon",
+    "identify_format",
+    "sniff",
+    "decode_ibeacon",
+]
 
 
 class BeaconFormat(enum.Enum):
@@ -86,3 +92,16 @@ def sniff(payload: bytes) -> SniffedBeacon:
     except (PacketDecodeError, ValueError):
         pass
     return SniffedBeacon(format=BeaconFormat.UNKNOWN, packet=None)
+
+
+def decode_ibeacon(payload: bytes) -> Optional[IBeaconPacket]:
+    """The iBeacon identity a phone's stack reads from a raw payload.
+
+    AltBeacon framings are normalised to the iBeacon identity; ``None``
+    when the payload does not decode (the stack cannot range what it
+    cannot parse).
+    """
+    packet = sniff(payload).packet
+    if packet is not None and hasattr(packet, "to_ibeacon"):
+        packet = packet.to_ibeacon()
+    return packet

@@ -9,8 +9,6 @@ database."
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.building.floorplan import FloorPlan
 from repro.ml.datasets import FingerprintDataset
 from repro.traces.schema import BeaconTrace

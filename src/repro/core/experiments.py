@@ -21,8 +21,8 @@ Section V    :func:`scan_semantics_experiment` (Android vs iOS
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 

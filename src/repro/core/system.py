@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.ble.air import AirInterface
 from repro.ble.scanner_params import ScanSettings
 from repro.building.floorplan import OUTSIDE, FloorPlan
@@ -31,7 +29,7 @@ from repro.core.config import SystemConfig
 from repro.energy.battery import Battery
 from repro.energy.gating import AccelerometerGate
 from repro.energy.meter import EnergyBreakdown, EnergyMeter
-from repro.energy.profiles import PHONE_ENERGY_PROFILES
+from repro.energy.profiles import PHONE_ENERGY_PROFILES, PhoneEnergyProfile
 from repro.filters.ewma import EwmaFilter
 from repro.filters.tracker import BeaconTracker
 from repro.ibeacon.region import BeaconRegion
@@ -53,13 +51,35 @@ __all__ = ["DetectionRun", "OccupancyDetectionSystem"]
 
 @dataclass
 class PhoneRuntime:
-    """Per-phone runtime state inside a detection run."""
+    """Per-phone runtime state inside a detection run.
+
+    ``energy`` is the handset's power profile, looked up once at
+    registration.
+    """
 
     phone: Smartphone
     uplink: Uplink
     meter: EnergyMeter
+    energy: PhoneEnergyProfile
     gate: Optional[AccelerometerGate] = None
     predictions: List[Tuple[float, str, str]] = field(default_factory=list)
+
+    def charge_cycle(self, period_s: float, listen_s: float, sensing: bool) -> None:
+        """Charge one scan period to the meter.
+
+        The baseline draw and, when gated, the accelerometer are
+        charged every period; the BLE listen window and the idle uplink
+        only when the phone senses.  Both fleet drives charge through
+        here, in this order.
+        """
+        energy, meter = self.energy, self.meter
+        meter.advance(period_s)
+        meter.charge_power("baseline", energy.baseline_w, period_s)
+        if self.gate is not None:
+            meter.charge_power("accelerometer", energy.accelerometer_w, period_s)
+        if sensing:
+            meter.charge_power("ble_scan", energy.ble_scan_w, listen_s)
+            meter.charge_power("uplink_idle", self.uplink.IDLE_POWER_W, period_s)
 
 
 @dataclass(frozen=True)
@@ -267,7 +287,7 @@ class OccupancyDetectionSystem:
             )
         phone.boot()
         self._runtimes[occupant.name] = PhoneRuntime(
-            phone=phone, uplink=uplink, meter=meter, gate=gate
+            phone=phone, uplink=uplink, meter=meter, energy=profile, gate=gate
         )
 
     @property
@@ -389,30 +409,26 @@ class OccupancyDetectionSystem:
 
     def _run_phone_cycle_inner(self, rt: PhoneRuntime, t0: float) -> None:
         period = self.config.scan_period_s
-        profile = PHONE_ENERGY_PROFILES.get(
-            rt.phone.occupant.device, PHONE_ENERGY_PROFILES["s3_mini"]
-        )
-        rt.meter.advance(period)
-        rt.meter.charge_power("baseline", profile.baseline_w, period)
-        if rt.gate is not None:
-            rt.meter.charge_power("accelerometer", profile.accelerometer_w, period)
-            if not rt.gate.should_sense(t0):
-                # Sensing and uplink suppressed: no scan, no report.
-                self._record_prediction(rt, t0 + period)
-                return
-        listen = rt.phone.scanner.settings.listen_window_s
-        rt.meter.charge_power("ble_scan", profile.ble_scan_w, listen)
-        rt.meter.charge_power("uplink_idle", rt.uplink.IDLE_POWER_W, period)
-        report = rt.phone.run_cycle(t0)
-        if report is not None:
-            # queue_report is send_report when no batch policy is set.
-            rt.uplink.queue_report(report)
+        # A gated phone that has not moved suppresses sensing and
+        # uplink: no scan, no report.
+        sensing = rt.gate is None or rt.gate.should_sense(t0)
+        rt.charge_cycle(period, rt.phone.scanner.settings.listen_window_s, sensing)
+        if sensing:
+            report = rt.phone.run_cycle(t0)
+            if report is not None:
+                # queue_report is send_report when no batch policy is set.
+                rt.uplink.queue_report(report)
         self._record_prediction(rt, t0 + period)
 
     def _record_prediction(self, rt: PhoneRuntime, now: float) -> None:
+        """Book the BMS estimate for ``rt`` at ``now`` beside the truth.
+
+        Both fleet drives record through here, once per phone cycle.
+        """
         truth = rt.phone.occupant.room_at(now, self.plan)
-        snapshot = self.bms.snapshot(now)
-        estimate = snapshot.devices.get(rt.phone.device_id, OUTSIDE)
+        estimate = self.bms.device_room_at(rt.phone.device_id, now)
+        if estimate is None:
+            estimate = OUTSIDE
         # The confusion counter lives here rather than in the BMS
         # because only the simulation knows the ground truth.
         self.obs.counter("server.confusion").inc(truth=truth, estimate=estimate)

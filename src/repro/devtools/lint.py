@@ -27,7 +27,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.devtools.baseline import (
     apply_baseline,

@@ -27,7 +27,7 @@ hazard — is flagged by the extended determinism family
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Set, Union
 
 from repro.devtools.config import LintConfig
 from repro.devtools.findings import Finding, register_rule

@@ -1,17 +1,33 @@
 """Struct-of-arrays columnar fleet drive.
 
 The scalar pipeline walks one device at a time through radio ->
-scanner -> filter -> tracker objects, paying Python-level costs per
-advertisement.  This module drives *all M devices of a system at once*:
-per scan tick it computes the advertisement schedule once, evaluates
-RSSI link budgets, Android/iOS sample surfacing, the paper's 0.65 EWMA
-smoothing recurrence, loss/hold counters with eviction at the second
-consecutive miss, and region enter/exit transitions as numpy passes
-over ``(device, sample)`` and ``(device, beacon)`` arrays.
+scanner -> filter -> tracker objects.  This module drives *all M
+devices of a system at once*, and takes every per-phone rule from the
+one home the scalar phone stack calls too:
 
-Equivalence contract (pinned by ``tests/test_fleet_columnar.py`` the
-way ``test_radio_channel.py`` pins ``link_budget_many``): at equal
-seeds a columnar run produces **byte-identical** results to
+- the advertising schedule: :meth:`~repro.ble.air.AirInterface.schedule`;
+- the RSSI draw: :meth:`~repro.radio.channel.ChannelModel.seed_free_parts`
+  once per tick on ``(device, sample)`` arrays (the wall function and
+  the shadowing gather run inside it), then
+  :meth:`~repro.radio.channel.ChannelModel.draw_rssi` per device from
+  its own stream;
+- Android surfacing and the cycle mean:
+  :func:`~repro.phone.scanner.surface_android` and
+  :func:`~repro.phone.scanner.surfaced_mean`;
+- payload decode: the air interface's ``decoded`` table;
+- ranging: :func:`~repro.radio.pathloss.distance_from_rssi`;
+- cycle bookkeeping: ``PhoneRuntime.charge_cycle``,
+  :meth:`~repro.phone.scanner.Scanner.count_cycle` and the system's
+  prediction record.
+
+What stays here is columnar: the tick loop; the paper's 0.65 EWMA
+recurrence, loss/hold counters with eviction at the second consecutive
+miss and region enter/exit transitions as one numpy pass over
+``(device, beacon)`` arrays; the ordered per-device epilogue; and the
+mirror of the arrays back into the app facades.
+
+Equivalence contract (pinned by ``tests/test_fleet_columnar.py``): at
+equal seeds a columnar run produces **byte-identical** results to
 :meth:`~repro.core.system.OccupancyDetectionSystem.run` for
 
 - the :class:`~repro.core.system.DetectionRun` (predictions, accuracy,
@@ -20,13 +36,14 @@ seeds a columnar run produces **byte-identical** results to
 - the BMS state (occupancy history, tracked devices, databases), and
 - telemetry *aggregates* of the phone/server/uplink/energy counters.
 
-This holds because every floating-point expression is evaluated with
-the same operations in the same order as the scalar path — elementwise
-IEEE-754 arithmetic does not depend on array shape — and each device's
-random streams are consumed in exactly the scalar draw order.  Out of
-contract: the ``sim.*`` engine metrics and per-event sink streams (the
-columnar drive does not run the discrete-event engine), and dict
-*insertion order* of mirrored per-app caches (contents are equal).
+This holds because the shared rules are elementwise, and elementwise
+IEEE-754 arithmetic does not depend on array shape; the EWMA pass
+evaluates the scalar filter's expression in the same order; and each
+device's random stream is consumed in exactly the scalar draw order.
+Out of contract: the ``sim.*`` engine metrics and per-event sink
+streams (the columnar drive does not run the discrete-event engine),
+and dict *insertion order* of mirrored per-app caches (contents are
+equal).
 
 The scalar path remains authoritative for configurations the columnar
 engine does not model: accelerometer gating, non-EWMA filter banks,
@@ -36,20 +53,22 @@ and scanner types other than the stock Android/iOS ones; those raise
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.ble.sniffer import BeaconFormat, sniff
-from repro.building.floorplan import OUTSIDE
 from repro.core.system import DetectionRun, OccupancyDetectionSystem, PhoneRuntime
-from repro.energy.profiles import PHONE_ENERGY_PROFILES
 from repro.filters.ewma import EwmaFilter
 from repro.ibeacon.region import RegionEventKind
 from repro.obs import profiling
 from repro.phone.app import AppState, RangedBeacon, SightingReport
-from repro.phone.scanner import AndroidScanner, IosScanner
-from repro.radio.pathloss import MAX_ESTIMATED_DISTANCE_M, MIN_DISTANCE_M
+from repro.phone.scanner import (
+    AndroidScanner,
+    IosScanner,
+    surface_android,
+    surfaced_mean,
+)
+from repro.radio.pathloss import distance_from_rssi
 from repro.sim.clock import Clock
 
 __all__ = ["ColumnarUnsupported", "ColumnarFleetDrive", "run_columnar"]
@@ -119,45 +138,28 @@ class ColumnarFleetDrive:
         self.settings = first.settings
 
     def _build_beacon_columns(self) -> None:
-        """Decode every installed beacon once and fix the column order.
+        """Fix one column per in-region beacon.
 
-        The scalar scanner sniffs one payload per surfaced beacon per
-        cycle; payloads are constant per beacon, so format, region
-        match and TX-power byte are static run-wide.
+        Format, region match and TX-power byte come from the air
+        interface's ``decoded`` table, which the scalar scanner reads
+        too.  Report iteration order is sorted(beacon_id); the columns
+        follow it so per-row walks are trivially sorted.
         """
-        region = self.system.region
-        eligible: List[Tuple[str, int]] = []  # (beacon_id, tx_power)
-        self._decodable: List[bool] = []
-        self._adv_col: List[int] = []
-        for adv in self.system.air.advertisers:
-            placement = adv.placement
-            result = sniff(placement.packet.encode())
-            packet = result.packet
-            decodable = not (
-                result.format is BeaconFormat.UNKNOWN or packet is None
-            )
-            if decodable and hasattr(packet, "to_ibeacon"):
-                packet = packet.to_ibeacon()
-            self._decodable.append(decodable)
-            if decodable and region.matches(packet):
-                eligible.append((placement.beacon_id, packet.tx_power))
-                self._adv_col.append(len(eligible) - 1)
-            else:
-                self._adv_col.append(-1)
-        # Report iteration order is sorted(beacon_id); fix the columns
-        # in that order so per-row walks are trivially sorted.
-        order = sorted(range(len(eligible)), key=lambda i: eligible[i][0])
-        remap = {old: new for new, old in enumerate(order)}
-        self._adv_col = [
-            remap[c] if c >= 0 else -1 for c in self._adv_col
-        ]
-        eligible = [eligible[i] for i in order]
-        self.beacon_ids = [bid for bid, _ in eligible]
-        self.tx_power_int = [txp for _, txp in eligible]
-        self.tx_power_e = np.asarray(
-            [float(txp) for _, txp in eligible], dtype=float
+        air = self.system.air
+        decoded = air.decoded
+        in_region = sorted(
+            (adv.placement.beacon_id, k)
+            for k, adv in enumerate(air.advertisers)
+            if decoded[k] is not None and self.system.region.matches(decoded[k])
         )
-        self.n_eligible = len(eligible)
+        self._decodable = np.array([packet is not None for packet in decoded])
+        self._adv_col = [-1] * len(decoded)
+        for j, (_, k) in enumerate(in_region):
+            self._adv_col[k] = j
+        self.beacon_ids = [bid for bid, _ in in_region]
+        self.tx_power_int = [decoded[k].tx_power for _, k in in_region]
+        self.tx_power_e = np.asarray(self.tx_power_int, dtype=float)
+        self.n_eligible = len(in_region)
 
     def _build_device_columns(self) -> None:
         M, E = len(self.runtimes), self.n_eligible
@@ -273,126 +275,54 @@ class ColumnarFleetDrive:
         )
 
     def _radio_pass(self, t0: float, window):
-        """RSSI, reception, surfacing and per-beacon means for all M."""
+        """RSSI, reception, surfacing and per-beacon means for all M.
+
+        The channel's seed-free parts run once on ``(M, n)``; each
+        device then draws in the scalar order from its own stream.
+        """
+        channel = self.system.channel
         times, txp = window.times, window.tx_power_dbm
-        tx_x, tx_y = window.tx[:, 0], window.tx[:, 1]
-        decodable = np.asarray(self._decodable)[window.advertiser]
-        # One segment of samples per advertiser with traffic:
-        # (start, end, eligible column or -1).
-        segs = [(start, end, self._adv_col[k]) for start, end, k in window.runs]
-        system = self.system
-        channel = system.channel
-        n = len(times)
-        M, E = len(self.runtimes), self.n_eligible
+        M, E, n = len(self.runtimes), self.n_eligible, len(times)
 
         # Receiver positions: one vectorised trajectory query per
         # device (bit-identical to per-sample position_at calls).
         rx = np.empty((M, n, 2))
         for d, rt in enumerate(self.runtimes):
             rx[d] = rt.phone.occupant.mobility.positions_at(times)
-        rx_x, rx_y = rx[..., 0], rx[..., 1]
-
-        # Deterministic budget components, same expressions as
-        # link_budget_many evaluated on (M, n) instead of (n,).
-        distance = np.hypot(rx_x - tx_x, rx_y - tx_y)
-        mean_rssi = channel.path_loss.rssi(np.maximum(distance, 1e-6), txp)
-        path_loss = txp - mean_rssi
-        walls = (
-            channel.wall_oracle(window.tx, rx)
-            if channel.wall_oracle is not None
-            else np.zeros((M, n))
+        _, path_loss, walls, shadow = channel.seed_free_parts(
+            window.tx_ids, window.tx, rx, txp
         )
-        shadow = channel.shadowing_db(window.tx_ids, rx_x, rx_y)
-
-        # Stochastic components: per-device draws in the scalar order
-        # (fade, noise, collision uniforms, stack-loss uniforms).
         rssi = np.empty((M, n))
         rec = np.empty((M, n), dtype=bool)
         for d, rt in enumerate(self.runtimes):
-            profile = rt.phone.scanner.device
-            rng = rt.phone.scanner.rng
-            fade = (
-                channel.fading.sample_db(rng, size=n)
-                if channel.fading is not None
-                else np.zeros(n)
+            scanner = rt.phone.scanner
+            _, _, rssi[d], rec[d] = channel.draw_rssi(
+                txp, path_loss[d], walls[d], shadow[d], scanner.device, scanner.rng
             )
-            noise = (
-                rng.normal(0.0, profile.rssi_noise_db, size=n)
-                if profile.rssi_noise_db > 0.0
-                else np.zeros(n)
-            )
-            raw = (
-                txp
-                - path_loss[d]
-                - walls[d]
-                + shadow[d]
-                + fade
-                + profile.rx_gain_db
-                + noise
-            )
-            rssi[d] = profile.quantise(raw)
-            rec[d] = rssi[d] >= profile.sensitivity_dbm
-            if channel.collision_loss_prob > 0.0:
-                rec[d] &= rng.random(size=n) >= channel.collision_loss_prob
-            if profile.extra_loss_prob > 0.0:
-                rec[d] &= rng.random(size=n) >= profile.extra_loss_prob
 
-        picked = self._surface(t0, times, segs, rec)
-
+        # iOS surfaces everything received.
+        picked = rec.copy()
+        android = self.is_android
+        picked[android] = surface_android(
+            rec[android], times, window.advertiser, t0
+        )
         received_total = rec.sum(axis=1)
         raw_count = picked.sum(axis=1)
-        surfaced = picked[:, decodable].sum(axis=1)
+        surfaced = picked[:, self._decodable[window.advertiser]].sum(axis=1)
 
-        # Per-(device, beacon) mean of the surfaced samples.  The mean
-        # itself is np.mean over the group's values — the exact scalar
-        # reduction — only the gathering is columnar.
+        # Per-(device, beacon) mean of the surfaced samples, gathered
+        # per advertiser's run of schedule columns.
         measured = np.zeros((M, E), dtype=bool)
         mean = np.zeros((M, E))
-        for d in range(M):
-            picked_row = picked[d]
-            rssi_row = rssi[d]
-            for start, end, col in segs:
-                if col < 0:
-                    continue
-                sub = picked_row[start:end]
-                count = int(sub.sum())
-                if count == 0:
-                    continue
-                values = rssi_row[start:end][sub]
-                measured[d, col] = True
-                mean[d, col] = (
-                    values[0] if count == 1 else float(np.mean(values))
-                )
+        for start, end, k in window.runs:
+            col = self._adv_col[k]
+            if col < 0:
+                continue
+            run = picked[:, start:end]
+            measured[:, col] = run.any(axis=1)
+            for d in np.flatnonzero(measured[:, col]):
+                mean[d, col] = surfaced_mean(rssi[d, start:end][run[d]])
         return received_total, raw_count, surfaced, measured, mean
-
-    def _surface(self, t0, times, segs, rec) -> np.ndarray:
-        """Platform surfacing masks for all devices at once.
-
-        Android keeps the first *received* advertisement per beacon per
-        hardware scan cycle (the samples arrive time-sorted, so the
-        set-based dedup picks exactly what the scalar scanner picks);
-        iOS surfaces everything received.
-        """
-        M, n = rec.shape
-        picked = rec.copy()
-        if not self.is_android.any():
-            return picked
-        cyc = ((times - t0) / AndroidScanner.HW_CYCLE_S).astype(np.int64)
-        group_change = np.ones(n, dtype=bool)
-        beacon_idx = np.empty(n, dtype=np.int64)
-        for i, (start, end, _) in enumerate(segs):
-            beacon_idx[start:end] = i
-        group_change[1:] = (beacon_idx[1:] != beacon_idx[:-1]) | (
-            cyc[1:] != cyc[:-1]
-        )
-        group_starts = np.flatnonzero(group_change)
-        group_id = np.cumsum(group_change) - 1
-        android = np.flatnonzero(self.is_android)
-        cs = np.cumsum(rec[android], axis=1)
-        base = (cs - rec[android])[:, group_starts]
-        rank = cs - base[:, group_id]
-        picked[android] = rec[android] & (rank == 1)
-        return picked
 
     def _tracker_pass(self, measured, mean):
         """EWMA update, loss counters, eviction, region transitions —
@@ -442,38 +372,14 @@ class ColumnarFleetDrive:
         heavy lifting; this loop is O(M) cheap calls.
         """
         system = self.system
-        obs = system.obs
         period = system.config.scan_period_s
-        c_cycles = obs.counter("phone.scan_cycles")
-        c_received = obs.counter("phone.adverts_received")
-        c_surfaced = obs.counter("phone.samples_surfaced")
-        c_filtered = obs.counter("phone.samples_filtered")
-        c_drops = obs.counter("phone.decode_drops")
-        c_confusion = obs.counter("server.confusion")
+        listen = self.settings.listen_window_s
         for d, rt in enumerate(self.runtimes):
             app = rt.phone.app
-            profile = PHONE_ENERGY_PROFILES.get(
-                rt.phone.occupant.device, PHONE_ENERGY_PROFILES["s3_mini"]
+            rt.charge_cycle(period, listen, sensing=True)
+            rt.phone.scanner.count_cycle(
+                int(received_total[d]), int(raw_count[d]), int(surfaced[d])
             )
-            rt.meter.advance(period)
-            rt.meter.charge_power("baseline", profile.baseline_w, period)
-            rt.meter.charge_power(
-                "ble_scan", profile.ble_scan_w, self.settings.listen_window_s
-            )
-            rt.meter.charge_power(
-                "uplink_idle", rt.uplink.IDLE_POWER_W, period
-            )
-            label = rt.phone.scanner._obs_label
-            attrs = {"phone": label} if label else {}
-            received = int(received_total[d])
-            raw = int(raw_count[d])
-            surf = int(surfaced[d])
-            c_cycles.inc(**attrs)
-            c_received.inc(received, **attrs)
-            c_surfaced.inc(surf, **attrs)
-            c_filtered.inc(received - raw, **attrs)
-            if raw != surf:
-                c_drops.inc(raw - surf, **attrs)
             if entering[d]:
                 app._emit_region_event(t_end, RegionEventKind.ENTER)
                 app.state = AppState.RANGING
@@ -487,25 +393,12 @@ class ColumnarFleetDrive:
                 if app.on_report is not None:
                     app.on_report(report)
                 rt.uplink.queue_report(report)
-            now = t0 + period
-            truth = rt.phone.occupant.room_at(now, system.plan)
-            estimate = system.bms.device_room_at(app.device_id, now)
-            if estimate is None:
-                estimate = OUTSIDE
-            c_confusion.inc(truth=truth, estimate=estimate)
-            rt.predictions.append((now, truth, estimate))
+            system._record_prediction(rt, t0 + period)
 
     def _build_report(self, d: int, app, t_end: float) -> SightingReport:
-        live_row = self.live[d]
         value_row = self.value[d]
-        distance = np.clip(
-            np.power(
-                10.0,
-                (self.tx_power_e - value_row)
-                / (10.0 * app.path_loss_exponent),
-            ),
-            MIN_DISTANCE_M,
-            MAX_ESTIMATED_DISTANCE_M,
+        distance = distance_from_rssi(
+            value_row, self.tx_power_e, app.path_loss_exponent
         )
         held_row = self.losses[d] > 0
         beacons = [
@@ -515,7 +408,7 @@ class ColumnarFleetDrive:
                 distance_m=float(distance[j]),
                 held=bool(held_row[j]),
             )
-            for j in np.flatnonzero(live_row)
+            for j in np.flatnonzero(self.live[d])
         ]
         return SightingReport(
             device_id=app.device_id, time=t_end, beacons=beacons

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import uuid as uuid_module
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.ibeacon.packet import IBeaconPacket
 

@@ -11,10 +11,8 @@ BMS.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
-
-import numpy as np
 
 from repro.building.mobility import MobilityModel
 from repro.filters.tracker import BeaconTracker, paper_filter_bank

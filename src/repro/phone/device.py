@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.ble.air import AirInterface
 from repro.ble.scanner_params import ScanSettings
 from repro.building.occupant import Occupant

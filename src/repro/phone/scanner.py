@@ -21,13 +21,19 @@ import numpy as np
 
 from repro.ble.air import AirInterface, Reception
 from repro.ble.scanner_params import ScanSettings
-from repro.ble.sniffer import BeaconFormat, sniff
 from repro.building.mobility import MobilityModel
 from repro.ibeacon.packet import IBeaconPacket
 from repro.obs.metrics import MetricsRegistry
 from repro.radio.devices import DEVICE_PROFILES, DeviceRadioProfile
 
-__all__ = ["ScanCycle", "Scanner", "AndroidScanner", "IosScanner"]
+__all__ = [
+    "ScanCycle",
+    "Scanner",
+    "AndroidScanner",
+    "IosScanner",
+    "surface_android",
+    "surfaced_mean",
+]
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,8 @@ class ScanCycle:
             Android-vs-iOS sample-count comparison.
         packets: beacon_id -> packet decoded from the raw payload by
             the protocol sniffer (AltBeacon framings are normalised to
-            the iBeacon identity).
+            the iBeacon identity); read from the air interface's
+            ``decoded`` table.
     """
 
     t_start: float
@@ -66,18 +73,24 @@ class ScanCycle:
         return sum(len(v) for v in self.samples.values())
 
     def mean_rssi(self, beacon_id: str) -> float:
-        """Mean surfaced RSSI for ``beacon_id``.
-
-        A single sample is returned as it is (bitwise ``np.mean`` of
-        one value, the columnar drive's rule).
+        """Mean surfaced RSSI for ``beacon_id`` (:func:`surfaced_mean`).
 
         Raises:
             KeyError: beacon not surfaced this cycle.
         """
-        values = self.samples[beacon_id]
-        if len(values) == 1:
-            return float(values[0])
-        return float(np.mean(values))
+        return surfaced_mean(self.samples[beacon_id])
+
+
+def surfaced_mean(values) -> float:
+    """A beacon's RSSI for one cycle: the mean of its surfaced samples.
+
+    A single sample is returned as it is (bitwise ``np.mean`` of one
+    value).  The scalar scanner and the columnar fleet drive both take
+    the rule from here.
+    """
+    if len(values) == 1:
+        return float(values[0])
+    return float(np.mean(values))
 
 
 class Scanner(abc.ABC):
@@ -133,46 +146,41 @@ class Scanner(abc.ABC):
             trajectory, self.device, t_start, listen_end, self.rng
         )
         raw, first = _samples_by_beacon(reception, self._surface(reception, t_start))
-        packets = self._decode_payloads(reception, first)
+        decoded = self.air.decoded
+        packets = {b: decoded[k] for b, k in first.items() if decoded[k] is not None}
         # Beacons whose payload did not decode are dropped entirely
         # (the stack cannot range what it cannot parse).
         samples = {b: v for b, v in raw.items() if b in packets}
-        raw_count = sum(len(v) for v in raw.values())
-        surfaced = sum(len(v) for v in samples.values())
-        received = len(reception)
+        self.count_cycle(
+            len(reception),
+            sum(len(v) for v in raw.values()),
+            sum(len(v) for v in samples.values()),
+        )
+        return ScanCycle(
+            t_start=t_start,
+            t_end=t_end,
+            samples=samples,
+            received_count=len(reception),
+            packets=packets,
+        )
+
+    def count_cycle(self, received: int, raw: int, surfaced: int) -> None:
+        """Book one scan cycle on the five ``phone.*`` counters.
+
+        Args:
+            received: advertisements heard on the air.
+            raw: samples the platform surfaced.
+            surfaced: surfaced samples whose payload decoded.
+        """
         attrs = {"phone": self._obs_label} if self._obs_label else {}
         self._c_cycles.inc(**attrs)
         self._c_received.inc(received, **attrs)
         self._c_surfaced.inc(surfaced, **attrs)
         # Advertisements heard on the air but withheld from the app by
         # the platform's sampling semantics (the Android-vs-iOS gap).
-        self._c_filtered.inc(received - raw_count, **attrs)
-        if raw_count != surfaced:
-            self._c_decode_drops.inc(raw_count - surfaced, **attrs)
-        return ScanCycle(
-            t_start=t_start,
-            t_end=t_end,
-            samples=samples,
-            received_count=received,
-            packets=packets,
-        )
-
-    @staticmethod
-    def _decode_payloads(
-        reception: Reception, first: Dict[str, int]
-    ) -> Dict[str, IBeaconPacket]:
-        """Sniff one payload per surfaced beacon into a typed packet:
-        that of its first surfaced advertisement."""
-        packets: Dict[str, IBeaconPacket] = {}
-        for beacon_id, k in first.items():
-            result = sniff(reception.payloads[k])
-            if result.format is BeaconFormat.UNKNOWN or result.packet is None:
-                continue
-            packet = result.packet
-            if hasattr(packet, "to_ibeacon"):
-                packet = packet.to_ibeacon()
-            packets[beacon_id] = packet
-        return packets
+        self._c_filtered.inc(received - raw, **attrs)
+        if raw != surfaced:
+            self._c_decode_drops.inc(raw - surfaced, **attrs)
 
     @abc.abstractmethod
     def _surface(self, reception: Reception, t_start: float) -> np.ndarray:
@@ -224,19 +232,11 @@ class AndroidScanner(Scanner):
     HW_CYCLE_S = 2.0
 
     def _surface(self, reception: Reception, t_start: float) -> np.ndarray:
-        if not len(reception):
-            return np.empty(0, dtype=np.intp)
-        # Dedup on the full (beacon, hardware cycle) pair, keeping each
-        # pair's first row in time order; advertiser indices key like
-        # beacon ids (see Reception).  Remembering only the *last* cycle
-        # per beacon would re-surface duplicates whenever rows arrive
-        # out of time order (cycle 0, 1, 0 again), inflating the Android
-        # sample count.
-        cycle = ((reception.times - t_start) / self.HW_CYCLE_S).astype(np.int64)
-        cycle -= cycle.min()
-        key = reception.advertiser * (int(cycle.max()) + 1) + cycle
-        _, first = np.unique(key, return_index=True)
-        return np.sort(first)
+        received = np.ones((1, len(reception)), dtype=bool)
+        picked = surface_android(
+            received, reception.times, reception.advertiser, t_start
+        )
+        return np.flatnonzero(picked[0])
 
 
 class IosScanner(Scanner):
@@ -249,3 +249,39 @@ class IosScanner(Scanner):
 
     def _surface(self, reception: Reception, t_start: float) -> np.ndarray:
         return np.arange(len(reception))
+
+
+def surface_android(
+    received: np.ndarray, times: np.ndarray, advertiser: np.ndarray, t_start: float
+) -> np.ndarray:
+    """Android's surfacing of a ``(devices, samples)`` reception mask.
+
+    Each row keeps its first received sample per (advertiser, hardware
+    scan cycle) pair, first in the row's sample order, whatever that
+    order is: time order from :class:`AndroidScanner`, the schedule's
+    beacon-major order from the columnar fleet drive.  Advertiser
+    indices key like beacon ids (see :class:`~repro.ble.air.Reception`).
+    Keying on the full pair matters: remembering only the *last* cycle
+    per beacon would re-surface duplicates whenever samples arrive out
+    of time order (cycle 0, 1, 0 again).
+
+    Args:
+        received: ``(devices, samples)`` mask of received samples.
+        times: ``(samples,)`` reception times, seconds.
+        advertiser: ``(samples,)`` advertiser index per sample.
+        t_start: start of the scan cycle the hardware cycles count from.
+
+    Returns:
+        The ``(devices, samples)`` mask of surfaced samples.
+    """
+    picked = np.zeros(received.shape, dtype=bool)
+    device, sample = np.nonzero(received)
+    if not len(sample):
+        return picked
+    cycle = ((times - t_start) / AndroidScanner.HW_CYCLE_S).astype(np.int64)
+    cycle -= cycle.min()
+    key = advertiser * (int(cycle.max()) + 1) + cycle
+    key = device * (int(key.max()) + 1) + key[sample]
+    _, first = np.unique(key, return_index=True)
+    picked[device[first], sample[first]] = True
+    return picked

@@ -15,7 +15,7 @@ Two stages:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 

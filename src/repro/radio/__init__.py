@@ -16,7 +16,7 @@ from repro.radio.shadowing import ShadowingField
 from repro.radio.fading import RicianFading, RayleighFading
 from repro.radio.materials import Material, WALL_MATERIALS, wall_loss_db
 from repro.radio.devices import DeviceRadioProfile, DEVICE_PROFILES
-from repro.radio.channel import ChannelModel, LinkBudget
+from repro.radio.channel import ChannelModel
 
 __all__ = [
     "LogDistancePathLoss",
@@ -31,5 +31,4 @@ __all__ = [
     "DeviceRadioProfile",
     "DEVICE_PROFILES",
     "ChannelModel",
-    "LinkBudget",
 ]

@@ -13,15 +13,20 @@ rest of the reproduction consumes:
          -> quantised to the device's reporting granularity
 
 A packet whose RSSI falls below the device's sensitivity, or that is
-lost to advertising-channel collisions or stack bugs, is reported as
-*not received* (``None``) - losses are first-class because the paper's
-filter design (Section V) exists to tolerate them.
+lost to advertising-channel collisions or stack bugs, is marked *not
+received* - losses are first-class because the paper's filter design
+(Section V) exists to tolerate them.
+
+:meth:`ChannelModel.link_budget_many` draws one phone's window in two
+passes that the columnar fleet drive also calls:
+:meth:`~ChannelModel.seed_free_parts` over any leading device axis and
+:meth:`~ChannelModel.draw_rssi` once per device.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from repro.radio.pathloss import LogDistancePathLoss
 from repro.radio.shadowing import ShadowingField, sample_fields
 from repro.sim.rng import derive_seed
 
-__all__ = ["LinkBudget", "LinkBudgetBatch", "ChannelModel"]
+__all__ = ["LinkBudgetBatch", "ChannelModel"]
 
 Position = Tuple[float, float]
 
@@ -44,34 +49,13 @@ WallOracle = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class LinkBudget:
-    """Decomposition of one RSSI sample, for diagnostics and tests.
-
-    All values are in dB / dBm.  ``rssi`` is the final quantised value,
-    ``received`` is False when the sample was lost (below sensitivity
-    or dropped); a lost sample still carries its budget for analysis.
-    """
-
-    distance_m: float
-    tx_power_dbm: float
-    path_loss_db: float
-    wall_loss_db: float
-    shadowing_db: float
-    fading_db: float
-    rx_gain_db: float
-    noise_db: float
-    rssi: float
-    received: bool
-
-
-@dataclass(frozen=True)
 class LinkBudgetBatch:
     """Column-wise link budgets for a batch of samples.
 
-    The vectorised counterpart of :class:`LinkBudget`: every attribute
-    is an array over the batch, in input order.  ``budgets()`` expands
-    back to per-sample :class:`LinkBudget` rows when object form is
-    more convenient (tests, diagnostics).
+    Every attribute is an array over the batch, in input order; all
+    values are in dB / dBm.  ``rssi`` is the final quantised value and
+    ``received`` is False where the sample was lost (below sensitivity
+    or dropped); a lost sample still carries its budget for analysis.
     """
 
     distance_m: np.ndarray
@@ -87,24 +71,6 @@ class LinkBudgetBatch:
 
     def __len__(self) -> int:
         return len(self.rssi)
-
-    def budgets(self) -> List[LinkBudget]:
-        """Per-sample :class:`LinkBudget` rows, in batch order."""
-        return [
-            LinkBudget(
-                distance_m=float(self.distance_m[i]),
-                tx_power_dbm=float(self.tx_power_dbm[i]),
-                path_loss_db=float(self.path_loss_db[i]),
-                wall_loss_db=float(self.wall_loss_db[i]),
-                shadowing_db=float(self.shadowing_db[i]),
-                fading_db=float(self.fading_db[i]),
-                rx_gain_db=self.rx_gain_db,
-                noise_db=float(self.noise_db[i]),
-                rssi=float(self.rssi[i]),
-                received=bool(self.received[i]),
-            )
-            for i in range(len(self.rssi))
-        ]
 
 
 class ChannelModel:
@@ -181,80 +147,83 @@ class ChannelModel:
         fields = [self._shadow_field(tx_id) for tx_id in used]
         return sample_fields(fields, which, rx_x, rx_y)
 
-    def _deterministic_parts(
-        self, tx_id: str, tx_pos: Position, rx_pos: Position, tx_power_dbm: float
-    ) -> Tuple[float, float, float, float]:
-        """The seed-free budget components of one link.
+    def seed_free_parts(
+        self,
+        tx_ids: Sequence[str],
+        tx_xy: np.ndarray,
+        rx_xy: np.ndarray,
+        tx_powers_dbm: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The budget components that consume no random stream.
+
+        ``tx_xy`` has shape ``(n, 2)`` and ``tx_powers_dbm`` ``(n,)``;
+        ``rx_xy`` has shape ``(..., n, 2)``, where leading axes carry
+        one receiver each (the columnar drive passes ``(devices, n, 2)``).
 
         Returns:
-            ``(distance_m, path_loss_db, wall_loss_db, shadowing_db)``
-            — everything the budget needs that does not consume the
-            random stream (shadowing is deterministic per position).
+            ``(distance_m, path_loss_db, wall_loss_db, shadowing_db)``,
+            each of ``rx_xy``'s shape minus the last axis (shadowing is
+            deterministic per position).
         """
-        dx = rx_pos[0] - tx_pos[0]
-        dy = rx_pos[1] - tx_pos[1]
-        distance = float(np.hypot(dx, dy))
-        mean_rssi = self.path_loss.rssi(max(distance, 1e-6), tx_power_dbm)
-        path_loss = tx_power_dbm - mean_rssi
-        walls = 0.0
-        if self.wall_oracle is not None:
-            walls = float(
-                self.wall_oracle(
-                    np.asarray(tx_pos, dtype=float), np.asarray(rx_pos, dtype=float)
-                )
-            )
-        shadow = self._shadow_field(tx_id).sample(rx_pos[0], rx_pos[1])
-        return distance, path_loss, walls, shadow
+        rx_x, rx_y = rx_xy[..., 0], rx_xy[..., 1]
+        distance = np.hypot(rx_x - tx_xy[:, 0], rx_y - tx_xy[:, 1])
+        mean_rssi = self.path_loss.rssi(np.maximum(distance, 1e-6), tx_powers_dbm)
+        path_loss = tx_powers_dbm - mean_rssi
+        walls = (
+            self.wall_oracle(tx_xy, rx_xy)
+            if self.wall_oracle is not None
+            else np.zeros(distance.shape)
+        )
+        return distance, path_loss, walls, self.shadowing_db(tx_ids, rx_x, rx_y)
 
-    def link_budget(
+    def draw_rssi(
         self,
-        tx_id: str,
-        tx_pos: Position,
-        rx_pos: Position,
-        tx_power_dbm: float,
+        tx_powers_dbm: np.ndarray,
+        path_loss_db: np.ndarray,
+        wall_loss_db: np.ndarray,
+        shadowing_db: np.ndarray,
         device: DeviceRadioProfile,
         rng: np.random.Generator,
-    ) -> LinkBudget:
-        """Draw one RSSI sample and return its full decomposition."""
-        distance, path_loss, walls, shadow = self._deterministic_parts(
-            tx_id, tx_pos, rx_pos, tx_power_dbm
-        )
-        fade = self.fading.sample_db(rng) if self.fading is not None else 0.0
-        noise = (
-            float(rng.normal(0.0, device.rssi_noise_db))
-            if device.rssi_noise_db > 0.0
-            else 0.0
-        )
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One receiver's random draws over its ``n`` seed-free budgets.
 
+        ``rng`` is consumed in a fixed batch order: all fading draws,
+        then all noise draws, then collision uniforms, then stack-loss
+        uniforms.  Loss uniforms are drawn for every sample, not only
+        the ones above sensitivity, which keeps stream consumption a
+        function of ``n`` alone.
+
+        Returns:
+            ``(fading_db, noise_db, rssi, received)``, each of shape
+            ``(n,)``.
+        """
+        n = len(tx_powers_dbm)
+        fade = (
+            self.fading.sample_db(rng, size=n)
+            if self.fading is not None
+            else np.zeros(n)
+        )
+        noise = (
+            rng.normal(0.0, device.rssi_noise_db, size=n)
+            if device.rssi_noise_db > 0.0
+            else np.zeros(n)
+        )
         raw = (
-            tx_power_dbm
-            - path_loss
-            - walls
-            + shadow
+            tx_powers_dbm
+            - path_loss_db
+            - wall_loss_db
+            + shadowing_db
             + fade
             + device.rx_gain_db
             + noise
         )
         rssi = device.quantise(raw)
-
         received = rssi >= device.sensitivity_dbm
-        if received and self.collision_loss_prob > 0.0:
-            received = rng.random() >= self.collision_loss_prob
-        if received and device.extra_loss_prob > 0.0:
-            received = rng.random() >= device.extra_loss_prob
-
-        return LinkBudget(
-            distance_m=distance,
-            tx_power_dbm=tx_power_dbm,
-            path_loss_db=path_loss,
-            wall_loss_db=walls,
-            shadowing_db=shadow,
-            fading_db=fade,
-            rx_gain_db=device.rx_gain_db,
-            noise_db=noise,
-            rssi=rssi,
-            received=received,
-        )
+        if self.collision_loss_prob > 0.0:
+            received &= rng.random(size=n) >= self.collision_loss_prob
+        if device.extra_loss_prob > 0.0:
+            received &= rng.random(size=n) >= device.extra_loss_prob
+        return fade, noise, rssi, received
 
     def link_budget_many(
         self,
@@ -265,21 +234,11 @@ class ChannelModel:
         device: DeviceRadioProfile,
         rng: np.random.Generator,
     ) -> LinkBudgetBatch:
-        """Vectorised link budgets for a whole scan's worth of samples.
+        """Link budgets for a whole scan's worth of samples.
 
-        Path loss, shadowing and fading for all ``n`` samples are
-        computed in single numpy passes instead of ``n`` Python-level
-        calls — this is the hot path of every scan cycle.  The
-        deterministic components (distance, path loss, wall loss,
-        shadowing) are **identical** to ``n`` scalar
-        :meth:`link_budget` calls; the stochastic components consume
-        ``rng`` in a fixed batch order (all fading draws, then all
-        noise draws, then collision uniforms, then stack-loss
-        uniforms), so a batched run is deterministic per seed but
-        realises a different sample path than the per-sample loop.
-        Loss uniforms are drawn for every sample — not only the ones
-        above sensitivity — which keeps stream consumption a function
-        of the batch size alone.
+        One :meth:`seed_free_parts` pass and one :meth:`draw_rssi` pass
+        over all ``n`` samples, instead of ``n`` Python-level calls;
+        this is the hot path of every scan cycle.
 
         Args:
             tx_ids: transmitter id per sample (shadowing-field key).
@@ -295,49 +254,12 @@ class ChannelModel:
             tx_xy = np.asarray(tx_positions, dtype=float).reshape(n, 2)
             rx_xy = np.asarray(rx_positions, dtype=float).reshape(n, 2)
             tx_powers = np.asarray(tx_powers_dbm, dtype=float)
-
-            distance = np.hypot(
-                rx_xy[:, 0] - tx_xy[:, 0], rx_xy[:, 1] - tx_xy[:, 1]
+            distance, path_loss, walls, shadow = self.seed_free_parts(
+                tx_ids, tx_xy, rx_xy, tx_powers
             )
-            mean_rssi = self.path_loss.rssi(np.maximum(distance, 1e-6), tx_powers)
-            path_loss = tx_powers - mean_rssi
-
-            walls = (
-                self.wall_oracle(tx_xy, rx_xy)
-                if self.wall_oracle is not None
-                else np.zeros(n)
+            fade, noise, rssi, received = self.draw_rssi(
+                tx_powers, path_loss, walls, shadow, device, rng
             )
-
-            shadow = self.shadowing_db(tx_ids, rx_xy[:, 0], rx_xy[:, 1])
-
-            fade = (
-                self.fading.sample_db(rng, size=n)
-                if self.fading is not None
-                else np.zeros(n)
-            )
-            noise = (
-                rng.normal(0.0, device.rssi_noise_db, size=n)
-                if device.rssi_noise_db > 0.0
-                else np.zeros(n)
-            )
-
-            raw = (
-                tx_powers
-                - path_loss
-                - walls
-                + shadow
-                + fade
-                + device.rx_gain_db
-                + noise
-            )
-            rssi = device.quantise(raw)
-
-            received = rssi >= device.sensitivity_dbm
-            if self.collision_loss_prob > 0.0:
-                received &= rng.random(size=n) >= self.collision_loss_prob
-            if device.extra_loss_prob > 0.0:
-                received &= rng.random(size=n) >= device.extra_loss_prob
-
             return LinkBudgetBatch(
                 distance_m=distance,
                 tx_power_dbm=tx_powers,
@@ -350,16 +272,3 @@ class ChannelModel:
                 rssi=rssi,
                 received=received,
             )
-
-    def sample_rssi(
-        self,
-        tx_id: str,
-        tx_pos: Position,
-        rx_pos: Position,
-        tx_power_dbm: float,
-        device: DeviceRadioProfile,
-        rng: np.random.Generator,
-    ) -> Optional[float]:
-        """Draw one RSSI sample; ``None`` when the packet is lost."""
-        budget = self.link_budget(tx_id, tx_pos, rx_pos, tx_power_dbm, device, rng)
-        return budget.rssi if budget.received else None

@@ -51,13 +51,14 @@ def rssi_from_distance(
 
 
 def distance_from_rssi(
-    rssi_dbm: ArrayLike, tx_power_dbm: float, exponent: float
+    rssi_dbm: ArrayLike, tx_power_dbm: ArrayLike, exponent: float
 ) -> ArrayLike:
     """Invert the path-loss model to an estimated distance in metres.
 
     This is the textbook estimator the Ranging Service applies to each
-    smoothed RSSI value.  Estimates are clamped to
-    ``[MIN_DISTANCE_M, MAX_ESTIMATED_DISTANCE_M]``.
+    smoothed RSSI value; the columnar fleet drive passes one device's
+    row of values with the matching column of TX powers.  Estimates are
+    clamped to ``[MIN_DISTANCE_M, MAX_ESTIMATED_DISTANCE_M]``.
     """
     if exponent <= 0.0:
         raise ValueError(f"path-loss exponent must be positive, got {exponent}")

@@ -7,8 +7,6 @@ light default parameters) and returns the chart text.  Used by the CLI
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.experiments import (
     classification_experiment,
     device_offset_experiment,

@@ -8,7 +8,7 @@ just name rooms.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.building.floorplan import FloorPlan
 from repro.building.geometry import Point

@@ -8,8 +8,8 @@ are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.building.coverage import analyse_coverage
 from repro.building.floorplan import BeaconPlacement, FloorPlan

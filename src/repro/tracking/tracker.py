@@ -9,7 +9,7 @@ filter rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.tracking.events import RoomTransition

@@ -13,7 +13,6 @@ from repro.building.mobility import (
 from repro.building.presets import single_room, two_room_corridor
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
-from repro.radio.fading import RicianFading
 
 IDEAL = DEVICE_PROFILES["ideal"]
 

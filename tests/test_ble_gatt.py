@@ -1,6 +1,5 @@
 """Tests for the GATT layer and the relay board service."""
 
-import json
 import uuid
 
 import pytest

@@ -4,7 +4,7 @@ import uuid
 
 from hypothesis import given, strategies as st
 
-from repro.ble.sniffer import BeaconFormat, identify_format, sniff
+from repro.ble.sniffer import BeaconFormat, decode_ibeacon, identify_format, sniff
 from repro.ibeacon.altbeacon import AltBeaconPacket
 from repro.ibeacon.packet import IBeaconPacket
 
@@ -74,3 +74,17 @@ class TestSniff:
         packet = ibeacon(major=major, minor=minor)
         result = sniff(packet.encode())
         assert result.packet == packet
+
+
+class TestDecodeIbeacon:
+    """The rule behind ``AirInterface.decoded``, which both fleet drives read."""
+
+    def test_ibeacon_decoded_as_is(self):
+        assert decode_ibeacon(ibeacon(minor=4).encode()) == ibeacon(minor=4)
+
+    def test_altbeacon_normalised_to_the_ibeacon_identity(self):
+        assert decode_ibeacon(altbeacon(minor=9).encode()) == ibeacon(minor=9)
+
+    def test_undecodable_payload_is_none(self):
+        assert decode_ibeacon(b"\xde\xad\xbe\xef") is None
+        assert decode_ibeacon(ibeacon().encode()[:-3]) is None

@@ -14,7 +14,7 @@ from repro.building.floorplan import (
     Wall,
 )
 from repro.building.geometry import Point, Segment
-from repro.building.presets import BUILDING_UUID, make_beacon
+from repro.building.presets import make_beacon
 from repro.radio.materials import WALL_MATERIALS, wall_loss_db
 
 

@@ -96,6 +96,33 @@ class TestStaticDetection:
         assert len(run.predictions["alice"]) == 30  # 60 s / 2 s cycles
 
 
+class TestCycleEnergy:
+    """``PhoneRuntime.charge_cycle``, which both fleet drives call."""
+
+    def runtime(self, **config):
+        system = OccupancyDetectionSystem(make_test_house(), SystemConfig(**config))
+        system.add_occupant(Occupant("ann", StaticPosition(Point(3.0, 2.5))))
+        return system._runtimes["ann"]
+
+    def test_sensing_cycle_charges_the_profile(self):
+        rt = self.runtime(uplink="wifi")
+        rt.charge_cycle(2.0, 1.5, sensing=True)
+        assert rt.meter.duration_s == 2.0
+        assert rt.meter.breakdown().components_j == {
+            "baseline": rt.energy.baseline_w * 2.0,
+            "ble_scan": rt.energy.ble_scan_w * 1.5,
+            "uplink_idle": rt.uplink.IDLE_POWER_W * 2.0,
+        }
+
+    def test_suppressed_gated_cycle_charges_baseline_and_accelerometer(self):
+        rt = self.runtime(accel_gating=True)
+        rt.charge_cycle(2.0, 2.0, sensing=False)
+        assert rt.meter.breakdown().components_j == {
+            "baseline": rt.energy.baseline_w * 2.0,
+            "accelerometer": rt.energy.accelerometer_w * 2.0,
+        }
+
+
 class TestConfigurations:
     @pytest.mark.parametrize("classifier", ["proximity", "knn", "naive_bayes"])
     def test_alternative_classifiers_work(self, classifier):

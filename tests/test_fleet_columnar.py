@@ -9,13 +9,15 @@ by running both engines from identical initial states and comparing
 exact floats, never approximations.
 """
 
+import uuid
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.building.mobility import RandomWaypoint
 from repro.building.occupant import Occupant
-from repro.building.presets import two_room_corridor
+from repro.building.presets import make_beacon, two_room_corridor
 from repro.core.config import SystemConfig
 from repro.core.system import OccupancyDetectionSystem
 from repro.fleet import FleetLoadGenerator
@@ -45,8 +47,10 @@ CONTRACT_COUNTERS = (
 )
 
 
-def build_system(platform="android", devices=2, seed=0, **config_kwargs):
-    plan = two_room_corridor()
+def build_system(
+    platform="android", devices=2, seed=0, make_plan=two_room_corridor, **config_kwargs
+):
+    plan = make_plan()
     config = SystemConfig(
         seed=seed,
         platform=platform,
@@ -198,6 +202,43 @@ class TestColumnarEquivalence:
             rt.phone.app.tracker.live_beacons
             for rt in columnar._runtimes.values()
         )
+
+
+def corridor_with_foreign_beacon():
+    """``two_room_corridor`` plus a beacon of another UUID by the door."""
+    from repro.building.geometry import Point
+
+    plan = two_room_corridor()
+    plan.add_beacon(
+        make_beacon(
+            9,
+            Point(6.5, 1.5),
+            "room_b",
+            major=9,
+            uuid=uuid.UUID("00000000-0000-4000-8000-00000000f0f0"),
+        )
+    )
+    return plan
+
+
+class TestForeignBeacon:
+    @pytest.mark.parametrize("platform", ["android", "ios"])
+    def test_out_of_region_beacon_is_heard_but_never_reported(self, platform):
+        """Both drives hear and decode the foreign beacon (one decode
+        table), keep it out of every report, and stay byte-identical."""
+        scalar, columnar, _, _ = run_both(
+            platform, 3, 60.0, seed=8, make_plan=corridor_with_foreign_beacon
+        )
+        air = scalar.air
+        foreign = air.advertisers[-1].placement.beacon_id
+        assert foreign == "9-9"
+        assert air.decoded[-1] is not None
+        assert not scalar.region.matches(air.decoded[-1])
+        reports = [
+            r for rt in columnar._runtimes.values() for r in rt.phone.app.reports
+        ]
+        assert reports
+        assert all(foreign not in r.distances() for r in reports)
 
 
 class TestColumnarLoadgen:

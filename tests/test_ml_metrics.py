@@ -1,6 +1,5 @@
 """Tests for accuracy and the confusion matrix."""
 
-import numpy as np
 import pytest
 
 from repro.ml.metrics import ConfusionMatrix, accuracy_score

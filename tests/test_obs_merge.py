@@ -12,7 +12,6 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.events import TelemetryEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink
 

@@ -6,7 +6,7 @@ import pytest
 from repro.ble.air import AirInterface
 from repro.building.geometry import Point
 from repro.building.mobility import StaticPosition
-from repro.building.presets import BUILDING_UUID, single_room, two_room_corridor
+from repro.building.presets import BUILDING_UUID
 from repro.ibeacon.region import BeaconRegion, RegionEventKind
 from repro.phone.app import AppState, OccupancyApp
 from repro.phone.scanner import AndroidScanner

@@ -1,5 +1,7 @@
 """Tests for the platform-faithful scanner semantics (paper Section V)."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,16 @@ from repro.building.geometry import Point
 from repro.building.mobility import RandomWaypoint, RoomSchedule, StaticPosition
 from repro.building.presets import single_room, two_room_corridor
 from repro.building.presets import test_house as make_test_house
-from repro.phone.scanner import AndroidScanner, IosScanner, _samples_by_beacon
+from repro.obs.metrics import MetricsRegistry
+from repro.phone.scanner import (
+    AndroidScanner,
+    IosScanner,
+    _samples_by_beacon,
+    surface_android,
+)
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
-from tests.surfacing_oracle import reference_cycle
+from tests.surfacing_oracle import android_surface, reference_cycle
 
 
 def quiet_air(plan):
@@ -144,6 +152,49 @@ class TestScanCycle:
         ).received_count
 
 
+class TestCycleCounters:
+    """``Scanner.count_cycle``, which both fleet drives call."""
+
+    def scan(self, registry, decodable=True):
+        air = quiet_air(two_room_corridor())
+        if not decodable:
+            air.decoded[0] = None
+        scanner = AndroidScanner(
+            air, device="ideal", rng=np.random.default_rng(0), registry=registry
+        )
+        return scanner.scan_cycle(fixed(Point(6.0, 1.5)), 0.0)
+
+    def test_counters_book_the_cycle(self):
+        registry = MetricsRegistry()
+        cycle = self.scan(registry)
+        value = {
+            name: registry.counter(f"phone.{name}").value
+            for name in (
+                "scan_cycles",
+                "adverts_received",
+                "samples_surfaced",
+                "samples_filtered",
+                "decode_drops",
+            )
+        }
+        assert value == {
+            "scan_cycles": 1,
+            "adverts_received": cycle.received_count,
+            "samples_surfaced": cycle.surfaced_count,
+            "samples_filtered": cycle.received_count - cycle.surfaced_count,
+            "decode_drops": 0,
+        }
+
+    def test_undecodable_beacon_is_dropped_and_counted(self):
+        """A beacon whose payload the decode table holds no packet for
+        surfaces a sample the app never sees."""
+        registry = MetricsRegistry()
+        cycle = self.scan(registry, decodable=False)
+        assert cycle.beacon_ids == ["1-2"]
+        assert list(cycle.packets) == ["1-2"]
+        assert registry.counter("phone.decode_drops").value == 1
+
+
 class TestScannerConstruction:
     def test_device_name_resolved(self):
         air = quiet_air(single_room())
@@ -215,3 +266,47 @@ def test_scan_cycle_matches_per_sighting_oracle(seed, period, android, device, k
                 np.float64(mean).tobytes()
             )
         t += period
+
+
+Row = namedtuple("Row", "time beacon_id rssi")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    period=st.sampled_from([2.0, 5.0, 10.0]),
+    cycle=st.integers(0, 5),
+    devices=st.integers(1, 4),
+    time_order=st.booleans(),
+)
+def test_surface_android_matches_per_sighting_oracle(
+    seed, period, cycle, devices, time_order
+):
+    """Row by row, the shared surfacing of a ``(devices, samples)``
+    received mask equals the per-sighting rule of
+    ``tests/surfacing_oracle.py``, with the samples in time order (the
+    scanner's reception) or in the schedule's beacon-major order (the
+    columnar drive).  Both drives call the function, so their equality
+    alone could not catch a fault in it."""
+    air = AirInterface(make_test_house())
+    t_start = cycle * period
+    window = air.schedule(t_start, t_start + period)
+    order = window.order if time_order else np.arange(len(window.times))
+    times, advertiser = window.times[order], window.advertiser[order]
+    rng = np.random.default_rng(seed)
+    received = rng.random((devices, len(times))) < rng.uniform(0.05, 1.0)
+    beacon_ids = [adv.placement.beacon_id for adv in air.advertisers]
+    rows = [
+        Row(time, beacon_ids[k], float(i))
+        for i, (time, k) in enumerate(zip(times.tolist(), advertiser.tolist()))
+    ]
+    picked = surface_android(received, times, advertiser, t_start)
+    for received_row, picked_row in zip(received, picked):
+        expected = android_surface(
+            [rows[i] for i in np.flatnonzero(received_row)], t_start
+        )
+        surfaced = {}
+        for i in np.flatnonzero(picked_row):
+            surfaced.setdefault(rows[i].beacon_id, []).append(rows[i].rssi)
+        assert surfaced == expected
+        assert list(surfaced) == list(expected)

@@ -1,4 +1,8 @@
-"""Tests for the end-to-end channel model."""
+"""Tests for the end-to-end channel model.
+
+Every draw goes through ``link_budget_many``; the per-sample budget of
+``tests/channel_oracle.py`` is the reference it is pinned against.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from repro.radio.devices import DEVICE_PROFILES
 from repro.radio.fading import RicianFading
 from repro.radio.materials import wall_loss_db
 from repro.radio.pathloss import LogDistancePathLoss
+from tests.channel_oracle import budgets, link_budget
 
 IDEAL = DEVICE_PROFILES["ideal"]
 S3 = DEVICE_PROFILES["s3_mini"]
@@ -25,28 +30,36 @@ def quiet_channel(**overrides):
     return ChannelModel(**defaults)
 
 
+def one_budget(channel, tx_id, tx_pos, rx_pos, tx_power_dbm, device, rng):
+    """One sample drawn through ``link_budget_many``, as a budget row."""
+    batch = channel.link_budget_many(
+        [tx_id], [tx_pos], [rx_pos], [tx_power_dbm], device, rng
+    )
+    return budgets(batch)[0]
+
+
 class TestLinkBudget:
     def test_quiet_channel_matches_path_loss_exactly(self, rng):
         channel = quiet_channel()
-        budget = channel.link_budget("b1", (0.0, 0.0), (2.0, 0.0), -59.0, IDEAL, rng)
+        budget = one_budget(channel, "b1", (0.0, 0.0), (2.0, 0.0), -59.0, IDEAL, rng)
         expected = LogDistancePathLoss().rssi(2.0, -59.0)
         assert budget.rssi == pytest.approx(expected)
         assert budget.received
 
     def test_distance_recorded(self, rng):
         channel = quiet_channel()
-        budget = channel.link_budget("b1", (0.0, 0.0), (3.0, 4.0), -59.0, IDEAL, rng)
+        budget = one_budget(channel, "b1", (0.0, 0.0), (3.0, 4.0), -59.0, IDEAL, rng)
         assert budget.distance_m == pytest.approx(5.0)
 
     def test_rx_gain_shifts_rssi(self, rng):
         channel = quiet_channel()
-        base = channel.link_budget("b1", (0.0, 0.0), (2.0, 0.0), -59.0, IDEAL, rng)
+        base = one_budget(channel, "b1", (0.0, 0.0), (2.0, 0.0), -59.0, IDEAL, rng)
         gained_profile = DEVICE_PROFILES["ideal"].__class__(
             name="gained", rx_gain_db=6.0, rssi_noise_db=0.0,
             sensitivity_dbm=-120.0, rssi_quantisation_db=0.0, extra_loss_prob=0.0,
         )
-        gained = channel.link_budget(
-            "b1", (0.0, 0.0), (2.0, 0.0), -59.0, gained_profile, rng
+        gained = one_budget(
+            channel, "b1", (0.0, 0.0), (2.0, 0.0), -59.0, gained_profile, rng
         )
         assert gained.rssi - base.rssi == pytest.approx(6.0)
 
@@ -57,8 +70,8 @@ class TestLinkBudget:
                 np.shape(rx)[:-1], wall_loss_db(["concrete"])
             )
         )
-        open_rssi = free.link_budget("b1", (0, 0), (2, 0), -59.0, IDEAL, rng).rssi
-        blocked = walled.link_budget("b1", (0, 0), (2, 0), -59.0, IDEAL, rng).rssi
+        open_rssi = one_budget(free, "b1", (0, 0), (2, 0), -59.0, IDEAL, rng).rssi
+        blocked = one_budget(walled, "b1", (0, 0), (2, 0), -59.0, IDEAL, rng).rssi
         assert open_rssi - blocked == pytest.approx(12.0)
 
     def test_below_sensitivity_not_received(self, rng):
@@ -67,7 +80,7 @@ class TestLinkBudget:
             name="deaf", rx_gain_db=0.0, rssi_noise_db=0.0,
             sensitivity_dbm=-20.0, rssi_quantisation_db=0.0, extra_loss_prob=0.0,
         )
-        budget = channel.link_budget("b1", (0, 0), (10, 0), -59.0, profile, rng)
+        budget = one_budget(channel, "b1", (0, 0), (10, 0), -59.0, profile, rng)
         assert not budget.received
 
     def test_shadowing_constant_at_fixed_position(self):
@@ -75,8 +88,8 @@ class TestLinkBudget:
             shadowing_sigma_db=4.0, fading=None, collision_loss_prob=0.0, seed=2
         )
         rng = np.random.default_rng(0)
-        first = channel.link_budget("b1", (0, 0), (3, 1), -59.0, IDEAL, rng).shadowing_db
-        second = channel.link_budget("b1", (0, 0), (3, 1), -59.0, IDEAL, rng).shadowing_db
+        first = one_budget(channel, "b1", (0, 0), (3, 1), -59.0, IDEAL, rng).shadowing_db
+        second = one_budget(channel, "b1", (0, 0), (3, 1), -59.0, IDEAL, rng).shadowing_db
         assert first == second
 
     def test_shadowing_differs_between_transmitters(self):
@@ -84,26 +97,29 @@ class TestLinkBudget:
             shadowing_sigma_db=4.0, fading=None, collision_loss_prob=0.0, seed=2
         )
         rng = np.random.default_rng(0)
-        a = channel.link_budget("b1", (0, 0), (3, 1), -59.0, IDEAL, rng).shadowing_db
-        b = channel.link_budget("b2", (0, 0), (3, 1), -59.0, IDEAL, rng).shadowing_db
+        a = one_budget(channel, "b1", (0, 0), (3, 1), -59.0, IDEAL, rng).shadowing_db
+        b = one_budget(channel, "b2", (0, 0), (3, 1), -59.0, IDEAL, rng).shadowing_db
         assert a != b
 
 
 class TestSampleRssi:
+    """Received and lost single samples, one-sample windows."""
+
     def test_none_when_lost(self, rng):
         channel = quiet_channel(collision_loss_prob=1.0)
-        assert channel.sample_rssi("b1", (0, 0), (2, 0), -59.0, IDEAL, rng) is None
+        assert not one_budget(channel, "b1", (0, 0), (2, 0), -59.0, IDEAL, rng).received
 
     def test_value_when_received(self, rng):
         channel = quiet_channel()
-        value = channel.sample_rssi("b1", (0, 0), (2, 0), -59.0, IDEAL, rng)
-        assert isinstance(value, float)
+        budget = one_budget(channel, "b1", (0, 0), (2, 0), -59.0, IDEAL, rng)
+        assert budget.received
+        assert isinstance(budget.rssi, float)
 
     def test_loss_rate_roughly_matches_probability(self):
         channel = quiet_channel(collision_loss_prob=0.3)
         rng = np.random.default_rng(7)
         received = sum(
-            channel.sample_rssi("b1", (0, 0), (2, 0), -59.0, IDEAL, rng) is not None
+            one_budget(channel, "b1", (0, 0), (2, 0), -59.0, IDEAL, rng).received
             for _ in range(2000)
         )
         assert 0.62 < received / 2000 < 0.78
@@ -112,7 +128,7 @@ class TestSampleRssi:
         channel = quiet_channel(collision_loss_prob=0.0)
         rng = np.random.default_rng(7)
         received = sum(
-            channel.sample_rssi("b1", (0, 0), (2, 0), -59.0, S3, rng) is not None
+            one_budget(channel, "b1", (0, 0), (2, 0), -59.0, S3, rng).received
             for _ in range(2000)
         )
         # S3 Mini extra_loss_prob = 0.10.
@@ -140,9 +156,9 @@ class TestLinkBudgetMany:
         channel = quiet_channel()
         tx_ids, tx_pos, rx, powers = self._batch_inputs()
         batch = channel.link_budget_many(tx_ids, tx_pos, rx, powers, IDEAL, rng)
-        for i, budget in enumerate(batch.budgets()):
-            scalar = channel.link_budget(
-                tx_ids[i], tx_pos[i], rx[i], powers[i], IDEAL, rng
+        for i, budget in enumerate(budgets(batch)):
+            scalar = link_budget(
+                channel, tx_ids[i], tx_pos[i], rx[i], powers[i], IDEAL, rng
             )
             assert budget == scalar
 
@@ -159,8 +175,8 @@ class TestLinkBudgetMany:
         tx_ids, tx_pos, rx, powers = self._batch_inputs()
         batch = channel.link_budget_many(tx_ids, tx_pos, rx, powers, S3, rng)
         for i in range(len(batch)):
-            scalar = channel.link_budget(
-                tx_ids[i], tx_pos[i], rx[i], powers[i], S3, rng
+            scalar = link_budget(
+                channel, tx_ids[i], tx_pos[i], rx[i], powers[i], S3, rng
             )
             assert batch.distance_m[i] == scalar.distance_m
             assert batch.path_loss_db[i] == scalar.path_loss_db
@@ -211,7 +227,7 @@ class TestLinkBudgetMany:
         channel = quiet_channel()
         batch = channel.link_budget_many([], [], [], [], IDEAL, rng)
         assert len(batch) == 0
-        assert batch.budgets() == []
+        assert budgets(batch) == []
 
     def test_loss_rate_roughly_matches_probability(self):
         channel = quiet_channel(collision_loss_prob=0.3)

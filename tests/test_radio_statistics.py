@@ -15,6 +15,15 @@ from repro.radio.shadowing import ShadowingField
 IDEAL = DEVICE_PROFILES["ideal"]
 
 
+def received_rssi(channel, rx, n, device, rng):
+    """``n`` draws at ``rx`` in one ``link_budget_many`` window: the
+    RSSI of the received samples and the received mask."""
+    batch = channel.link_budget_many(
+        ["b1"] * n, [(0.0, 0.0)] * n, [rx] * n, [-59.0] * n, device, rng
+    )
+    return batch.rssi[batch.received], batch.received
+
+
 class TestShadowingStatistics:
     def test_autocorrelation_decays_with_distance(self):
         """Gudmundson: nearby points correlated, far points not."""
@@ -65,11 +74,7 @@ class TestEndToEndRssiStatistics:
             # Different positions at the same 4 m range.
             angle = 2 * np.pi * i / 30
             rx = (4.0 * np.cos(angle), 4.0 * np.sin(angle))
-            samples = [
-                channel.sample_rssi("b1", (0.0, 0.0), rx, -59.0, IDEAL, rng)
-                for _ in range(40)
-            ]
-            received = [s for s in samples if s is not None]
+            received, _ = received_rssi(channel, rx, 40, IDEAL, rng)
             errors.append(np.mean(received) - (-59.0 - 22.0 * np.log10(4.0)))
         assert abs(np.mean(errors)) < 1.5
 
@@ -78,12 +83,9 @@ class TestEndToEndRssiStatistics:
         noise: a few dB for the default channel."""
         channel = ChannelModel(seed=5)
         rng = np.random.default_rng(6)
-        samples = [
-            channel.sample_rssi("b1", (0.0, 0.0), (3.0, 1.0), -59.0,
-                                DEVICE_PROFILES["s3_mini"], rng)
-            for _ in range(500)
-        ]
-        received = [s for s in samples if s is not None]
+        received, _ = received_rssi(
+            channel, (3.0, 1.0), 500, DEVICE_PROFILES["s3_mini"], rng
+        )
         assert 1.0 < np.std(received) < 6.0
 
     def test_loss_rate_increases_with_distance(self):
@@ -92,12 +94,7 @@ class TestEndToEndRssiStatistics:
         device = DEVICE_PROFILES["s3_mini"]
 
         def loss_rate(distance):
-            lost = 0
-            for _ in range(400):
-                if channel.sample_rssi(
-                    "b1", (0.0, 0.0), (distance, 0.0), -59.0, device, rng
-                ) is None:
-                    lost += 1
-            return lost / 400
+            _, received = received_rssi(channel, (distance, 0.0), 400, device, rng)
+            return float(np.mean(~received))
 
         assert loss_rate(40.0) > loss_rate(2.0)

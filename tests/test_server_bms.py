@@ -159,6 +159,20 @@ class TestOccupancy:
         assert bms.snapshot(25.0).count("kitchen") == 1
         assert bms.snapshot(31.0).count("kitchen") == 0
 
+    def test_device_room_at_is_the_snapshot_entry(self):
+        """Both fleet drives record predictions through
+        ``device_room_at``: exactly ``snapshot(now).devices.get(id)``,
+        silence expiry included."""
+        reads, snaps = (trained_bms(device_timeout_s=20.0) for _ in range(2))
+        for bms in (reads, snaps):
+            bms.ingest_sighting("alice", {"1-1": 1.0, "1-2": 8.0}, 10.0)
+            bms.ingest_sighting("bob", {"1-1": 8.0, "1-2": 1.0}, 22.0)
+        for now in (10.0, 25.0, 31.0, 41.0, 43.0):
+            expected = snaps.snapshot(now).devices
+            for device in ("alice", "bob", "nobody"):
+                assert reads.device_room_at(device, now) == expected.get(device)
+        assert reads.snapshot(43.0) == snaps.snapshot(43.0)
+
     def test_sightings_recorded_in_db(self):
         bms = trained_bms()
         bms.ingest_sighting("alice", {"1-1": 1.0, "1-2": 8.0}, 10.0)

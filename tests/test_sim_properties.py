@@ -1,6 +1,6 @@
 """Property-based tests for the simulation engine and RNG streams."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams, derive_seed
