@@ -378,14 +378,12 @@ class FleetLoadGenerator:
                 system.bms.attach_wal(
                     SightingWal(wal_path / "shard-00", registry=self.obs)
                 )
-            store = (
-                system.bms._shards[0] if service is not None else system.bms
-            )
+            vectorizer = system.bms.model.vectorizer
             write_manifest(
                 wal_path,
-                beacon_ids=list(store.vectorizer.beacon_ids),
-                missing_value=store.vectorizer.missing_value,
-                device_timeout_s=store.device_timeout_s,
+                beacon_ids=list(vectorizer.beacon_ids),
+                missing_value=vectorizer.missing_value,
+                device_timeout_s=system.bms.device_timeout_s,
                 svm_c=config.svm_c,
                 svm_gamma=config.svm_gamma,
                 seed=self.seed,

@@ -5,10 +5,12 @@ ingests sighting reports from phones, stores calibration fingerprints,
 trains the Scene Analysis classifier (SVM-RBF by default), answers
 occupancy queries per device and per room, and exposes the whole thing
 over the REST-like :class:`~repro.server.rest.Router` so the uplink
-models can deliver real requests.  :func:`register_routes` is that
-route table, shared with the sharded front door
-(:mod:`repro.server.sharded`), and :func:`normalise_sighting` and
-:func:`normalise_fingerprint` validate everything it accepts.
+models can deliver real requests.  :class:`RoomModel` holds the
+fingerprints and the fitted classifier, once for every store that
+classifies with it; :func:`register_routes` is the route table, shared
+with the sharded front door (:mod:`repro.server.sharded`), and
+:func:`normalise_sighting` and :func:`normalise_fingerprint` validate
+everything it accepts.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.server.rest import HttpError, Request, Router
 __all__ = [
     "BuildingManagementServer",
     "OccupancySnapshot",
+    "RoomModel",
     "normalise_fingerprint",
     "normalise_sighting",
     "register_routes",
@@ -170,21 +173,22 @@ class OccupancySnapshot:
         return sum(self.rooms.values())  # repro: noqa[numeric-dict-reduction] integer counts, order-free
 
 
-class BuildingManagementServer:
-    """BMS: fingerprint store + classifier + live occupancy state.
+class RoomModel:
+    """The calibration fingerprints and the room classifier fitted on them.
+
+    It holds the fingerprint table, the vectoriser, the scaler, the
+    classifier and the trained flag, so every fit and refit happens
+    once however many stores classify with it: a
+    :class:`BuildingManagementServer` builds its own, and the shards of
+    a :class:`~repro.server.sharded.ShardedBmsService` share the door's.
 
     Args:
         beacon_ids: the building's installed beacons (feature space).
         classifier: any estimator with ``fit(X, y)``/``predict(X)``;
             defaults to the paper's SVM with RBF kernel.
         missing_value: vectoriser fill for unseen beacons.
-        device_timeout_s: drop devices silent for this long.
         svm_c: box constraint of the default SVM.
         svm_gamma: RBF gamma of the default SVM.
-        registry: telemetry registry; defaults to a no-op one.
-        wal: optional :class:`repro.traces.wal.SightingWal` the server
-            writes through on every state-changing ingest operation
-            (see :meth:`attach_wal`).
     """
 
     def __init__(
@@ -193,52 +197,24 @@ class BuildingManagementServer:
         *,
         classifier=None,
         missing_value: float = MISSING_DISTANCE_M,
-        device_timeout_s: float = DEFAULT_DEVICE_TIMEOUT_S,
         svm_c: float = 10.0,
         svm_gamma: float = 0.5,
-        registry: Optional[MetricsRegistry] = None,
-        wal=None,
     ) -> None:
         if not beacon_ids:
             raise ValueError("the building needs at least one beacon")
-        if device_timeout_s <= 0.0:
-            raise ValueError(f"device timeout must be positive, got {device_timeout_s}")
         self.db = Database()
-        self.db.create_table("sightings", ["time", "device_id", "beacons"])
         self.fingerprints = FingerprintStore(self.db)
         self.vectorizer = FingerprintVectorizer(beacon_ids, missing_value=missing_value)
-        self._known_beacons = frozenset(self.vectorizer.beacon_ids)
+        #: The beacon ids a sighting must name at least one of.
+        self.known_beacons = frozenset(self.vectorizer.beacon_ids)
         self.scaler = StandardScaler()
         self.classifier = (
             classifier
             if classifier is not None
             else SupportVectorClassifier(c=svm_c, kernel=RbfKernel(gamma=svm_gamma))
         )
-        self.device_timeout_s = float(device_timeout_s)
-        self.history = OccupancyHistory()
         self.trained = False
-        self._device_rooms: Dict[str, str] = {}
-        self._device_last_seen: Dict[str, float] = {}
-        self._now = 0.0
-        self.obs = registry if registry is not None else MetricsRegistry()
-        self._c_sightings = self.obs.counter("server.sightings")
-        self._c_classifications = self.obs.counter("server.classifications")
-        self._c_expired = self.obs.counter("server.expired_devices")
-        self._c_batches = self.obs.counter("server.batches")
-        self._h_batch_size = self.obs.histogram(
-            "server.batch_size", buckets=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
-        )
-        self._g_devices = self.obs.gauge("server.tracked_devices")
-        self.wal = wal
-        self.router = Router()
-        # Request-level tracing: dispatches run in server.request spans
-        # on the BMS registry's tracer (silent under a NullSink).
-        self.router.tracer = self.obs.tracer
-        register_routes(self)
 
-    # ------------------------------------------------------------------
-    # Core operations (also reachable over the REST router)
-    # ------------------------------------------------------------------
     def add_fingerprint(
         self, room: str, beacons: Mapping[str, float], time: float = 0.0
     ) -> int:
@@ -249,7 +225,7 @@ class BuildingManagementServer:
         row = normalise_fingerprint({"room": room, "beacons": beacons, "time": time})
         return self.fingerprints.add(**row)
 
-    def train(self) -> float:
+    def fit(self) -> float:
         """Fit the classifier on all stored fingerprints.
 
         Returns:
@@ -268,63 +244,69 @@ class BuildingManagementServer:
         self.trained = True
         return float(np.mean(self.classifier.predict(X) == y))
 
-    def refresh(self, fingerprints: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Absorb new calibration fingerprints without a cold refit.
+    def check_refresh(
+        self, fingerprints: Sequence[Mapping[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """Validate a refresh's fingerprints into the rows :meth:`refit` takes.
 
-        The new rows are stored, vectorised, pushed through the
-        *frozen* scaler (refitting it would shift every previously
-        learned feature, forfeiting the incremental path — the scaler
-        keeps the statistics of the original calibration) and handed
-        to the classifier's ``refresh`` fast path: Gram extension plus
+        Raises:
+            ValueError: a malformed row, or none at all.
+            RuntimeError: the refresh would retrain on fewer than two
+                labels.
+        """
+        rows = [normalise_fingerprint(fingerprint) for fingerprint in fingerprints]
+        if not rows:
+            raise ValueError("refresh needs at least one fingerprint")
+        if not self._incremental:
+            _require_two_labels(
+                set(self.fingerprints.rooms() + [row["room"] for row in rows])
+            )
+        return rows
+
+    def refit(
+        self, rows: Sequence[Mapping[str, Any]], registry: MetricsRegistry
+    ) -> Dict[str, Any]:
+        """Store :meth:`check_refresh`'s rows and absorb them into the model.
+
+        The rows are vectorised, pushed through the *frozen* scaler
+        (refitting it would shift every previously learned feature,
+        forfeiting the incremental path — the scaler keeps the
+        statistics of the original calibration) and handed to the
+        classifier's ``refresh`` fast path: Gram extension plus
         affected-pair refits, byte-identical to a cold fit on the
         concatenated scaled dataset.  Classifiers without ``refresh``
-        (kNN, proximity, naive Bayes) fall back to a full
-        :meth:`train`, as does an untrained server.
-
-        All or nothing: a malformed row (or none at all) is a
-        ``ValueError``, and a retrain that could not fit (fewer than two
-        labels) a ``RuntimeError``, both raised before any row is stored.
-
-        Args:
-            fingerprints: mappings with ``room``, ``beacons`` and
-                optional ``time`` keys, one per calibration sample.
+        (kNN, proximity, naive Bayes) fall back to a full :meth:`fit`,
+        as does an untrained model.  The fast path's Gram-cache traffic
+        is counted on ``registry``.
 
         Returns:
             A report dict: ``mode`` (``"refresh"`` or ``"retrain"``),
             ``added`` rows, and in refresh mode the classifier's
             refitted/reused pair counts.
         """
-        rows = [normalise_fingerprint(fingerprint) for fingerprint in fingerprints]
-        if not rows:
-            raise ValueError("refresh needs at least one fingerprint")
-        incremental = self.trained and hasattr(self.classifier, "refresh")
+        incremental = self._incremental
+        for row in rows:
+            self.fingerprints.add(**row)
         if not incremental:
-            rooms = self.fingerprints.rooms() + [row["room"] for row in rows]
-            _require_two_labels(set(rooms))
-        with self.obs.tracer.span("server.refresh", fingerprints=len(rows)):
-            for row in rows:
-                self.fingerprints.add(**row)
-            if incremental:
-                X_new = self.vectorizer.transform([r["beacons"] for r in rows])
-                if self._wants_scaling:
-                    X_new = self.scaler.transform(X_new)
-                y_new = np.asarray([r["room"] for r in rows])
-                with gram_cache.observed(self.obs):
-                    self.classifier.refresh(X_new, y_new)
-                stats = getattr(self.classifier, "refresh_stats_", {})
-                report = {
-                    "mode": "refresh",
-                    "added": len(rows),
-                    "refitted_pairs": int(stats.get("refitted_pairs", 0)),
-                    "reused_pairs": int(stats.get("reused_pairs", 0)),
-                }
-            else:
-                self.train()
-                report = {"mode": "retrain", "added": len(rows)}
-            self.obs.counter("server.refreshes").inc(mode=report["mode"])
-            if self.wal is not None:
-                self.wal.append_refresh(rows, self._now)
-        return report
+            self.fit()
+            return {"mode": "retrain", "added": len(rows)}
+        X_new = self.vectorizer.transform([row["beacons"] for row in rows])
+        if self._wants_scaling:
+            X_new = self.scaler.transform(X_new)
+        y_new = np.asarray([row["room"] for row in rows])
+        with gram_cache.observed(registry):
+            self.classifier.refresh(X_new, y_new)
+        stats = getattr(self.classifier, "refresh_stats_", {})
+        return {
+            "mode": "refresh",
+            "added": len(rows),
+            "refitted_pairs": int(stats.get("refitted_pairs", 0)),
+            "reused_pairs": int(stats.get("reused_pairs", 0)),
+        }
+
+    @property
+    def _incremental(self) -> bool:
+        return self.trained and hasattr(self.classifier, "refresh")
 
     @property
     def _wants_scaling(self) -> bool:
@@ -353,9 +335,7 @@ class BuildingManagementServer:
 
         All fingerprints are vectorised into a single ``(N, d)``
         matrix, scaled once, and pushed through a single
-        ``classifier.predict`` — the Gram matrix against the support
-        vectors is computed once for the whole batch instead of once
-        per row.  Predictions are identical to calling
+        ``classifier.predict``.  Predictions are identical to calling
         :meth:`classify` per fingerprint.
 
         Raises:
@@ -369,6 +349,172 @@ class BuildingManagementServer:
         if self._wants_scaling:
             X = self.scaler.transform(X)
         return [str(label) for label in self.classifier.predict(X)]
+
+
+class BuildingManagementServer:
+    """BMS: a room model + live occupancy state.
+
+    Args:
+        beacon_ids: the building's installed beacons (feature space).
+        classifier: any estimator with ``fit(X, y)``/``predict(X)``;
+            defaults to the paper's SVM with RBF kernel.
+        missing_value: vectoriser fill for unseen beacons.
+        device_timeout_s: drop devices silent for this long.
+        svm_c: box constraint of the default SVM.
+        svm_gamma: RBF gamma of the default SVM.
+        registry: telemetry registry; defaults to a no-op one.
+        wal: optional :class:`repro.traces.wal.SightingWal` the server
+            writes through on every state-changing ingest operation
+            (see :meth:`attach_wal`).
+        model: a :class:`RoomModel` shared with other stores (the
+            sharded door's shards share one).  It then supplies the
+            feature space and the classifier: ``beacon_ids`` must equal
+            its own, and ``classifier``, ``missing_value``, ``svm_c``
+            and ``svm_gamma`` must be left at their defaults.  By
+            default the store builds its own from them.
+
+    Raises:
+        ValueError: no beacons, a non-positive ``device_timeout_s``, or
+            a ``model`` passed with model settings that disagree with
+            it.
+    """
+
+    def __init__(
+        self,
+        beacon_ids: List[str],
+        *,
+        classifier=None,
+        missing_value: float = MISSING_DISTANCE_M,
+        device_timeout_s: float = DEFAULT_DEVICE_TIMEOUT_S,
+        svm_c: float = 10.0,
+        svm_gamma: float = 0.5,
+        registry: Optional[MetricsRegistry] = None,
+        wal=None,
+        model: Optional[RoomModel] = None,
+    ) -> None:
+        if model is None:
+            model = RoomModel(
+                beacon_ids,
+                classifier=classifier,
+                missing_value=missing_value,
+                svm_c=svm_c,
+                svm_gamma=svm_gamma,
+            )
+        elif (
+            list(beacon_ids) != model.vectorizer.beacon_ids
+            or classifier is not None
+            or (missing_value, svm_c, svm_gamma) != (MISSING_DISTANCE_M, 10.0, 0.5)
+        ):
+            raise ValueError(
+                "a shared model supplies the feature space and the "
+                "classifier: pass its beacon_ids and no classifier, "
+                "missing_value, svm_c or svm_gamma"
+            )
+        if device_timeout_s <= 0.0:
+            raise ValueError(f"device timeout must be positive, got {device_timeout_s}")
+        self.model = model
+        self.db = Database()
+        self.db.create_table("sightings", ["time", "device_id", "beacons"])
+        self.db.attach(model.db.table(FingerprintStore.TABLE))
+        self.device_timeout_s = float(device_timeout_s)
+        self.history = OccupancyHistory()
+        self._device_rooms: Dict[str, str] = {}
+        self._device_last_seen: Dict[str, float] = {}
+        self._now = 0.0
+        self.obs = registry if registry is not None else MetricsRegistry()
+        self._c_sightings = self.obs.counter("server.sightings")
+        self._c_classifications = self.obs.counter("server.classifications")
+        self._c_expired = self.obs.counter("server.expired_devices")
+        self._c_batches = self.obs.counter("server.batches")
+        self._h_batch_size = self.obs.histogram(
+            "server.batch_size", buckets=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
+        )
+        self._g_devices = self.obs.gauge("server.tracked_devices")
+        self.wal = wal
+        self.router = Router()
+        # Request-level tracing: dispatches run in server.request spans
+        # on the BMS registry's tracer (silent under a NullSink).
+        self.router.tracer = self.obs.tracer
+        register_routes(self)
+
+    # ------------------------------------------------------------------
+    # Core operations (also reachable over the REST router)
+    # ------------------------------------------------------------------
+    def add_fingerprint(
+        self, room: str, beacons: Mapping[str, float], time: float = 0.0
+    ) -> int:
+        """Store one calibration sample (:meth:`RoomModel.add_fingerprint`)."""
+        return self.model.add_fingerprint(room, beacons, time)
+
+    def train(self) -> float:
+        """Fit the classifier on all stored fingerprints (:meth:`RoomModel.fit`)."""
+        return self.model.fit()
+
+    def refresh(self, fingerprints: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+        """Absorb new calibration fingerprints without a cold refit.
+
+        :meth:`RoomModel.refit` on the validated rows, then
+        :meth:`book_refresh`.  All or nothing: a malformed row (or none
+        at all) is a ``ValueError``, and a retrain that could not fit
+        (fewer than two labels) a ``RuntimeError``, both raised before
+        any row is stored.
+
+        Args:
+            fingerprints: mappings with ``room``, ``beacons`` and
+                optional ``time`` keys, one per calibration sample.
+
+        Returns:
+            :meth:`RoomModel.refit`'s report.
+        """
+        rows = self.model.check_refresh(fingerprints)
+        with self.obs.tracer.span("server.refresh", fingerprints=len(rows)):
+            report = self.model.refit(rows, self.obs)
+            self.book_refresh(rows, report)
+        return report
+
+    def book_refresh(
+        self, rows: Sequence[Mapping[str, Any]], report: Mapping[str, Any]
+    ) -> None:
+        """Book one applied model refresh on this store: its
+        ``server.refreshes`` count and its WAL ``refresh`` record."""
+        self.obs.counter("server.refreshes").inc(mode=report["mode"])
+        if self.wal is not None:
+            self.wal.append_refresh(rows, self._now)
+
+    def classify(self, beacons: Mapping[str, float]) -> str:
+        """Predict the room for one fingerprint (:meth:`RoomModel.classify`)."""
+        return self.model.classify(beacons)
+
+    def classify_batch(
+        self, beacons_batch: Sequence[Mapping[str, float]]
+    ) -> List[str]:
+        """Predict rooms for many fingerprints (:meth:`RoomModel.classify_batch`)."""
+        return self.model.classify_batch(beacons_batch)
+
+    @property
+    def trained(self) -> bool:
+        """Whether the model is trained."""
+        return self.model.trained
+
+    @property
+    def fingerprints(self) -> FingerprintStore:
+        """The model's calibration fingerprints."""
+        return self.model.fingerprints
+
+    @property
+    def vectorizer(self) -> FingerprintVectorizer:
+        """The model's vectoriser."""
+        return self.model.vectorizer
+
+    @property
+    def scaler(self) -> StandardScaler:
+        """The model's feature scaler."""
+        return self.model.scaler
+
+    @property
+    def classifier(self):
+        """The model's classifier."""
+        return self.model.classifier
 
     def attach_wal(self, wal) -> None:
         """Write every future ingest through ``wal`` (``None`` detaches).
@@ -423,7 +569,10 @@ class BuildingManagementServer:
         """Store many sighting reports and classify them in one pass.
 
         All or nothing: every report is validated and classified
-        before anything is stored, logged or counted.
+        before anything is stored, logged or counted.  The store has
+        no ingress queue and no row cap: a batch of any size is
+        accepted whole, and the classifier decides it in row blocks
+        (:data:`repro.ml.svm.PREDICT_BLOCK` for the SVM).
 
         Args:
             sightings: mappings with ``device_id``, ``beacons`` and
@@ -465,14 +614,14 @@ class BuildingManagementServer:
         an expired one again nor expire it early.  Equal times keep
         arrival order: the later row wins.
         """
-        known = self._known_beacons
+        known = self.model.known_beacons
         rows = [normalise_sighting(sighting, known) for sighting in sightings]
         if not rows:
             return []
         if rooms is None:
-            rooms = self.classify_batch([row["beacons"] for row in rows])
+            rooms = self.model.classify_batch([row["beacons"] for row in rows])
         else:
-            if not self.trained:
+            if not self.model.trained:
                 raise RuntimeError("BMS classifier is not trained; call train()")
             if len(rooms) != len(rows):
                 raise ValueError(
@@ -600,7 +749,8 @@ class BuildingManagementServer:
         return {"room": room}
 
     def post_sighting_batch(self, request: Request, params: Dict[str, str]):
-        """``POST /sightings/batch``: ingest every report, all or nothing."""
+        """``POST /sightings/batch``: ingest every report, all or nothing,
+        whatever the batch size (:meth:`ingest_batch`)."""
         sightings = batch_sightings(request)
         try:
             rooms = self.ingest_batch(

@@ -104,6 +104,16 @@ class Database:
         self._tables[name] = table
         return table
 
+    def attach(self, table: Table) -> None:
+        """Hold ``table``, which another database also holds, under its name.
+
+        Raises:
+            ValueError: a table of that name already exists.
+        """
+        if table.name in self._tables:
+            raise ValueError(f"table {table.name!r} already exists")
+        self._tables[table.name] = table
+
     def table(self, name: str) -> Table:
         """The table named ``name``.
 

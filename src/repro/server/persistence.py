@@ -4,10 +4,11 @@ A real deployment calibrates once and reuses the fingerprint database
 across server restarts.  This module serialises the fingerprint store
 (plus the beacon/feature configuration needed to interpret it) to a
 JSON document and restores it into a fresh BMS — single-store or
-sharded: a :class:`~repro.server.sharded.ShardedBmsService` broadcasts
-calibration to every shard, so saving reads shard 0 (identical
-everywhere) and loading goes through the service's broadcast
-``add_fingerprint``, restoring K identical shard models from one file.
+sharded: both hold their calibration in one
+:class:`~repro.server.bms.RoomModel` (a
+:class:`~repro.server.sharded.ShardedBmsService` shares its one among
+the shards), so one file saves and restores either, and loading trains
+that model once.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.server.bms import BuildingManagementServer
-
 __all__ = ["save_calibration", "load_calibration"]
 
 PathLike = Union[str, Path]
@@ -25,45 +24,32 @@ PathLike = Union[str, Path]
 FORMAT_VERSION = 1
 
 
-def _calibration_store(bms) -> BuildingManagementServer:
-    """The single store holding ``bms``'s calibration fingerprints.
-
-    A sharded service (duck-typed by its ``_shards`` list) broadcasts
-    calibration, so shard 0 is authoritative.
-    """
-    shards = getattr(bms, "_shards", None)
-    if shards:
-        return shards[0]
-    return bms
-
-
 def save_calibration(bms, path: PathLike) -> int:
     """Write the BMS's fingerprints and feature config to JSON.
 
     Args:
         bms: a :class:`~repro.server.bms.BuildingManagementServer` or
-            :class:`~repro.server.sharded.ShardedBmsService` (saved
-            from shard 0; calibration is broadcast, so every shard
-            holds the same rows).
+            :class:`~repro.server.sharded.ShardedBmsService` (both
+            save their :class:`~repro.server.bms.RoomModel`).
         path: JSON file to write.
 
     Returns:
         Number of fingerprints saved.
     """
     path = Path(path)
-    store = _calibration_store(bms)
+    model = bms.model
     rows = [
         {
             "time": row["time"],
             "room": row["room"],
             "beacons": row["beacons"],
         }
-        for row in store.db.table("fingerprints")
+        for row in model.db.table("fingerprints")
     ]
     document = {
         "format": FORMAT_VERSION,
-        "beacon_ids": store.vectorizer.beacon_ids,
-        "missing_value": store.vectorizer.missing_value,
+        "beacon_ids": model.vectorizer.beacon_ids,
+        "missing_value": model.vectorizer.missing_value,
         "fingerprints": rows,
     }
     path.write_text(json.dumps(document, indent=1), encoding="utf-8")
@@ -75,10 +61,9 @@ def load_calibration(bms, path: PathLike, *, train: bool = True) -> int:
 
     Args:
         bms: a server (or sharded service) whose beacon set matches
-            the saved document; a service's broadcast
-            ``add_fingerprint`` restores every shard.
+            the saved document.
         path: JSON file to read.
-        train: retrain the classifier(s) after loading.
+        train: train the model after loading.
 
     Returns:
         Number of fingerprints loaded.
@@ -93,11 +78,10 @@ def load_calibration(bms, path: PathLike, *, train: bool = True) -> int:
             f"unsupported calibration format {document.get('format')!r}"
         )
     saved_beacons = list(document.get("beacon_ids", []))
-    store = _calibration_store(bms)
-    if saved_beacons != store.vectorizer.beacon_ids:
+    beacon_ids = bms.model.vectorizer.beacon_ids
+    if saved_beacons != beacon_ids:
         raise ValueError(
-            "beacon set mismatch: saved "
-            f"{saved_beacons} vs server {store.vectorizer.beacon_ids}"
+            f"beacon set mismatch: saved {saved_beacons} vs server {beacon_ids}"
         )
     count = 0
     for row in document.get("fingerprints", []):

@@ -21,6 +21,13 @@ batch predict path is pinned row-pure, so the chunk size only moves
 the wall clock (the replay benchmark holds it at or above 90x
 real time).
 
+A sharded service's shards classify with one model, so
+:func:`replay_sharded` folds the shard logs in lockstep: each log is
+cut at its refresh records, the segments before refresh ``i`` fold
+shard by shard through the same fold, and refresh ``i`` then refits
+the model once and books on every shard.  The WAL format does not
+change: every shard still logs its own refresh record.
+
 A WAL directory written by the fleet driver additionally carries a
 ``manifest.json`` (server construction parameters) and a
 ``calibration.json`` (:func:`repro.server.persistence.save_calibration`
@@ -33,9 +40,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.ml.kernels import RbfKernel
 from repro.ml.svm import SupportVectorClassifier
@@ -108,6 +115,95 @@ class ReplayReport:
         }
 
 
+class _LogTally:
+    """Running counts of one log's records, for :class:`ReplayReport`."""
+
+    def __init__(self) -> None:
+        self.records = 0
+        self.kinds: Counter = Counter()
+        self.sightings = 0
+        self.first_time: Optional[float] = None
+        self.last_time: Optional[float] = None
+
+    def add(self, record: WalRecord) -> None:
+        self.records += 1
+        self.kinds[record.kind] += 1
+        self.sightings += len(record.sightings)
+        if self.first_time is None:
+            self.first_time = record.time
+        self.last_time = record.time
+
+
+def _report(tallies: List[_LogTally]) -> ReplayReport:
+    """One report over logs: counts summed, times over each log's ends."""
+    kinds = sum((tally.kinds for tally in tallies), Counter())
+    firsts = [t.first_time for t in tallies if t.first_time is not None]
+    lasts = [t.last_time for t in tallies if t.last_time is not None]
+    return ReplayReport(
+        records=sum(tally.records for tally in tallies),
+        sightings=sum(tally.sightings for tally in tallies),
+        batches=kinds["batch"],
+        history_marks=kinds["history"],
+        refreshes=kinds["refresh"],
+        first_time=min(firsts) if firsts else None,
+        last_time=max(lasts) if lasts else None,
+    )
+
+
+def _check_target(server: BuildingManagementServer, directory: Path) -> None:
+    if server.wal is not None and Path(server.wal.directory) == directory:
+        raise ValueError(
+            "replay target writes its WAL into the directory being "
+            "replayed; attach a different log (or none)"
+        )
+
+
+def _fold(
+    server: BuildingManagementServer,
+    records: Iterator[WalRecord],
+    tally: _LogTally,
+) -> Optional[WalRecord]:
+    """Apply ``records`` to ``server`` up to the next refresh record.
+
+    Returns that refresh record, not yet applied, or ``None`` once the
+    log ends.  Every record taken is counted on ``tally``.
+    """
+    run: List[WalRecord] = []
+    rows: List[Dict[str, Any]] = []
+
+    def apply_run() -> None:
+        rooms: List[str] = []
+        for start in range(0, len(rows), REPLAY_CHUNK):
+            part = rows[start : start + REPLAY_CHUNK]
+            rooms.extend(server.classify_batch([row["beacons"] for row in part]))
+        labels = iter(rooms)
+        for record in run:
+            if record.kind == "sighting":
+                server.ingest_sighting(**record.sightings[0], room=next(labels))
+            else:
+                part_rooms = list(islice(labels, len(record.sightings)))
+                server.ingest_batch(record.sightings, rooms=part_rooms)
+        run.clear()
+        rows.clear()
+
+    for record in records:
+        tally.add(record)
+        if record.kind in SIGHTING_KINDS:
+            # Defer: consecutive sighting rows classify together, a
+            # chunk's worth at a time so memory stays bounded.
+            run.append(record)
+            rows.extend(record.sightings)
+            if len(rows) >= REPLAY_CHUNK:
+                apply_run()
+            continue
+        apply_run()
+        if record.kind != "history":
+            return record
+        server.record_history(record.time)
+    apply_run()
+    return None
+
+
 def replay_wal(
     server: BuildingManagementServer, directory: PathLike
 ) -> ReplayReport:
@@ -127,64 +223,15 @@ def replay_wal(
             being replayed (the reader and appender would race).
     """
     directory = Path(directory)
-    if server.wal is not None and Path(server.wal.directory) == directory:
-        raise ValueError(
-            "replay target writes its WAL into the directory being "
-            "replayed; attach a different log (or none)"
-        )
-    kinds: Counter = Counter()
-    records = sightings = 0
-    first_time: Optional[float] = None
-    last_time: Optional[float] = None
-    run: List[WalRecord] = []
-    rows: List[Dict[str, Any]] = []
-
-    def apply_run() -> None:
-        rooms: List[str] = []
-        for start in range(0, len(rows), REPLAY_CHUNK):
-            part = rows[start : start + REPLAY_CHUNK]
-            rooms.extend(server.classify_batch([row["beacons"] for row in part]))
-        labels = iter(rooms)
-        for record in run:
-            if record.kind == "sighting":
-                server.ingest_sighting(**record.sightings[0], room=next(labels))
-            else:
-                part_rooms = list(islice(labels, len(record.sightings)))
-                server.ingest_batch(record.sightings, rooms=part_rooms)
-        run.clear()
-        rows.clear()
-
+    _check_target(server, directory)
+    tally = _LogTally()
+    records = iter(read_wal_records(directory))
     with server.obs.tracer.span("server.replay", directory=str(directory)):
-        for record in read_wal_records(directory):
-            records += 1
-            kinds[record.kind] += 1
-            if first_time is None:
-                first_time = record.time
-            last_time = record.time
-            if record.kind in SIGHTING_KINDS:
-                # Defer: consecutive sighting rows classify together,
-                # a chunk's worth at a time so memory stays bounded.
-                run.append(record)
-                rows.extend(record.sightings)
-                sightings += len(record.sightings)
-                if len(rows) >= REPLAY_CHUNK:
-                    apply_run()
-                continue
-            apply_run()
-            if record.kind == "history":
-                server.record_history(record.time)
-            else:
-                server.refresh(list(record.fingerprints))
-        apply_run()
-    return ReplayReport(
-        records=records,
-        sightings=sightings,
-        batches=kinds["batch"],
-        history_marks=kinds["history"],
-        refreshes=kinds["refresh"],
-        first_time=first_time,
-        last_time=last_time,
-    )
+        refresh = _fold(server, records, tally)
+        while refresh is not None:
+            server.refresh(list(refresh.fingerprints))
+            refresh = _fold(server, records, tally)
+    return _report([tally])
 
 
 def replay_sharded(service: ShardedBmsService, directory: PathLike) -> ReplayReport:
@@ -192,18 +239,29 @@ def replay_sharded(service: ShardedBmsService, directory: PathLike) -> ReplayRep
 
     Each ``shard-NN`` sub-log replays into the matching shard store
     (shard WALs record each store's applied operations in its apply
-    order), and the front-door routing table is rebuilt so device
-    reads keep honouring past routing decisions.  Merged snapshots,
-    history and per-shard telemetry come out byte-identical to the
-    live service's.
+    order), in lockstep, because the shards share one model: every
+    log is cut at its refresh records, segment ``i`` of each log folds
+    into its shard in shard order, then refresh ``i`` refits the model
+    once and books on every shard (:meth:`ShardedBmsService.refresh`).
+    The front-door routing table is rebuilt so device reads keep
+    honouring past routing decisions.  Merged snapshots, history and
+    per-shard telemetry come out byte-identical to the live
+    service's.
+
+    Every log carries the same refresh records in the same order, but
+    a log may end early (a crash between the shards' appends of one
+    refresh); a refresh that reached any log is applied and booked on
+    every shard.
 
     Raises:
         ValueError: the directory's shard count does not match
             ``service.shards``, a shard log directory's suffix is not
-            numeric, or the numeric suffixes are not exactly
+            numeric, the numeric suffixes are not exactly
             ``0..shards-1`` (lexicographic order would misroute
             ``shard-100`` before ``shard-11``, so logs pair with
-            stores by parsed index, never by sort position).
+            stores by parsed index, never by sort position), a shard
+            writes its own WAL into its log, or two logs carry
+            different refresh records at the same position.
     """
     directory = Path(directory)
 
@@ -225,30 +283,40 @@ def replay_sharded(service: ShardedBmsService, directory: PathLike) -> ReplayRep
             f"WAL directory has {len(shard_dirs)} shard logs but the "
             f"service has {service.shards} shards"
         )
-    reports = []
     for index, shard_dir in enumerate(shard_dirs):
         if shard_suffix(shard_dir) != index:
             raise ValueError(
                 f"shard log {shard_dir.name!r} does not match shard "
                 f"index {index}; expected suffixes 0..{service.shards - 1}"
             )
-        shard = service._shards[index]
-        reports.append(replay_wal(shard, shard_dir))
+        _check_target(service._shards[index], shard_dir)
+    #: Shard index -> its log's unread records, while the log lasts.
+    logs = {index: iter(read_wal_records(d)) for index, d in enumerate(shard_dirs)}
+    tallies = [_LogTally() for _ in shard_dirs]
+    with service.obs.tracer.span("server.replay", directory=str(directory)):
+        for position in count():
+            carried = []
+            for index in list(logs):
+                shard = service._shards[index]
+                refresh = _fold(shard, logs[index], tallies[index])
+                if refresh is None:
+                    del logs[index]
+                else:
+                    carried.append(refresh)
+            if not carried:
+                break
+            rows = carried[0].fingerprints
+            if any(refresh.fingerprints != rows for refresh in carried):
+                raise ValueError(
+                    f"shard logs in {directory} disagree on refresh {position}"
+                )
+            service.refresh(list(rows))
+    for index, shard in enumerate(service._shards):
         # Rebuild the routing table from the replayed sightings: every
         # device logged by this shard was last routed here.
         for row in shard.db.table("sightings"):
             service._device_shard[row["device_id"]] = index
-    firsts = [r.first_time for r in reports if r.first_time is not None]
-    lasts = [r.last_time for r in reports if r.last_time is not None]
-    return ReplayReport(
-        records=sum(r.records for r in reports),
-        sightings=sum(r.sightings for r in reports),
-        batches=sum(r.batches for r in reports),
-        history_marks=sum(r.history_marks for r in reports),
-        refreshes=sum(r.refreshes for r in reports),
-        first_time=min(firsts) if firsts else None,
-        last_time=max(lasts) if lasts else None,
-    )
+    return _report(tallies)
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +384,8 @@ def server_from_manifest(directory: PathLike, *, registry=None):
 
     Constructs the server (single-store, or sharded when the manifest
     says ``shards > 1``) with the manifest's parameters, loads and
-    trains on the saved calibration, then replays the log.
+    trains on the saved calibration, then replays the log.  Either way
+    the model is fitted once and refreshed once per logged refresh.
 
     Returns:
         ``(server, report)`` — the rebuilt server (a

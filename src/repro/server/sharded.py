@@ -4,8 +4,8 @@ The paper's Section IV.B server is one Flask process with one
 in-memory store.  :class:`ShardedBmsService` takes that design to
 production shape while keeping every request in-process:
 
-- **K shards**: the service owns ``shards`` independent
-  :class:`~repro.server.bms.BuildingManagementServer` instances.
+- **K shards**: the service owns ``shards``
+  :class:`~repro.server.bms.BuildingManagementServer` stores.
   Every device is pinned to one shard by a *stable* hash of its
   ``device_id`` (:func:`shard_for`), so a device's occupancy state
   always lives in exactly one store.  Requests that carry a
@@ -18,15 +18,21 @@ production shape while keeping every request in-process:
   ``retry_after_s`` hint — explicit backpressure instead of
   unbounded memory growth.  :class:`~repro.server.client.BmsClient`
   and the :mod:`repro.comms` uplinks honor the hint with bounded
-  retries.
+  retries.  A batch with more rows for one shard than its queue holds
+  could never be accepted, so it is a **413**, with no hint.
 - **Coalescing**: loose ``POST /sightings`` posts and incoming
   batches are packed per shard into ``coalesce_max``-sized batch
   ingests, so every drain rides the vectorised batch predict instead
   of the per-row loop.
+- **One model, K books**: the door holds one
+  :class:`~repro.server.bms.RoomModel` (the calibration fingerprints
+  and the fitted classifier) that every shard classifies with, so
+  ``train`` and ``refresh`` fit once whatever K is.  Each shard keeps
+  its own occupancy state, WAL and ``server.*`` counters, and books
+  every refresh in them.
 - **Serial drain**: queues drain in-process, in shard order, and the
-  *result* is invariant to the shard count (the classifiers are
-  identical across shards because calibration fingerprints broadcast
-  to every shard).  Throughput comes from coalescing, not from
+  *result* is invariant to the shard count (every shard classifies
+  with the same model).  Throughput comes from coalescing, not from
   parallelism.
 - **Merged reads**: ``GET /occupancy``, ``/history/<room>`` and
   telemetry fan out over all shards and merge — telemetry through
@@ -35,9 +41,10 @@ production shape while keeping every request in-process:
 
 The service is a drop-in for the single-store BMS inside
 :class:`~repro.core.system.OccupancyDetectionSystem`: it exposes the
-same coordination surface (``router``, ``add_fingerprint``, ``train``,
-``trained``, ``refresh``, ``snapshot``, ``record_history``,
-``merged_history``, ``device_room``, ``device_room_at``, ``wals``),
+same coordination surface (``router``, ``model``, ``device_timeout_s``,
+``add_fingerprint``, ``train``, ``trained``, ``refresh``, ``snapshot``,
+``record_history``, ``merged_history``, ``device_room``,
+``device_room_at``, ``wals``),
 and `FleetLoadGenerator(service_shards=K)` swaps it in for fleet runs.
 Its REST surface is the store's table
 (:func:`~repro.server.bms.register_routes`) with the door's two
@@ -57,6 +64,7 @@ from repro.server.bms import (
     DEFAULT_DEVICE_TIMEOUT_S,
     BuildingManagementServer,
     OccupancySnapshot,
+    RoomModel,
     batch_sightings,
     normalise_sighting,
     register_routes,
@@ -115,12 +123,12 @@ class ShardedBmsService:
     Args:
         beacon_ids: the building's installed beacons (feature space,
             shared by every shard).
-        shards: number of independent BMS stores.
-        classifier_factory: zero-argument callable building one
-            classifier per shard; defaults to each shard's default SVM
-            (``svm_c``/``svm_gamma``).  Every shard trains on the same
-            broadcast fingerprints, so the fitted models — and hence
-            ingest results — are identical across shard counts.
+        shards: number of BMS stores, each with its own occupancy book.
+        classifier_factory: zero-argument callable building the
+            shared model's classifier, called once; defaults to the
+            SVM of ``svm_c``/``svm_gamma``.  Every shard classifies
+            with that one model, so ingest results are identical
+            across shard counts.
         missing_value: vectoriser fill for unseen beacons.
         device_timeout_s: drop devices silent for this long.
         svm_c / svm_gamma: default-SVM hyperparameters.
@@ -130,7 +138,8 @@ class ShardedBmsService:
             clock; read them merged via :meth:`merged_telemetry`.
         queue_maxsize: bounded ingress-queue capacity per shard; a
             request that would overflow any target shard is rejected
-            whole with 429.
+            whole with 429, or with 413 when its rows for one shard
+            exceed the capacity even of an empty queue.
         coalesce_max: maximum sightings per coalesced batch ingest.
         drain_policy: ``"immediate"`` drains the target shard after
             every accepted post (write-through — the drop-in mode for
@@ -189,11 +198,18 @@ class ShardedBmsService:
                     f"[0, {self.shards})"
                 )
         self.obs = registry if registry is not None else MetricsRegistry()
-        self._known_beacons = frozenset(beacon_ids)
+        #: The one room model every shard classifies with.
+        self.model = RoomModel(
+            beacon_ids,
+            classifier=classifier_factory() if classifier_factory else None,
+            missing_value=missing_value,
+            svm_c=svm_c,
+            svm_gamma=svm_gamma,
+        )
+        self.device_timeout_s = float(device_timeout_s)
         self._shards: List[BuildingManagementServer] = []
         for index in range(self.shards):
             shard_registry = MetricsRegistry(clock=self.obs.now)
-            classifier = classifier_factory() if classifier_factory else None
             wal = (
                 SightingWal(
                     Path(wal_dir) / f"shard-{index:02d}",
@@ -204,14 +220,11 @@ class ShardedBmsService:
             )
             self._shards.append(
                 BuildingManagementServer(
-                    beacon_ids=beacon_ids,
-                    classifier=classifier,
-                    missing_value=missing_value,
+                    beacon_ids,
                     device_timeout_s=device_timeout_s,
-                    svm_c=svm_c,
-                    svm_gamma=svm_gamma,
                     registry=shard_registry,
                     wal=wal,
+                    model=self.model,
                 )
             )
         #: Per-shard ingress queues of (seq, normalised sighting).
@@ -271,49 +284,47 @@ class ShardedBmsService:
         return self._shards[index]
 
     # ------------------------------------------------------------------
-    # Calibration surface (broadcast: every shard learns everything)
+    # Calibration surface: one model, booked on every shard
     # ------------------------------------------------------------------
     def add_fingerprint(
         self, room: str, beacons: Mapping[str, float], time: float = 0.0
     ) -> int:
-        """Broadcast one calibration sample to every shard.
-
-        Returns:
-            The row id on shard 0 (identical on every shard).
-        """
-        return [shard.add_fingerprint(room, beacons, time) for shard in self._shards][0]
+        """Store one calibration sample in the shared model; returns its row id."""
+        return self.model.add_fingerprint(room, beacons, time)
 
     def train(self) -> float:
-        """Fit every shard's classifier on the broadcast fingerprints.
-
-        All shards see the same dataset and construct identically
-        seeded classifiers, so the fitted models — and every
-        downstream prediction — are identical across shard counts.
+        """Fit the shared model once, whatever the shard count.
 
         Returns:
-            The (shared) training accuracy.
+            The training accuracy.
         """
-        return [shard.train() for shard in self._shards][0]
+        return self.model.fit()
 
     @property
     def trained(self) -> bool:
-        """Whether every shard's classifier is trained."""
-        return all(shard.trained for shard in self._shards)
+        """Whether the shared model is trained."""
+        return self.model.trained
 
     def refresh(self, fingerprints: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Broadcast an online model refresh to every shard.
+        """Refit the shared model once and book the refresh on every shard.
 
-        Each shard absorbs the same fingerprints through its own
-        :meth:`~repro.server.bms.BuildingManagementServer.refresh`
-        (and logs its own WAL refresh record), so the shard models
-        stay identical across shard counts — the invariant all the
-        merged reads rely on.  A malformed row fails shard 0's
-        validation before any shard stores anything.
+        The rows are validated once, before anything is stored, and
+        absorbed by one :meth:`~repro.server.bms.RoomModel.refit`
+        (its Gram-cache traffic counted on :attr:`obs`).  Every shard
+        then books it (:meth:`~repro.server.bms.BuildingManagementServer.book_refresh`):
+        its ``server.refreshes`` count and its own WAL refresh record,
+        which :func:`repro.server.replay.replay_sharded` steps the shard
+        logs by.
 
         Returns:
-            Shard 0's refresh report (identical on every shard).
+            The refit's report.
         """
-        return [shard.refresh(fingerprints) for shard in self._shards][0]
+        rows = self.model.check_refresh(fingerprints)
+        with self.obs.tracer.span("server.refresh", fingerprints=len(rows)):
+            report = self.model.refit(rows, self.obs)
+            for shard in self._shards:
+                shard.book_refresh(rows, report)
+        return report
 
     def wals(self) -> List[SightingWal]:
         """The shards' attached write-ahead logs, in shard order."""
@@ -325,14 +336,14 @@ class ShardedBmsService:
             wal.close()
 
     def classify(self, beacons: Mapping[str, float]) -> str:
-        """Predict the room for one fingerprint (any shard's model)."""
-        return self._shards[0].classify(beacons)
+        """Predict the room for one fingerprint (the shared model)."""
+        return self.model.classify(beacons)
 
     def classify_batch(
         self, beacons_batch: Sequence[Mapping[str, float]]
     ) -> List[str]:
-        """Predict rooms for many fingerprints (any shard's model)."""
-        return self._shards[0].classify_batch(beacons_batch)
+        """Predict rooms for many fingerprints (the shared model)."""
+        return self.model.classify_batch(beacons_batch)
 
     # ------------------------------------------------------------------
     # Ingestion pipeline
@@ -530,7 +541,7 @@ class ShardedBmsService:
         drain, which would drop the good rows queued beside it.
         """
         try:
-            sighting = normalise_sighting(body, self._known_beacons, default_time)
+            sighting = normalise_sighting(body, self.model.known_beacons, default_time)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
         building = body.get("building")
@@ -569,7 +580,13 @@ class ShardedBmsService:
         return Response(202, {"queued": True, "shard": shard_index, "seq": seq})
 
     def post_sighting_batch(self, request: Request, params: Dict[str, str]):
-        """``POST /sightings/batch``: the rooms once drained, else a 202."""
+        """``POST /sightings/batch``: the rooms once drained, else a 202.
+
+        A batch whose rows for one shard exceed ``queue_maxsize`` can
+        never be queued: it is a 413, before anything is queued or
+        counted.  One that fits an empty queue but not the current one
+        is a 429 with the retry hint.
+        """
         routed = [
             self._normalise_sighting(sighting, request.time)
             for sighting in batch_sightings(request)
@@ -581,6 +598,14 @@ class ShardedBmsService:
         incoming: Dict[int, int] = {}
         for shard_index, _ in routed:
             incoming[shard_index] = incoming.get(shard_index, 0) + 1
+        for shard_index in sorted(incoming):
+            if incoming[shard_index] > self.queue_maxsize:
+                # Not backpressure: no retry could ever fit these rows.
+                raise HttpError(
+                    413,
+                    f"{incoming[shard_index]} rows for shard {shard_index} "
+                    f"exceed its ingress queue ({self.queue_maxsize})",
+                )
         for shard_index in sorted(incoming):
             if (
                 len(self._queues[shard_index]) + incoming[shard_index]

@@ -8,7 +8,7 @@ per-device room estimates produced by the BMS into that information:
 - :class:`OccupantTracker` - debounced room-transition detection;
 - :class:`DwellStats` - per-room dwell time and visit statistics;
 - :func:`build_movement_graph` - a weighted transition graph
-  (networkx) for flow analysis.
+  (plain dicts) for flow analysis.
 """
 
 from repro.tracking.events import RoomTransition

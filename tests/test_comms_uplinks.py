@@ -462,6 +462,28 @@ class TestTransportsAtTheDoor:
         assert snapshot["uplink.backpressure_retries"]["value"] == 2.0
         assert snapshot["uplink.backpressure_dropped"]["value"] == 1.0
 
+    def test_batch_that_can_never_fit_fails_without_retries(self, transport):
+        door = ShardedBmsService(
+            ["1-1"],
+            shards=1,
+            queue_maxsize=2,
+            drain_policy="immediate",
+            classifier_factory=ConstantClassifier,
+        )
+        door.add_fingerprint("kitchen", {"1-1": 2.0})
+        door.add_fingerprint("hall", {"1-1": 9.0})
+        door.train()
+        uplink = transport(door.router, rng=np.random.default_rng(0))
+        uplink.LOSS_PROBABILITY = 0.0
+        response = uplink.send_batch(reports(3))
+        assert response.status == 413
+        assert (uplink.stats.delivered, uplink.stats.failed) == (0, 3)
+        assert uplink.stats.retries == 0
+        assert uplink.obs.counter("uplink.failed").value_for(
+            leg="server", transport=uplink.TRANSPORT, device="alice"
+        ) == 3.0
+        assert door.sighting_count == 0
+
     def test_loose_post_span_parented_to_phone_span(self, transport):
         server = MetricsRegistry(sink=MemorySink())
         router = accepting_router()

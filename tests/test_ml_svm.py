@@ -301,3 +301,21 @@ class TestBatchedPrediction:
         np.testing.assert_array_equal(
             model.predict(X, bank_gram=bank_gram), model.predict(X)
         )
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 1000])
+    def test_predict_blocks_are_invisible(self, rows):
+        """A predict of any size, decided in blocks of PREDICT_BLOCK
+        rows, labels each row as a one-row predict and the vote loop
+        do, on the computed and the bank_gram path."""
+        model = self._fingerprint_model(n_classes=4, seed=3)
+        X = np.random.default_rng(rows).uniform(-2.0, 10.0, size=(rows, 4))
+        labels = model.predict(X)
+        per_row = [model.predict(row.reshape(1, -1))[0] for row in X]
+        np.testing.assert_array_equal(labels, per_row)
+        np.testing.assert_array_equal(labels, vote_predict(model, X))
+        Z = np.vstack([model._fit_X, X])
+        queries = len(model._fit_X) + np.arange(rows)
+        bank_gram = model.kernel(Z, Z)[np.ix_(model.sv_bank_indices_, queries)]
+        np.testing.assert_array_equal(model.predict(X, bank_gram=bank_gram), labels)
+        with pytest.raises(ValueError, match="bank_gram"):
+            model.predict(X[:-1], bank_gram=bank_gram)

@@ -7,7 +7,7 @@ door, which serve one route table.
 import pytest
 
 from repro.ml.proximity import ProximityClassifier
-from repro.server.bms import BuildingManagementServer
+from repro.server.bms import BuildingManagementServer, RoomModel
 from repro.server.rest import Request
 from repro.server.sharded import ShardedBmsService
 from tests.test_server_sighting_path import fingerprint_counts
@@ -55,6 +55,29 @@ class TestConstruction:
     def test_rejects_bad_timeout(self):
         with pytest.raises(ValueError):
             BuildingManagementServer(["1-1"], device_timeout_s=0.0)
+
+    def test_shared_model_serves_a_store(self):
+        model = RoomModel(["1-1", "1-2"])
+        bms = BuildingManagementServer(["1-1", "1-2"], model=model)
+        assert bms.model is model
+        assert bms.classifier is model.classifier
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"beacon_ids": ["1-2", "1-1"]},
+            {"beacon_ids": ["1-1"]},
+            {"classifier": proximity()},
+            {"missing_value": 20.0},
+            {"svm_c": 1.0},
+            {"svm_gamma": 0.1},
+        ],
+    )
+    def test_shared_model_rejects_settings_it_would_ignore(self, kwargs):
+        model = RoomModel(["1-1", "1-2"])
+        beacon_ids = kwargs.pop("beacon_ids", ["1-1", "1-2"])
+        with pytest.raises(ValueError, match="shared model"):
+            BuildingManagementServer(beacon_ids, model=model, **kwargs)
 
 
 class TestFingerprints:

@@ -5,9 +5,11 @@ The pinned contract: folding a WAL back through
 externally observable state *byte for byte* — occupancy snapshot,
 history series, sighting counts, and every ``server.*`` telemetry
 counter — and the replay chunk size (``REPLAY_CHUNK``) never changes
-the result, only the wall clock.  The same holds shard by shard for
-:func:`~repro.server.replay.replay_sharded`, and end to end for
-:func:`~repro.server.replay.server_from_manifest` directories.
+the result, only the wall clock.  The same holds for
+:func:`~repro.server.replay.replay_sharded`, which folds the shard logs
+in step between refresh records because the shards share one model,
+and end to end for :func:`~repro.server.replay.server_from_manifest`
+directories, which fit that model once.
 """
 
 import shutil
@@ -30,7 +32,8 @@ from repro.server.replay import (
     server_from_manifest,
     write_manifest,
 )
-from repro.server.sharded import ShardedBmsService
+from repro.server.rest import Request
+from repro.server.sharded import ShardedBmsService, shard_for
 from repro.traces.wal import (
     SightingWal,
     WalRecord,
@@ -295,6 +298,62 @@ class TestTornWrites:
         assert sorted(expected) == list(range(durable_before, len(records) + 1))
 
 
+def refresh_rows(room, time):
+    return [{"room": room, "beacons": near(room, 0.2), "time": time}]
+
+
+def make_door(shards, wal_dir=None):
+    """A trained write-through door over ``shards`` SVM shards."""
+    door = ShardedBmsService(
+        BEACONS,
+        shards=shards,
+        classifier_factory=make_classifier,
+        registry=MetricsRegistry(),
+        drain_policy="immediate",
+        wal_dir=wal_dir,
+    )
+    calibrate(door)
+    return door
+
+
+def drive_with_refreshes(service):
+    """Sightings, history marks and two model refreshes, in a fixed
+    order; the last shard gets no sightings between the refreshes."""
+    client = BmsClient(service.router)
+    rooms = list(ROOM_BASES)
+    devices = [f"dev-{i:02d}" for i in range(12)]
+
+    def post(time, pick=lambda device: True):
+        for i, device in enumerate(devices):
+            if pick(device):
+                client.post_sighting(
+                    device, near(rooms[(i + int(time)) % 3], 0.01 * i), time
+                )
+
+    def refresh(room, time):
+        body = {"fingerprints": refresh_rows(room, time)}
+        response = service.router.dispatch(
+            Request("POST", "/model/refresh", body=body, time=time)
+        )
+        assert response.status == 200, response
+
+    quiet = service.shards - 1
+    post(1.0)
+    service.record_history(2.0)
+    refresh("lab", 2.5)
+    post(3.0, lambda device: shard_for(device, service.shards) != quiet)
+    service.record_history(4.0)
+    refresh("hall", 4.5)
+    client.post_sightings_batch(
+        [
+            {"device_id": device, "beacons": near("office"), "time": 5.0}
+            for device in devices[:4]
+        ]
+    )
+    post(6.0)
+    service.record_history(7.0)
+
+
 @pytest.mark.parametrize("shards", [1, 4])
 class TestReplaySharded:
     def make_service(self, registry, shards, wal_dir=None):
@@ -350,6 +409,41 @@ class TestReplaySharded:
             device = f"dev-{i:02d}"
             assert restored.device_room(device) == live.device_room(device)
 
+    def test_refreshes_replay_in_step(self, tmp_path, shards):
+        live = self.make_service(
+            MetricsRegistry(), shards, wal_dir=tmp_path / "wal"
+        )
+        drive_with_refreshes(live)
+        live.close_wals()
+        logs = [
+            list(read_wal_records(tmp_path / "wal" / f"shard-{i:02d}"))
+            for i in range(shards)
+        ]
+        kinds = [record.kind for record in logs[-1]]
+        one, two = [i for i, kind in enumerate(kinds) if kind == "refresh"]
+        assert not {"sighting", "batch"} & set(kinds[one + 1 : two])
+
+        restored = self.make_service(MetricsRegistry(), shards)
+        report = replay_sharded(restored, tmp_path / "wal")
+        assert observable_state(restored) == observable_state(live)
+        assert server_metrics(restored.merged_telemetry()) == server_metrics(
+            live.merged_telemetry()
+        )
+        probes = [near(room, 0.11) for room in ROOM_BASES]
+        assert restored.classify_batch(probes) == live.classify_batch(probes)
+        first = min(log[0].time for log in logs)
+        last = max(log[-1].time for log in logs)
+        assert report.as_dict() == {
+            "records": sum(wal.records_appended for wal in live.wals()),
+            "sightings": sum(wal.sightings_appended for wal in live.wals()),
+            "batches": sum(r.kind == "batch" for log in logs for r in log),
+            "history_marks": 3 * shards,
+            "refreshes": 2 * shards,
+            "first_time": first,
+            "last_time": last,
+            "span_s": last - first,
+        }
+
     def test_shard_count_mismatch_rejected(self, tmp_path, shards):
         live = self.make_service(
             MetricsRegistry(), shards, wal_dir=tmp_path / "wal"
@@ -385,6 +479,98 @@ class TestReplaySharded:
         restored = self.make_service(MetricsRegistry(), shards)
         with pytest.raises(ValueError, match="unrecognised"):
             replay_sharded(restored, tmp_path / "wal")
+
+
+class TestLockstepReplay:
+    """The shards share one model, so their logs replay in step
+    between refresh records."""
+
+    def test_log_that_ends_before_a_refresh_record(self, tmp_path):
+        # A crash between the shards' appends of the last refresh:
+        # the last shard's log ends without it.
+        live = make_door(4, wal_dir=tmp_path / "wal")
+        client = BmsClient(live.router)
+        for i in range(12):
+            client.post_sighting(f"dev-{i:02d}", near("lab", 0.01 * i), float(i))
+        live.refresh(refresh_rows("lab", 12.5))
+        live.record_history(13.0)
+        live.refresh(refresh_rows("hall", 13.5))
+        live.close_wals()
+        segment = wal_segment_paths(tmp_path / "wal" / "shard-03")[-1]
+        lines = segment.read_bytes().splitlines(keepends=True)
+        segment.write_bytes(b"".join(lines[:-1]))
+
+        restored = make_door(4)
+        report = replay_sharded(restored, tmp_path / "wal")
+        assert report.refreshes == 2 * 4 - 1
+        assert observable_state(restored) == observable_state(live)
+        # The refresh that reached any log refits the model and books
+        # on every shard.
+        probes = [near(room, 0.11) for room in ROOM_BASES]
+        assert restored.classify_batch(probes) == live.classify_batch(probes)
+        assert server_metrics(restored.merged_telemetry()) == server_metrics(
+            live.merged_telemetry()
+        )
+
+    def test_logs_that_disagree_on_a_refresh_are_rejected(self, tmp_path):
+        for index, room in enumerate(["lab", "hall"]):
+            wal = SightingWal(tmp_path / "wal" / f"shard-{index:02d}")
+            wal.append_refresh(refresh_rows(room, 1.0), 1.0)
+            wal.close()
+        with pytest.raises(ValueError, match="disagree on refresh 0"):
+            replay_sharded(make_door(2), tmp_path / "wal")
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+class TestOneFitPerEvent:
+    """Training, refreshing and recovering a sharded service each fit
+    the shared model once, whatever the shard count."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"fit": 0, "refresh": 0}
+        for name in calls:
+            original = getattr(SupportVectorClassifier, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(SupportVectorClassifier, name, counted)
+        return calls
+
+    def test_train_fits_once(self, shards, calls):
+        make_door(shards)
+        assert calls == {"fit": 1, "refresh": 0}
+
+    def test_refresh_refreshes_once(self, shards, calls):
+        service = make_door(shards)
+        service.refresh(refresh_rows("lab", 1.0))
+        assert calls == {"fit": 1, "refresh": 1}
+
+    def test_recovery_fits_once_and_refreshes_once_per_record(
+        self, tmp_path, shards, calls
+    ):
+        live = make_door(shards, wal_dir=tmp_path)
+        write_manifest(
+            tmp_path,
+            beacon_ids=BEACONS,
+            missing_value=live.model.vectorizer.missing_value,
+            device_timeout_s=live.device_timeout_s,
+            svm_c=10.0,
+            svm_gamma=0.5,
+            seed=0,
+            shards=shards,
+        )
+        save_calibration(live, tmp_path / CALIBRATION_NAME)
+        drive_with_refreshes(live)
+        live.close_wals()
+        calls.update(fit=0, refresh=0)
+
+        restored, report = server_from_manifest(tmp_path)
+        assert calls == {"fit": 1, "refresh": 2}
+        assert report.refreshes == 2 * shards
+        assert observable_state(restored) == observable_state(live)
 
 
 class TestManifest:

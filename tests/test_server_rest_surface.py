@@ -4,15 +4,18 @@ Both servers register one route table
 (:func:`~repro.server.bms.register_routes`) and differ only in their two
 sighting handlers.  These tests pin that the two answer every shared
 route alike, that a non-object body or a malformed calibration row is a
-400 on every POST route, that a refresh is all or nothing, and — as a
-Hypothesis property — that no malformed post earns a 5xx or changes
-any state.
+400 on every POST route, that a refresh is all or nothing, and — as
+Hypothesis properties — that no malformed post earns a 5xx or changes
+any state, that a batch which can never fit a door's ingress queue is
+a 413 that changes nothing, and that the single store accepts a batch
+of any size whole.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml.svm import PREDICT_BLOCK
 from repro.server import Request
 from repro.server.bms import normalise_fingerprint
 from tests.test_server_sighting_path import (
@@ -401,3 +404,77 @@ def test_ingest_batch_with_a_bad_row_raises_and_changes_nothing(live_servers, ro
     with pytest.raises(ValueError):
         server.ingest_batch(rows)
     assert observed(server) == before
+
+
+#: Ingress-queue capacity of the row-cap property's doors.
+QUEUE_MAXSIZE = 4
+
+
+@pytest.fixture(scope="module")
+def capped_doors(tmp_path_factory):
+    """A door per drain policy, with a WAL and a small ingress queue."""
+    base = tmp_path_factory.mktemp("capped")
+    return {
+        policy: calibrate(
+            sharded_door(
+                base / policy, drain_policy=policy, queue_maxsize=QUEUE_MAXSIZE
+            )
+        )
+        for policy in ("immediate", "manual")
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    policy=st.sampled_from(["immediate", "manual"]),
+    queued=st.integers(0, QUEUE_MAXSIZE),
+    rows=st.integers(1, 3 * QUEUE_MAXSIZE),
+)
+def test_batch_that_can_never_fit_is_413_and_changes_nothing(
+    capped_doors, policy, queued, rows
+):
+    """More rows for one shard than its queue holds is a 413 that
+    queues, stores, logs and counts nothing, whatever is queued; a
+    batch that fits an empty queue is accepted, or is a 429 while the
+    queue is too full for it."""
+    door = capped_doors[policy]
+    door.drain()
+    sighting = {"device_id": "dana", "beacons": near("lab"), "time": 3.0}
+    for _ in range(queued):
+        assert post(door, "/sightings", sighting, 3.0).status in (200, 202)
+    before = observed(door)
+    response = post(door, "/sightings/batch", {"sightings": [sighting] * rows}, 3.0)
+    if rows > QUEUE_MAXSIZE:
+        assert response.status == 413, response
+        assert "retry_after_s" not in response.body
+        assert observed(door) == before
+    elif policy == "immediate":
+        assert response.status == 200 and response.body["count"] == rows
+    elif before["queued"] + rows > QUEUE_MAXSIZE:
+        assert response.status == 429 and response.body["retry_after_s"] > 0
+    else:
+        assert response.status == 202
+
+
+@pytest.fixture(scope="module")
+def uncapped_store():
+    return calibrate(single_store())
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(1, 2 * PREDICT_BLOCK + 3))
+def test_single_store_accepts_a_batch_of_any_size_whole(uncapped_store, rows):
+    """The single store has no queue: any batch is accepted whole and
+    labelled as one-row classifications would label it."""
+    rooms = sorted(ROOM_BASES)
+    batch = [
+        {"device_id": f"row-{i}", "beacons": near(rooms[i % 3], 0.01 * (i % 7))}
+        for i in range(rows)
+    ]
+    before = uncapped_store.sighting_count
+    response = post(uncapped_store, "/sightings/batch", {"sightings": batch}, 4.0)
+    assert response.status == 200 and response.body["count"] == rows
+    assert uncapped_store.sighting_count == before + rows
+    assert response.body["rooms"] == [
+        uncapped_store.classify(row["beacons"]) for row in batch
+    ]

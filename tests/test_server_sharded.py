@@ -122,10 +122,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardedBmsService(BEACONS, **merged)
 
-    def test_each_shard_gets_its_own_classifier(self):
-        service = make_service(3)
-        stores = service._shards
-        assert len({id(s.classifier) for s in stores}) == 3
+    def test_shards_share_one_model(self):
+        built = []
+
+        def factory():
+            built.append(NearestBeaconClassifier())
+            return built[-1]
+
+        service = make_service(3, classifier_factory=factory)
+        assert len(built) == 1
+        assert all(store.model is service.model for store in service._shards)
+        assert all(store.classifier is built[0] for store in service._shards)
 
 
 class TestRouting:
@@ -293,21 +300,22 @@ class TestBackpressure:
     def test_batch_capacity_is_all_or_nothing(self):
         service = make_service(1, drain_policy="manual", queue_maxsize=3)
         calibrate(service)
+        self.overflow(service, 1)
         response = service.router.dispatch(
             Request(
                 "POST",
                 "/sightings/batch",
                 body={
                     "sightings": [
-                        sighting_body(f"d{i}", "lab") for i in range(4)
+                        sighting_body(f"d{i}", "lab") for i in range(3)
                     ]
                 },
             )
         )
         assert response.status == 429
-        assert service.queue_depth() == 0
+        assert service.queue_depth() == 1
         snapshot = service.obs.snapshot()
-        assert snapshot["server.backpressure.rejected_sightings"]["value"] == 4.0
+        assert snapshot["server.backpressure.rejected_sightings"]["value"] == 3.0
 
 
 class TestMergedReads:

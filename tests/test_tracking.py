@@ -1,5 +1,10 @@
 """Tests for movement tracking, dwell stats and the movement graph."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.tracking.events import RoomTransition
@@ -168,3 +173,29 @@ class TestMovementGraph:
     def test_reachable_unknown_room(self):
         with pytest.raises(KeyError):
             reachable_rooms(build_movement_graph([]), "atlantis")
+
+    def test_needs_no_networkx(self):
+        # The package declares numpy as its only dependency.
+        script = (
+            "import sys; sys.modules['networkx'] = None\n"
+            "from repro.tracking import build_movement_graph\n"
+            "from repro.tracking.events import RoomTransition\n"
+            "hop = RoomTransition(time=1.0, device_id='a', "
+            "from_room='kitchen', to_room='living')\n"
+            "print(build_movement_graph([hop])['kitchen']['living']['count'])\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(
+                    filter(None, [str(src), os.environ.get("PYTHONPATH")])
+                ),
+            },
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1\n"
