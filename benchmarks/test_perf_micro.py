@@ -2,21 +2,26 @@
 
 Unlike the figure benches (one-shot experiments), these measure the
 throughput of the inner loops: packet codec, channel sampling, kernel
-evaluation, SMO training and the end-to-end scan cycle.
+evaluation, SMO training, the end-to-end scan cycle, and the server's
+small-batch decision and booking path.
 """
 
 import numpy as np
+import pytest
 
 from repro.ble.air import AirInterface
 from repro.building.geometry import Point
 from repro.building.mobility import StaticPosition
 from repro.building.presets import BUILDING_UUID, test_house as make_test_house
+from repro.core import OccupancyDetectionSystem, SystemConfig
 from repro.ibeacon.packet import IBeaconPacket, decode_packet
 from repro.ml.kernels import RbfKernel
 from repro.ml.svm import SupportVectorClassifier
 from repro.phone.scanner import AndroidScanner
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
+from repro.server.rest import Request
+from tests.smo_oracle import vote_predict
 
 
 def test_perf_packet_roundtrip(benchmark):
@@ -80,3 +85,56 @@ def test_perf_scan_cycle(benchmark):
 
     result = benchmark(cycle)
     assert result.t_end == 2.0
+
+
+@pytest.fixture(scope="module")
+def trained_store():
+    """The BMS as the perfbench sims train it: the paper's config and a
+    300 s calibration walk of the test house."""
+    system = OccupancyDetectionSystem(make_test_house(), SystemConfig())
+    system.calibrate(duration_s=300.0)
+    system.train()
+    return system.bms
+
+
+def _oracle_rooms(store, fingerprints):
+    """The per-machine vote loop's labels for ``fingerprints``."""
+    model = store.model
+    X = model.scaler.transform(model.vectorizer.transform(fingerprints))
+    return vote_predict(model.classifier, X).tolist()
+
+
+def _upload(store, rows):
+    """``rows`` calibration fingerprints, shaped as uploaded sightings."""
+    data = store.fingerprints.dataset()
+    picks = np.random.default_rng(0).choice(len(data), size=rows, replace=False)
+    return [dict(data.fingerprints[i]) for i in picks]
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+def test_perf_classify_batch(benchmark, trained_store, rows):
+    """``RoomModel.classify_batch`` on a 1-row and a 6-row upload."""
+    fingerprints = _upload(trained_store, rows)
+    rooms = benchmark(trained_store.model.classify_batch, fingerprints)
+    assert rooms == _oracle_rooms(trained_store, fingerprints)
+
+
+def test_perf_post_sighting_batch(benchmark, trained_store):
+    """One 6-row ``POST /sightings/batch``: validation, the decision
+    and the booking (the store keeps every row, so rounds are capped)."""
+    fingerprints = _upload(trained_store, 6)
+    body = {
+        "sightings": [
+            {"device_id": f"dev-{k:04d}", "beacons": fp, "time": 1.0}
+            for k, fp in enumerate(fingerprints)
+        ]
+    }
+
+    def post():
+        return trained_store.router.dispatch(
+            Request("POST", "/sightings/batch", body=body, time=1.0)
+        )
+
+    response = benchmark.pedantic(post, rounds=2000, warmup_rounds=20)
+    assert response.status == 200
+    assert response.body["rooms"] == _oracle_rooms(trained_store, fingerprints)

@@ -55,19 +55,25 @@ class FingerprintVectorizer:
         return len(self.beacon_ids)
 
     def transform_one(self, fingerprint: Mapping[str, float]) -> np.ndarray:
-        """One fingerprint to a feature row; unknown beacons ignored."""
-        row = np.full(self.n_features, self.missing_value)
-        for beacon_id, value in fingerprint.items():
-            idx = self._index.get(beacon_id)
-            if idx is not None:
-                row[idx] = float(value)
-        return row
+        """One fingerprint to a feature row: a 1-row :meth:`transform`."""
+        return self.transform([fingerprint])[0]
 
     def transform(self, fingerprints: Sequence[Mapping[str, float]]) -> np.ndarray:
-        """A batch of fingerprints to an (n, features) matrix."""
-        if not fingerprints:
-            return np.empty((0, self.n_features))
-        return np.array([self.transform_one(fp) for fp in fingerprints])
+        """A batch of fingerprints to an (n, features) matrix.
+
+        The matrix is allocated once and filled with the missing
+        value; each known beacon's value then lands in its column, and
+        unknown beacons are ignored.
+        """
+        X = np.empty((len(fingerprints), self.n_features))
+        X.fill(self.missing_value)
+        index = self._index
+        for row, fingerprint in zip(X, fingerprints):
+            for beacon_id, value in fingerprint.items():
+                column = index.get(beacon_id)
+                if column is not None:
+                    row[column] = float(value)
+        return X
 
 
 @dataclass

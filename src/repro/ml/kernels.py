@@ -4,7 +4,9 @@ All kernels implement ``__call__(X, Y) -> K`` where ``X`` is (n, d),
 ``Y`` is (m, d) and ``K`` is the (n, m) Gram matrix.  Distance-based
 kernels additionally support precomputed row squared norms through
 :meth:`Kernel.gram`, so a fitted SVM can cache its support vectors'
-norms once and reuse them on every prediction batch.
+norms once and reuse them on every prediction batch.  Each kernel's
+arithmetic lives in :meth:`Kernel.gram_2d`, which takes its arrays as
+given; ``__call__`` and ``gram`` check and convert them first.
 
 Every kernel here is *slice-stable*: the Gram of any row subset equals
 the corresponding submatrix of the full Gram bit for bit.  The
@@ -50,9 +52,9 @@ def stable_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 class Kernel(abc.ABC):
     """A positive-semidefinite kernel function."""
 
-    @abc.abstractmethod
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Gram matrix between rows of ``X`` and rows of ``Y``."""
+        return self.gram(X, Y)
 
     def row_sq_norms(self, X: np.ndarray) -> Optional[np.ndarray]:
         """Per-row squared norms when this kernel can reuse them.
@@ -77,7 +79,23 @@ class Kernel(abc.ABC):
         norms ignore them.  The result is numerically identical to
         ``self(X, Y)``.
         """
-        return self(X, Y)
+        return self.gram_2d(self._as_2d(X), self._as_2d(Y), x_sq, y_sq)
+
+    @abc.abstractmethod
+    def gram_2d(
+        self,
+        X: np.ndarray,
+        Y: np.ndarray,
+        x_sq: Optional[np.ndarray],
+        y_sq: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """:meth:`gram` of two 2-D float arrays, taken as they are.
+
+        Nothing is converted or checked: the caller vouches for the
+        arrays and for the norms (:meth:`row_sq_norms` of the same
+        rows, or ``None``).  A fitted support-vector bank calls it with
+        the vectors and norms it built once at fit.
+        """
 
     @staticmethod
     def _as_2d(X: np.ndarray) -> np.ndarray:
@@ -93,8 +111,13 @@ class Kernel(abc.ABC):
 class LinearKernel(Kernel):
     """K(x, y) = x . y"""
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X, Y = self._as_2d(X), self._as_2d(Y)
+    def gram_2d(
+        self,
+        X: np.ndarray,
+        Y: np.ndarray,
+        x_sq: Optional[np.ndarray],
+        y_sq: Optional[np.ndarray],
+    ) -> np.ndarray:
         return stable_dot(X, Y)
 
 
@@ -112,8 +135,13 @@ class PolynomialKernel(Kernel):
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X, Y = self._as_2d(X), self._as_2d(Y)
+    def gram_2d(
+        self,
+        X: np.ndarray,
+        Y: np.ndarray,
+        x_sq: Optional[np.ndarray],
+        y_sq: Optional[np.ndarray],
+    ) -> np.ndarray:
         return (self.gamma * stable_dot(X, Y) + self.coef0) ** self.degree
 
 
@@ -131,28 +159,27 @@ class RbfKernel(Kernel):
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return self.gram(X, Y)
-
     def row_sq_norms(self, X: np.ndarray) -> np.ndarray:
-        X = self._as_2d(X)
-        return np.sum(X * X, axis=1)
+        return _sq_norms(self._as_2d(X))
 
-    def gram(
+    def gram_2d(
         self,
         X: np.ndarray,
         Y: np.ndarray,
-        *,
-        x_sq: Optional[np.ndarray] = None,
-        y_sq: Optional[np.ndarray] = None,
+        x_sq: Optional[np.ndarray],
+        y_sq: Optional[np.ndarray],
     ) -> np.ndarray:
-        X, Y = self._as_2d(X), self._as_2d(Y)
         # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, computed blockwise.
         if x_sq is None:
-            x_sq = self.row_sq_norms(X)
+            x_sq = _sq_norms(X)
         if y_sq is None:
-            y_sq = self.row_sq_norms(Y)
+            y_sq = _sq_norms(Y)
         sq_dist = np.maximum(
             x_sq[:, None] + y_sq[None, :] - 2.0 * stable_dot(X, Y), 0.0
         )
         return np.exp(-self.gamma * sq_dist)
+
+
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """Each row's squared norm (``np.sum(X * X, axis=1)``'s reduction)."""
+    return np.add.reduce(X * X, axis=1)

@@ -500,16 +500,20 @@ class SupportVectorBank:
         reduce each output element over its own row in a fixed order
         (:func:`repro.ml.kernels.stable_dot` over a C-contiguous
         ``(n, bank)`` Gram), so a row's decisions are a bitwise
-        function of that row alone, whatever batch it rides in.
+        function of that row alone, whatever batch it rides in.  The
+        Gram takes :attr:`vectors` and :attr:`sq_norms` as built
+        (:meth:`repro.ml.kernels.Kernel.gram_2d`), with no per-call
+        checks.
 
         Args:
-            X: query points, ``(n, d)``.
+            X: query points, a 2-D float array ``(n, d)``, as the
+                classifiers' ``predict`` paths pass them.
             bank_gram: optional precomputed ``kernel(bank, X)``, e.g.
                 sliced out of a cached full-dataset Gram; it equals
                 ``kernel(X, bank).T`` bit for bit.
         """
         if bank_gram is None:
-            K = self.kernel.gram(X, self.vectors, y_sq=self.sq_norms)
+            K = self.kernel.gram_2d(X, self.vectors, None, self.sq_norms)
         else:
             K = np.ascontiguousarray(self.check_gram(bank_gram, X.shape[0]).T)
         return stable_dot(K, self.coef) - self.intercept
@@ -754,8 +758,12 @@ class SupportVectorClassifier:
     ) -> None:
         """Fold the pairwise machines into one :class:`SupportVectorBank`.
 
-        ``_wins_a``/``_wins_b`` map a pair's win for its first/second
-        class onto the class axis, so the vote is a product too.
+        The vote's tables are fixed here too.  Pair ``p = (a, b)``
+        votes for ``b`` unless it wins for ``a``, so a row's votes are
+        ``_base_votes`` (each class's count of pairs it comes second
+        in) plus its wins times ``_vote_table``, which holds +1 at
+        ``(a, p)`` and -1 at ``(b, p)``.  The same table sums the
+        signed decisions of the tie-break.
         """
         self._bank = SupportVectorBank(
             self.kernel,
@@ -768,10 +776,12 @@ class SupportVectorClassifier:
         #: larger cached dataset slice the bank Gram instead of
         #: recomputing it (see model_selection._score_fold).
         self.sv_bank_indices_ = self._bank.rows
-        self._wins_a = np.zeros((len(self.classes_), len(sv_global)))
-        self._wins_b = np.zeros_like(self._wins_a)
+        wins_a = np.zeros((len(self.classes_), len(sv_global)))
+        wins_b = np.zeros_like(wins_a)
         for p, (a, b) in enumerate(sv_global):
-            self._wins_a[a, p] = self._wins_b[b, p] = 1.0
+            wins_a[a, p] = wins_b[b, p] = 1.0
+        self._vote_table = wins_a - wins_b
+        self._base_votes = wins_b.sum(axis=1)
         self._classes = np.asarray(self.classes_)
 
     def predict(
@@ -804,6 +814,8 @@ class SupportVectorClassifier:
             X = np.asarray(X, dtype=float)
             if X.ndim == 1:
                 X = X.reshape(1, -1)
+            if X.ndim != 2:
+                raise ValueError(f"X must be 2-D, got shape {X.shape}")
             n = X.shape[0]
             if bank_gram is not None:
                 bank_gram = self._bank.check_gram(bank_gram, n)
@@ -815,17 +827,19 @@ class SupportVectorClassifier:
             return labels
 
     def _vote(self, decision: np.ndarray) -> np.ndarray:
-        """Each row's winning class from its pairwise decisions."""
-        wins_a = (decision >= 0.0).astype(float)
-        # Votes are small exact integers, so the order of these sums
-        # does not matter.
-        votes = stable_dot(wins_a, self._wins_a) + stable_dot(
-            1.0 - wins_a, self._wins_b
-        )
-        scores = stable_dot(decision, self._wins_a - self._wins_b)
+        """Each row's winning class from its pairwise decisions.
+
+        One product over the stacked rows ``[wins; decision]`` gives
+        the votes, exact small integers, and the tie-break scores,
+        each a row-pure reduction (:func:`stable_dot`).
+        """
+        n = len(decision)
+        stacked = np.concatenate((decision >= 0.0, decision))
+        both = stable_dot(stacked, self._vote_table)
+        votes = both[:n] + self._base_votes
         # Lexicographic: votes first, aggregate score as tiebreak.
-        ranking = votes + 1e-9 * np.tanh(scores)
-        return self._classes[np.argmax(ranking, axis=1)]
+        ranking = votes + 1e-9 * np.tanh(both[n:])
+        return self._classes[ranking.argmax(axis=1)]
 
     def score(
         self,

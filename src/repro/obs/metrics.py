@@ -28,6 +28,9 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
 
 
 def _attr_key(attrs: Mapping[str, object]) -> AttrKey:
+    # One label, the common case, is already in order.
+    if len(attrs) == 1:
+        return tuple(attrs.items())
     return tuple(sorted(attrs.items()))
 
 
@@ -54,10 +57,9 @@ class _Instrument:
         self._registry = registry
 
     def _emit(self, value: float, attrs: Mapping[str, object]) -> None:
-        sink = self._registry.sink
-        if not sink.enabled:
-            return
-        sink.emit(
+        """Send one event to the sink; callers first check that it is
+        ``enabled``, so a disabled sink costs one attribute test."""
+        self._registry.sink.emit(
             TelemetryEvent(
                 time=self._registry.now(),
                 kind=self.kind,
@@ -94,7 +96,8 @@ class Counter(_Instrument):
         if attrs:
             key = _attr_key(attrs)
             self._by_attrs[key] = self._by_attrs.get(key, 0.0) + value
-        self._emit(value, attrs)
+        if self._registry.sink.enabled:
+            self._emit(value, attrs)
 
     @property
     def value(self) -> float:
@@ -134,7 +137,8 @@ class Gauge(_Instrument):
         self._updated_at = now
         if attrs:
             self._by_attrs[_attr_key(attrs)] = (float(value), now)
-        self._emit(value, attrs)
+        if self._registry.sink.enabled:
+            self._emit(value, attrs)
 
     @property
     def value(self) -> Optional[float]:
@@ -192,7 +196,8 @@ class Histogram(_Instrument):
             self._counts[-1] += 1
         self._sum += value
         self._count += 1
-        self._emit(value, attrs)
+        if self._registry.sink.enabled:
+            self._emit(value, attrs)
 
     @property
     def count(self) -> int:

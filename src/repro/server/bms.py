@@ -316,17 +316,12 @@ class RoomModel:
         return getattr(self.classifier, "wants_scaling", True)
 
     def classify(self, beacons: Mapping[str, float]) -> str:
-        """Predict the room for one fingerprint.
+        """Predict the room for one fingerprint: a 1-row :meth:`classify_batch`.
 
         Raises:
             RuntimeError: the classifier has not been trained.
         """
-        if not self.trained:
-            raise RuntimeError("BMS classifier is not trained; call train()")
-        row = self.vectorizer.transform_one(beacons).reshape(1, -1)
-        if self._wants_scaling:
-            row = self.scaler.transform(row)
-        return str(self.classifier.predict(row)[0])
+        return self.classify_batch([beacons])[0]
 
     def classify_batch(
         self, beacons_batch: Sequence[Mapping[str, float]]
@@ -336,7 +331,9 @@ class RoomModel:
         All fingerprints are vectorised into a single ``(N, d)``
         matrix, scaled once, and pushed through a single
         ``classifier.predict``.  Predictions are identical to calling
-        :meth:`classify` per fingerprint.
+        :meth:`classify` per fingerprint.  The labels become ``str``
+        in one conversion, whether the classifier answers with an
+        array (the SVM) or a list.
 
         Raises:
             RuntimeError: the classifier has not been trained.
@@ -348,7 +345,7 @@ class RoomModel:
         X = self.vectorizer.transform(beacons_batch)
         if self._wants_scaling:
             X = self.scaler.transform(X)
-        return [str(label) for label in self.classifier.predict(X)]
+        return np.asarray(self.classifier.predict(X), dtype=str).tolist()
 
 
 class BuildingManagementServer:

@@ -26,10 +26,37 @@ class TestVectorizer:
         row = vec.transform_one({"a": 1.0, "zzz": 9.0})
         assert row.shape == (1,)
 
-    def test_batch_transform(self):
+    @pytest.mark.parametrize(
+        "fingerprints",
+        [
+            [{"a": 1.0}, {"b": 2.0}],
+            # Ragged rows: a beacon missing from some of them.
+            [{"a": 1.5, "b": 2.5}, {"b": 0.25}, {"a": 7.0}, {}],
+            # Unknown ids beside known ones, and alone.
+            [{"zz": 9.0, "a": 3.0}, {"zz": 1.0}, {"b": 4.0, "yy": -1.0}],
+            # Int values widen to floats.
+            [{"a": 2, "b": 0}, {"b": 11}],
+            # The empty batch.
+            [],
+        ],
+    )
+    def test_batch_transform(self, fingerprints):
         vec = FingerprintVectorizer(["a", "b"])
-        X = vec.transform([{"a": 1.0}, {"b": 2.0}])
-        assert X.shape == (2, 2)
+        X = vec.transform(fingerprints)
+        assert X.shape == (len(fingerprints), 2)
+        assert X.dtype == np.float64
+        expected = [
+            [float(fp.get(b, MISSING_DISTANCE_M)) for b in ("a", "b")]
+            for fp in fingerprints
+        ]
+        np.testing.assert_array_equal(X, np.reshape(expected, (-1, 2)))
+        stacked = np.vstack(
+            [np.empty((0, 2))] + [vec.transform([fp]) for fp in fingerprints]
+        )
+        assert X.tobytes() == stacked.tobytes()
+        for fp, row in zip(fingerprints, X):
+            assert vec.transform_one(fp).tobytes() == vec.transform([fp])[0].tobytes()
+            assert vec.transform_one(fp).tobytes() == row.tobytes()
 
     def test_empty_batch(self):
         vec = FingerprintVectorizer(["a", "b"])

@@ -319,3 +319,31 @@ class TestBatchedPrediction:
         np.testing.assert_array_equal(model.predict(X, bank_gram=bank_gram), labels)
         with pytest.raises(ValueError, match="bank_gram"):
             model.predict(X[:-1], bank_gram=bank_gram)
+
+    def test_vote_ties_break_as_the_oracle_does(self):
+        """Rows whose pairwise votes tie go to the larger summed signed
+        decision (the tanh tie-break), in one batch and row by row, as
+        the per-machine vote loop decides them."""
+        # Three classes tie where their pairwise wins form a cycle;
+        # this model has about 20 such rows among 5,000 queries.
+        model = self._fingerprint_model(n_classes=3, seed=4)
+        X = np.random.default_rng(11).uniform(-2.0, 10.0, size=(5000, 4))
+        votes = np.zeros((len(X), len(model.classes_)))
+        for (a, b), machine in model._machines.items():
+            first = machine.decision_function(X) >= 0.0
+            votes[first, a] += 1
+            votes[~first, b] += 1
+        leaders = votes == votes.max(axis=1, keepdims=True)
+        tied = leaders.sum(axis=1) > 1
+        assert tied.any()
+        X, leaders = X[tied], leaders[tied]
+        labels = model.predict(X)
+        np.testing.assert_array_equal(labels, vote_predict(model, X))
+        np.testing.assert_array_equal(
+            labels, [model.predict(row.reshape(1, -1))[0] for row in X]
+        )
+        # Every label is one of its row's leaders, and the scores, not
+        # class order alone, decide some of them.
+        winners = np.searchsorted(model.classes_, labels)
+        assert leaders[np.arange(len(X)), winners].all()
+        assert (winners != leaders.argmax(axis=1)).any()

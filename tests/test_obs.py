@@ -97,6 +97,76 @@ class TestGauge:
         assert event.value == 4.0
 
 
+#: (instrument kind, value, attributes in keyword order) of one write.
+_KEYED_WRITES = [
+    ("counter", 1.0, {"room": "kitchen"}),
+    ("counter", 2.0, {"room": "kitchen", "device": "d1"}),
+    ("counter", 3.0, {"device": "d1", "room": "kitchen"}),
+    ("counter", 4.0, {"device": "d2"}),
+    ("gauge", 5.0, {"room": "hall"}),
+    ("gauge", 6.0, {"room": "hall", "device": "d2"}),
+    ("gauge", 7.0, {"device": "d2", "room": "hall"}),
+    ("counter", 8.0, {"room": "kitchen"}),
+    ("gauge", 9.0, {"room": "hall"}),
+]
+
+
+def _write(registry, kind, value, attrs):
+    if kind == "counter":
+        registry.counter("test.hits").inc(value, **attrs)
+    else:
+        registry.gauge("test.level").set(value, **attrs)
+
+
+class TestAttributeKeys:
+    """One- and two-label series are keyed by their labels sorted by
+    name, whatever the keyword order of the write or the read."""
+
+    def test_keyword_order_lands_in_one_series(self):
+        registry, clock = recording_registry()
+        for t, write in enumerate(_KEYED_WRITES):
+            clock["t"] = float(t)
+            _write(registry, *write)
+        counter = registry.counter("test.hits")
+        gauge = registry.gauge("test.level")
+        assert counter.series == {
+            (("room", "kitchen"),): 9.0,
+            (("device", "d1"), ("room", "kitchen")): 5.0,
+            (("device", "d2"),): 4.0,
+        }
+        assert counter.value == 18.0
+        assert counter.value_for(room="kitchen") == 9.0
+        assert counter.value_for(room="kitchen", device="d1") == 5.0
+        assert counter.value_for(device="d1", room="kitchen") == 5.0
+        assert counter.value_for(device="d1") == 0.0
+        assert registry.state()["gauges"]["test.level"]["series"] == {
+            (("room", "hall"),): (9.0, 8.0),
+            (("device", "d2"), ("room", "hall")): (7.0, 6.0),
+        }
+        assert gauge.value_for(room="hall") == 9.0
+        assert gauge.value_for(room="hall", device="d2") == 7.0
+        assert gauge.value_for(device="d2", room="hall") == 7.0
+        # The events keep each write's own attributes.
+        assert [e.attrs for e in registry.events] == [a for _, _, a in _KEYED_WRITES]
+
+    def test_merged_shard_states_equal_the_parent(self):
+        """Writes split over shard registries merge to the totals and
+        series of one registry that took them all."""
+        parent, clock = recording_registry()
+        shards = [MetricsRegistry(clock=lambda: clock["t"]) for _ in range(3)]
+        for t, write in enumerate(_KEYED_WRITES):
+            clock["t"] = float(t)
+            _write(parent, *write)
+            _write(shards[t % 3], *write)
+        merged = MetricsRegistry()
+        for shard in shards:
+            merged.merge(shard.state())
+        expected = parent.state()
+        got = merged.state()
+        assert got["counters"] == expected["counters"]
+        assert got["gauges"] == expected["gauges"]
+
+
 class TestHistogram:
     def test_bucketing_is_cumulative(self):
         registry = MetricsRegistry()
