@@ -1,10 +1,12 @@
 """Micro-benchmarks of the hot paths (true timing benchmarks).
 
 Unlike the figure benches (one-shot experiments), these measure the
-throughput of the inner loops: packet codec, channel sampling, kernel
-evaluation, SMO training, the end-to-end scan cycle, and the server's
-small-batch decision and booking path.
+throughput of the inner loops: packet codec, the advertising schedule,
+channel sampling, kernel evaluation, SMO training, the end-to-end scan
+cycle, and the server's small-batch decision and booking path.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.phone.scanner import AndroidScanner
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
 from repro.server.rest import Request
+from tests.advertiser_oracle import slot_times
 from tests.smo_oracle import vote_predict
 
 
@@ -31,6 +34,44 @@ def test_perf_packet_roundtrip(benchmark):
         return decode_packet(packet.encode())
 
     assert benchmark(roundtrip) == packet
+
+
+def _assert_schedule_is_per_slot(air, window):
+    """Each advertiser's run of ``window`` equals the per-slot oracle."""
+    for start, end, k in window.runs:
+        adv = air.advertisers[k]
+        expected = slot_times(
+            window.t_start,
+            window.t_end,
+            adv.placement.advertising_interval_s,
+            seed=adv.seed,
+            phase_s=adv.phase_s,
+        )
+        assert window.times[start:end].tobytes() == np.array(expected).tobytes()
+
+
+def test_perf_fresh_window_schedule(benchmark):
+    """``AirInterface.schedule`` on test-house windows that advance by
+    the scan period, as a drive sees them.
+
+    No window repeats, so each call lays out its own columns and, every
+    64 slots of a beacon, derives a new block of advDelay jitters
+    (``test_perf_scan_cycle`` re-scans t = 0, where every jitter is a
+    memo hit).
+    """
+    air = AirInterface(make_test_house(), ChannelModel(seed=2))
+    period = SystemConfig().scan_period_s
+    starts = itertools.count()
+
+    def fresh_window():
+        t_start = next(starts) * period
+        return air.schedule(t_start, t_start + period)
+
+    window = benchmark.pedantic(fresh_window, rounds=1000, warmup_rounds=10)
+    assert [k for _, _, k in window.runs] == list(range(len(air.advertisers)))
+    _assert_schedule_is_per_slot(air, window)
+    # A window across the first block edge (slot 64 at 6.4 s).
+    _assert_schedule_is_per_slot(air, air.schedule(6.0, 6.0 + period))
 
 
 def test_perf_channel_sample(benchmark):

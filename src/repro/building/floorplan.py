@@ -163,6 +163,11 @@ class FloorPlan:
     rooms: list[Room]
     walls: list[Wall] = field(default_factory=list)
     beacons: list[BeaconPlacement] = field(default_factory=list)
+    #: ``(walls, table)``: the wall table of :meth:`wall_losses` and the
+    #: wall list it was built from.
+    _wall_cache: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.rooms = list(self.rooms)
@@ -264,15 +269,37 @@ class FloorPlan:
         total = np.zeros(np.broadcast_shapes(tx.shape, rx.shape)[:-1])
         if not self.walls:
             return total
+        starts, ends, losses = self._wall_table()
         # One wall per leading index, broadcast against every ray.
+        lead = (len(losses),) + (1,) * total.ndim + (2,)
+        crossed = segments_intersect_many(
+            tx, rx, starts.reshape(lead), ends.reshape(lead)
+        )
+        for loss, hit in zip(losses, crossed):
+            total += loss * hit
+        return total
+
+    def _wall_table(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
+        """Wall start and end points, shape ``(walls, 2)``, and losses in dB.
+
+        Built on first use and kept until ``walls`` no longer equals the
+        list it was built from (a wall added, removed or replaced, or
+        the list reassigned).
+        """
+        cache = self._wall_cache
+        if cache is not None and cache[0] == self.walls:
+            return cache[1]
         ends = np.array(
             [(w.segment.a.as_tuple(), w.segment.b.as_tuple()) for w in self.walls],
             dtype=float,
-        ).reshape((len(self.walls),) + (1,) * total.ndim + (2, 2))
-        crossed = segments_intersect_many(tx, rx, ends[..., 0, :], ends[..., 1, :])
-        for wall, hit in zip(self.walls, crossed):
-            total += WALL_MATERIALS[wall.material].loss_db * hit
-        return total
+        ).reshape(-1, 2, 2)
+        table = (
+            ends[:, 0].copy(),
+            ends[:, 1].copy(),
+            [WALL_MATERIALS[w.material].loss_db for w in self.walls],
+        )
+        self._wall_cache = (list(self.walls), table)
+        return table
 
     def bounds(self) -> tuple[float, float, float, float]:
         """Bounding box ``(x_min, y_min, x_max, y_max)`` over all rooms.

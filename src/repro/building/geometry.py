@@ -135,8 +135,12 @@ def _orient_signs(px, py, qx, qy, rx, ry):
 
 def _on_segment_many(p, q, r) -> np.ndarray:
     """:func:`_on_segment` over arrays of points, shape ``(..., 2)``."""
-    return ((np.minimum(p, r) - _EPS <= q) & (q <= np.maximum(p, r) + _EPS)).all(
-        axis=-1
+    low = np.minimum(p, r) - _EPS
+    high = np.maximum(p, r) + _EPS
+    qx, qy = q[..., 0], q[..., 1]
+    return (
+        (low[..., 0] <= qx) & (qx <= high[..., 0])
+        & (low[..., 1] <= qy) & (qy <= high[..., 1])
     )
 
 
@@ -146,9 +150,14 @@ def segments_intersect_many(p1, q1, p2, q2) -> np.ndarray:
     Each argument is an array of points, shape ``(..., 2)``; the four
     broadcast together and the result has their broadcast shape minus
     the last axis.  Every element is bitwise the scalar predicate's
-    answer: the orientation crosses use the same expressions, and the
-    collinear cases (rare off axis-aligned geometry) are evaluated only
-    where an orientation is zero.
+    answer: the orientation crosses use the same expressions, and each
+    is evaluated on the broadcast shape of its own three points.
+
+    The one collinear case that leaves ``q1`` out, ``p1`` on the line
+    of ``p2q2``, is decided on the shape of ``p1``, ``p2`` and ``q2``
+    alone (a transmitter on a wall's line, whatever the receiver).  The
+    other collinear cases, rare off axis-aligned geometry, are
+    evaluated only where an orientation that involves ``q1`` is zero.
     """
     p1x, p1y = p1[..., 0], p1[..., 1]
     q1x, q1y = q1[..., 0], q1[..., 1]
@@ -158,11 +167,16 @@ def segments_intersect_many(p1, q1, p2, q2) -> np.ndarray:
     pos2, neg2 = _orient_signs(p1x, p1y, q1x, q1y, q2x, q2y)
     pos3, neg3 = _orient_signs(p2x, p2y, q2x, q2y, p1x, p1y)
     pos4, neg4 = _orient_signs(p2x, p2y, q2x, q2y, q1x, q1y)
+    nonzero3 = pos3 | neg3
+    # Where the orientations that involve q1 are nonzero, the scalar
+    # predicate is a proper crossing or, with o3 zero (which rules a
+    # proper crossing out), p1 on segment p2q2.
     crossed = np.asarray(
-        ((pos1 & neg2) | (neg1 & pos2)) & ((pos3 & neg4) | (neg3 & pos4))
+        (((pos1 & neg2) | (neg1 & pos2)) & ((pos3 & neg4) | (neg3 & pos4)))
+        | (~nonzero3 & _on_segment_many(p2, p1, q2))
     )
-    nonzero = (pos1 | neg1, pos2 | neg2, pos3 | neg3, pos4 | neg4)
-    collinear = ~(nonzero[0] & nonzero[1] & nonzero[2] & nonzero[3])
+    nonzero = (pos1 | neg1, pos2 | neg2, nonzero3, pos4 | neg4)
+    collinear = ~(nonzero[0] & nonzero[1] & nonzero[3])
     if collinear.any():
         # A proper crossing has no zero orientation, so these elements
         # are decided by the collinear branches alone.

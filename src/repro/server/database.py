@@ -28,6 +28,7 @@ class Table:
     def __init__(self, name: str, columns: Optional[List[str]] = None) -> None:
         self.name = name
         self.columns = list(columns) if columns is not None else None
+        self._column_set = frozenset(self.columns) if columns is not None else None
         self._rows: Dict[int, Row] = {}
         self._next_id = 1
 
@@ -38,12 +39,10 @@ class Table:
             ValueError: when a column list was declared and the row
                 contains unknown keys.
         """
-        if self.columns is not None:
-            unknown = set(row) - set(self.columns)
-            if unknown:
-                raise ValueError(
-                    f"table {self.name!r} has no columns {sorted(unknown)}"
-                )
+        known = self._column_set
+        if known is not None and not known.issuperset(row):
+            unknown = set(row) - known
+            raise ValueError(f"table {self.name!r} has no columns {sorted(unknown)}")
         row_id = self._next_id
         self._next_id += 1
         stored = dict(row)

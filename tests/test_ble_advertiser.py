@@ -1,15 +1,26 @@
 """Tests for advertiser scheduling."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ble.advertiser import (
+    _JITTER_BLOCK,
     ADV_DELAY_MAX_S,
     Advertiser,
-    _slot_jitter,
+    _jitter_block,
     advertisement_times,
 )
 from repro.building.geometry import Point
 from repro.building.presets import make_beacon
+from tests.advertiser_oracle import slot_jitter, slot_times
+
+
+def assert_bitwise(times, expected):
+    assert np.asarray(times, dtype=float).tobytes() == np.asarray(
+        expected, dtype=float
+    ).tobytes()
 
 
 class TestAdvertisementTimes:
@@ -80,24 +91,96 @@ class TestAdvertiser:
 
 
 class TestJitterMemo:
-    """The process-wide advDelay memo never changes a schedule."""
+    """The process-wide advDelay block memo never changes a schedule."""
 
     def test_cleared_and_warm_memo_give_the_same_times(self):
-        _slot_jitter.cache_clear()
+        _jitter_block.cache_clear()
         cold = advertisement_times(0.0, 20.0, 0.1, seed=7)
         warm = advertisement_times(0.0, 20.0, 0.1, seed=7)
-        assert _slot_jitter.cache_info().hits > 0
+        assert _jitter_block.cache_info().hits > 0
         assert warm == cold
 
     def test_memo_equals_the_pure_jitter(self):
-        _slot_jitter.cache_clear()
-        first = [_slot_jitter(7, k) for k in range(50)]
-        assert [_slot_jitter.__wrapped__(7, k) for k in range(50)] == first
+        _jitter_block.cache_clear()
+        for block in (0, 1, 17):
+            first = block * _JITTER_BLOCK
+            pure = [slot_jitter(7, k) for k in range(first, first + _JITTER_BLOCK)]
+            assert_bitwise(_jitter_block(7, block), pure)
+            assert_bitwise(_jitter_block.__wrapped__(7, block), pure)
 
     def test_windows_past_the_memo_bound_stay_the_same(self):
-        # 4,000 slots evict the bounded memo's early entries several times.
-        _slot_jitter.cache_clear()
+        # 4,000 slots (63 blocks) evict the 16-block memo's early
+        # entries several times.
+        _jitter_block.cache_clear()
         long_window = advertisement_times(0.0, 400.0, 0.1, seed=3)
-        _slot_jitter.cache_clear()
+        _jitter_block.cache_clear()
         assert advertisement_times(0.0, 400.0, 0.1, seed=3) == long_window
         assert advertisement_times(0.0, 2.0, 0.1, seed=3) == long_window[:20]
+        assert_bitwise(long_window, slot_times(0.0, 400.0, 0.1, seed=3))
+
+    def test_memo_holds_at_most_1024_slots(self):
+        assert _jitter_block.cache_info().maxsize * _JITTER_BLOCK <= 1024
+
+    def test_blocks_are_read_only(self):
+        with pytest.raises(ValueError):
+            _jitter_block(7, 0)[0] = 0.0
+
+
+class TestPerSlotOracle:
+    """Windows against the per-slot schedule of ``tests/advertiser_oracle``."""
+
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        [
+            (6.0, 8.0),  # slot 64 at 6.4 s: the first block edge
+            (6.35, 6.45),  # slots 63-66
+            (6.4, 6.41),
+            (6.0, 6.3),  # slots 59-64: the last slot opens block 1
+            (6.45, 6.6),  # slots 64-67: the first slot opens block 1
+            (12.5, 12.7),  # slots 124-128: the second edge
+            (5.0, 20.0),  # three blocks in one window
+        ],
+    )
+    def test_windows_straddling_a_block_edge(self, t_start, t_end):
+        _jitter_block.cache_clear()
+        for seed in (3, 2**64 - 1):
+            assert_bitwise(
+                advertisement_times(t_start, t_end, 0.1, seed=seed),
+                slot_times(t_start, t_end, 0.1, seed=seed),
+            )
+
+    @pytest.mark.parametrize(
+        "t_start, t_end, phase_s",
+        [
+            (0.0, 2.0, 0.0),
+            (0.0, 0.005, 0.0),
+            (0.0, 0.0, 0.0),
+            (-0.5, 0.3, 0.0),
+            (-3.0, -1.0, 0.0),
+            (0.001, 0.2, 0.05),
+            (0.0, 1.0, -0.25),
+            (0.0, 1.0, 0.7),
+        ],
+    )
+    def test_slot_zero_clamp_near_t0(self, t_start, t_end, phase_s):
+        _jitter_block.cache_clear()
+        assert_bitwise(
+            advertisement_times(t_start, t_end, 0.1, seed=9, phase_s=phase_s),
+            slot_times(t_start, t_end, 0.1, seed=9, phase_s=phase_s),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        t_start=st.floats(-1.0, 40.0, allow_nan=False),
+        span=st.floats(0.0, 8.0, allow_nan=False),
+        interval_s=st.sampled_from([0.1, 0.05, 0.3, 0.1234, 1.0]),
+        phase_s=st.sampled_from([0.0, 0.05, -0.2, 0.7]),
+    )
+    def test_any_window(self, seed, t_start, span, interval_s, phase_s):
+        assert_bitwise(
+            advertisement_times(
+                t_start, t_start + span, interval_s, seed=seed, phase_s=phase_s
+            ),
+            slot_times(t_start, t_start + span, interval_s, seed=seed, phase_s=phase_s),
+        )

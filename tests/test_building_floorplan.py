@@ -237,3 +237,83 @@ def test_wall_losses_equal_scalar_oracle_on_random_plans(data):
     plan = data.draw(random_plans())
     pairs = data.draw(st.lists(rays(plan), min_size=1, max_size=8))
     assert_wall_losses_match_oracle(plan, pairs)
+
+
+# ----------------------------------------------------------------------
+# The wall function's collinear cases and its kept wall table
+# ----------------------------------------------------------------------
+#: Beacon 1-2 of the test house at (9, 2) lies on the line of the
+#: x = 9 drywall from (9, 4) to (9, 6), below the wall.
+ON_LINE_BEACON = (9.0, 2.0)
+
+
+def test_a_beacon_on_a_walls_line_matches_the_oracle():
+    assert ON_LINE_BEACON in [b.position.as_tuple() for b in HOUSE.beacons]
+    receivers = [
+        (9.0, 3.0),  # on the line, short of the wall
+        (9.0, 4.0),  # the wall's end point
+        (9.0, 5.0),  # on the wall
+        (9.0, 6.5),  # through the whole wall
+        (9.0, 2.0),  # zero-length ray
+        (3.0, 5.5),  # across the house
+        (10.5, 5.5),
+        (7.5, 5.5),
+    ]
+    assert_wall_losses_match_oracle(HOUSE, [(ON_LINE_BEACON, r) for r in receivers])
+
+
+def test_a_transmitter_on_a_wall_crosses_it_whatever_the_receiver():
+    tx = (9.0, 5.0)  # on the x = 9 drywall
+    receivers = [(1.0, 1.0), (9.0, 5.0), (11.5, 6.5), (9.0, 0.5), (6.0, 6.0)]
+    assert_wall_losses_match_oracle(HOUSE, [(tx, r) for r in receivers])
+    assert_wall_losses_match_oracle(HOUSE, [(r, tx) for r in receivers])
+
+
+def test_receivers_on_wall_lines_and_end_points_match_the_oracle():
+    ends = {
+        p
+        for w in HOUSE.walls
+        for p in (w.segment.a.as_tuple(), w.segment.b.as_tuple())
+    }
+    receivers = sorted(ends) + [
+        (6.0, 1.5),  # on the x = 6 drywall
+        (6.0, 3.5),  # on its line, past its end
+        (2.0, 4.0),  # on the y = 4 drywall
+        (4.5, 4.0),  # the doorway between two y = 4 walls
+        (12.0, 3.0),  # on the east outer wall
+        (-1.0, 7.0),  # on the north wall's line, outside
+    ]
+    for beacon in HOUSE.beacons:
+        tx = beacon.position.as_tuple()
+        assert_wall_losses_match_oracle(HOUSE, [(tx, r) for r in receivers])
+
+
+def test_the_wall_table_is_kept_until_the_walls_change():
+    plan = presets.test_house()
+    tx = np.array([[3.0, 2.0], [9.0, 2.0]])
+    rx = np.array([[3.0, 6.0], [9.0, 6.5]])
+    before = plan.wall_losses(tx, rx)
+    table = plan._wall_table()
+    plan.wall_losses(tx, rx)
+    assert plan._wall_table() is table
+
+    def expected():
+        return np.array(
+            [wall_loss_db(plan.walls_crossed(tuple(t), tuple(r))) for t, r in zip(tx, rx)]
+        )
+
+    # Appending a wall across both rays.
+    plan.walls.append(Wall(Segment(Point(0.0, 3.0), Point(12.0, 3.0)), "concrete"))
+    after = plan.wall_losses(tx, rx)
+    assert plan._wall_table() is not table
+    assert after.tobytes() == expected().tobytes()
+    assert (after > before).all()
+    # Replacing one in place, removing one, and reassigning the list.
+    plan.walls[-1] = Wall(Segment(Point(0.0, 3.0), Point(6.0, 3.0)), "glass")
+    assert plan.wall_losses(tx, rx).tobytes() == expected().tobytes()
+    plan.walls.pop()
+    assert plan.wall_losses(tx, rx).tobytes() == before.tobytes()
+    plan.walls = plan.walls[:4]
+    assert plan.wall_losses(tx, rx).tobytes() == expected().tobytes()
+    plan.walls = []
+    assert plan.wall_losses(tx, rx).tobytes() == np.zeros(2).tobytes()

@@ -33,6 +33,19 @@ class TestTable:
         with pytest.raises(ValueError):
             table.insert({"b": 1})
 
+    def test_unknown_columns_are_rejected_and_named(self):
+        table = Table("sightings", columns=("device", "room", "time"))
+        table.insert({"device": "d", "room": "r", "time": 1.0})
+        table.insert({"room": "r"})  # a subset of the columns is fine
+        with pytest.raises(
+            ValueError, match=r"^table 'sightings' has no columns \['beacon', 'rssi'\]$"
+        ):
+            table.insert({"rssi": -60, "device": "d", "beacon": "1-1"})
+        with pytest.raises(ValueError, match=r"has no columns \['x'\]"):
+            Table("empty", columns=[]).insert({"x": 1})
+        assert len(table) == 2
+        assert table.columns == ["device", "room", "time"]
+
     def test_select_all(self):
         table = Table("t")
         table.insert({"a": 1})
