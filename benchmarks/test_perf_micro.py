@@ -6,6 +6,7 @@ channel sampling, kernel evaluation, SMO training, the end-to-end scan
 cycle, and the server's small-batch decision and booking path.
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -13,16 +14,19 @@ import pytest
 
 from repro.ble.air import AirInterface
 from repro.building.geometry import Point
-from repro.building.mobility import StaticPosition
+from repro.building.mobility import RandomWaypoint, StaticPosition
+from repro.building.occupant import Occupant
 from repro.building.presets import BUILDING_UUID, test_house as make_test_house
 from repro.core import OccupancyDetectionSystem, SystemConfig
+from repro.fleet.columnar import ColumnarFleetDrive
 from repro.ibeacon.packet import IBeaconPacket, decode_packet
 from repro.ml.kernels import RbfKernel
 from repro.ml.svm import SupportVectorClassifier
-from repro.phone.scanner import AndroidScanner
+from repro.phone.scanner import AndroidScanner, surface_android, surfaced_mean
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
 from repro.server.rest import Request
+from repro.sim.rng import derive_seed
 from tests.advertiser_oracle import slot_times
 from tests.smo_oracle import vote_predict
 
@@ -126,6 +130,59 @@ def test_perf_scan_cycle(benchmark):
 
     result = benchmark(cycle)
     assert result.t_end == 2.0
+
+
+@pytest.fixture(scope="module")
+def fleet_drive():
+    """A columnar drive over 64 test-house phones on the paper's config."""
+    plan = make_test_house()
+    system = OccupancyDetectionSystem(plan, SystemConfig())
+    system.calibrate(duration_s=60.0)
+    system.train()
+    for i in range(64):
+        mobility = RandomWaypoint(plan, seed=derive_seed(1, f"fleet:{i}"))
+        system.add_occupant(Occupant(f"dev-{i:04d}", mobility))
+    return ColumnarFleetDrive(system)
+
+
+def test_perf_columnar_radio_pass(benchmark, fleet_drive):
+    """One tick's radio pass for 64 test-house phones: the trajectory
+    block, the RSSI draw over every phone's rows, Android surfacing and
+    the cycle-mean gather.  A last pass is checked phone by phone
+    against ``positions_at``, a one-row ``draw_rssi`` from a copy of
+    the phone's stream and ``surfaced_mean``."""
+    drive = fleet_drive
+    channel = drive.system.channel
+    t0 = 60.0
+    window = drive.system.air.schedule(t0, t0 + drive.settings.listen_window_s)
+    benchmark.pedantic(
+        drive._radio_pass, args=(t0, window), rounds=200, warmup_rounds=5
+    )
+    scanners = [rt.phone.scanner for rt in drive.runtimes]
+    streams = [copy.deepcopy(scanner.rng) for scanner in scanners]
+    _, _, _, measured, mean = drive._radio_pass(t0, window)
+    assert measured.any()
+    for d, rt in enumerate(drive.runtimes):
+        rx = rt.phone.occupant.mobility.positions_at(window.times)
+        _, path_loss, walls, shadow = channel.seed_free_parts(
+            window.tx_ids, window.tx, rx, window.tx_power_dbm
+        )
+        _, _, rssi, received = channel.draw_rssi(
+            window.tx_power_dbm,
+            path_loss[None],
+            walls[None],
+            shadow[None],
+            scanners[d].device,
+            [streams[d]],
+        )
+        picked = surface_android(received, window.times, window.advertiser, t0)
+        for start, end, k in window.runs:
+            values = rssi[0, start:end][picked[0, start:end]]
+            col = drive._adv_col[k]
+            assert measured[d, col] == (len(values) > 0)
+            if len(values):
+                assert repr(float(mean[d, col])) == repr(surfaced_mean(values))
+        assert streams[d].random() == scanners[d].rng.random()
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,9 @@ A scanner asks its trajectory for a whole listening window at once
 (:meth:`MobilityModel.positions_at`).  :class:`StaticPosition` and
 :class:`RandomWaypoint` answer that in one array pass, the other models
 with the base class's per-time loop; either way the result is
-bit-identical to :meth:`position_at`.
+bit-identical to :meth:`position_at`.  :func:`positions_block` asks a
+whole fleet at once: every :class:`RandomWaypoint` supplies only its
+leg lookup and one interpolation runs over all of them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.building.geometry import Point
 from repro.sim.rng import derive_seed
 
 __all__ = [
+    "positions_block",
     "MobilityModel",
     "StaticPosition",
     "WaypointPath",
@@ -249,28 +252,81 @@ class RandomWaypoint(MobilityModel):
             self._columns_filled = n
         return self._columns[:, :n]
 
+    def _legs_at(self, ts: np.ndarray, latest: float, out: np.ndarray) -> None:
+        """Write the leg rows in force at clamped times ``ts`` to ``out``.
+
+        ``out`` has shape ``(6, n)`` and ``latest`` is the latest of
+        ``ts``: legs are extended once to it, then every time's leg is
+        found in one ``searchsorted`` pass.
+        """
+        self._extend_to(latest)
+        columns = self._leg_columns()
+        # A time's leg is the last one starting at or before it; "clip"
+        # takes leg 0 for a time before the first start.
+        index = np.searchsorted(columns[0], ts, side="right") - 1
+        np.take(columns, index, axis=1, out=out, mode="clip")
+
     def positions_at(self, times: Sequence[float]) -> np.ndarray:
         """Vectorised :meth:`position_at` over arbitrary query times.
 
-        Legs are extended once to the latest query, then every lookup
-        is a single ``searchsorted`` pass.  Coordinates are computed
-        with the same expressions as the scalar path, so
+        The one-trajectory case of :func:`positions_block`: coordinates
+        are computed with the same expressions as the scalar path, so
         ``positions_at(ts)[i]`` equals ``position_at(ts[i])`` exactly.
         """
         ts = np.maximum(np.asarray(times, dtype=float), 0.0)
         if ts.size == 0:
             return np.empty((0, 2), dtype=float)
-        self._extend_to(float(ts.max()))
-        columns = self._leg_columns()
-        index = np.maximum(np.searchsorted(columns[0], ts, side="right") - 1, 0)
-        t0, t1, ax, ay, bx, by = columns[:, index]
-        moving = t1 > t0
-        # Guard the division on degenerate legs; those rows take ``b``.
-        frac = np.clip((ts - t0) / np.where(moving, t1 - t0, 1.0), 0.0, 1.0)
-        out = np.empty(ts.shape + (2,), dtype=float)
-        out[..., 0] = np.where(moving, ax + (bx - ax) * frac, bx)
-        out[..., 1] = np.where(moving, ay + (by - ay) * frac, by)
-        return out
+        legs = np.empty((6,) + ts.shape, dtype=float)
+        self._legs_at(ts.reshape(-1), float(ts.max()), legs.reshape(6, -1))
+        return _interpolate(ts, legs)
+
+
+def _interpolate(ts: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    """Random-waypoint positions at clamped times ``ts`` on leg rows.
+
+    ``legs`` stacks ``(t0, t1, ax, ay, bx, by)`` along its first axis,
+    each row broadcasting against ``ts``; the result has the rows'
+    shape plus a trailing ``(x, y)`` axis.  The expressions are
+    :meth:`RandomWaypoint.position_at`'s, elementwise.
+    """
+    t0, t1, ax, ay, bx, by = legs
+    moving = t1 > t0
+    # Guard the division on degenerate legs; those rows take ``b``.
+    frac = np.clip((ts - t0) / np.where(moving, t1 - t0, 1.0), 0.0, 1.0)
+    out = np.empty(t0.shape + (2,), dtype=float)
+    out[..., 0] = np.where(moving, ax + (bx - ax) * frac, bx)
+    out[..., 1] = np.where(moving, ay + (by - ay) * frac, by)
+    return out
+
+
+def positions_block(
+    trajectories: Sequence[MobilityModel], times: Sequence[float]
+) -> np.ndarray:
+    """Every trajectory's positions at one set of ``times``.
+
+    Returns a ``(trajectories, times, 2)`` block whose row ``i`` equals
+    ``trajectories[i].positions_at(times)`` bit for bit.  Each
+    :class:`RandomWaypoint` supplies only its leg lookup and the
+    interpolation runs once over all of them; other models answer with
+    their own :meth:`~MobilityModel.positions_at`.
+    """
+    times = np.asarray(times, dtype=float)
+    out = np.empty((len(trajectories), len(times), 2), dtype=float)
+    walkers = []
+    for i, model in enumerate(trajectories):
+        # Not isinstance: a subclass may answer positions_at its own way.
+        if type(model) is RandomWaypoint:
+            walkers.append(i)
+        else:
+            out[i] = model.positions_at(times)
+    if walkers and len(times):
+        ts = np.maximum(times, 0.0)
+        latest = float(ts.max())
+        legs = np.empty((6, len(walkers), len(ts)), dtype=float)
+        for row, i in enumerate(walkers):
+            trajectories[i]._legs_at(ts, latest, legs[:, row])
+        out[walkers] = _interpolate(ts, legs)
+    return out
 
 
 class RoomSchedule(MobilityModel):

@@ -3,19 +3,25 @@
 The scalar pipeline walks one device at a time through radio ->
 scanner -> filter -> tracker objects.  This module drives *all M
 devices of a system at once*, and takes every per-phone rule from the
-one home the scalar phone stack calls too:
+one home the scalar phone stack calls too.  Each per-tick radio step
+is one array pass over the fleet:
 
 - the advertising schedule: :meth:`~repro.ble.air.AirInterface.schedule`;
+- receiver positions: :func:`~repro.building.mobility.positions_block`,
+  one ``(device, sample)`` block whose random-waypoint rows share one
+  interpolation;
 - the RSSI draw: :meth:`~repro.radio.channel.ChannelModel.seed_free_parts`
-  once per tick on ``(device, sample)`` arrays (the wall function and
-  the shadowing gather run inside it), then
-  :meth:`~repro.radio.channel.ChannelModel.draw_rssi` per device from
-  its own stream;
+  on ``(device, sample)`` arrays (the wall function and the shadowing
+  gather run inside it), then
+  :meth:`~repro.radio.channel.ChannelModel.draw_rssi` once per handset
+  profile on that profile's rows, each device drawing from its own
+  stream;
 - Android surfacing and the cycle mean:
   :func:`~repro.phone.scanner.surface_android` and
-  :func:`~repro.phone.scanner.surfaced_mean`;
+  :func:`~repro.phone.scanner.surfaced_means`;
 - payload decode: the air interface's ``decoded`` table;
-- ranging: :func:`~repro.radio.pathloss.distance_from_rssi`;
+- ranging: :func:`~repro.radio.pathloss.distance_from_rssi`, once on
+  the ``(device, beacon)`` block;
 - cycle bookkeeping: ``PhoneRuntime.charge_cycle``,
   :meth:`~repro.phone.scanner.Scanner.count_cycle` and the system's
   prediction record.
@@ -23,8 +29,9 @@ one home the scalar phone stack calls too:
 What stays here is columnar: the tick loop; the paper's 0.65 EWMA
 recurrence, loss/hold counters with eviction at the second consecutive
 miss and region enter/exit transitions as one numpy pass over
-``(device, beacon)`` arrays; the ordered per-device epilogue; and the
-mirror of the arrays back into the app facades.
+``(device, beacon)`` arrays; the ordered per-device epilogue, whose
+report rows are read from the ranged block; and the mirror of the
+arrays back into the app facades.
 
 Equivalence contract (pinned by ``tests/test_fleet_columnar.py``): at
 equal seeds a columnar run produces **byte-identical** results to
@@ -57,6 +64,7 @@ from typing import List
 
 import numpy as np
 
+from repro.building.mobility import positions_block
 from repro.core.system import DetectionRun, OccupancyDetectionSystem, PhoneRuntime
 from repro.filters.ewma import EwmaFilter
 from repro.ibeacon.region import RegionEventKind
@@ -66,7 +74,7 @@ from repro.phone.scanner import (
     AndroidScanner,
     IosScanner,
     surface_android,
-    surfaced_mean,
+    surfaced_means,
 )
 from repro.radio.pathloss import distance_from_rssi
 from repro.sim.clock import Clock
@@ -170,14 +178,20 @@ class ColumnarFleetDrive:
         self.ranging = np.zeros(M, dtype=bool)
         self.coeff = np.empty((M, 1))
         self.max_losses = np.empty((M, 1), dtype=np.int64)
+        self.exponent = np.empty((M, 1))
         self.is_android = np.zeros(M, dtype=bool)
+        # Rows per handset profile, in first-seen order: the RSSI draw
+        # runs once per profile.
+        rows_of = {}
         col_of = {bid: j for j, bid in enumerate(self.beacon_ids)}
         for d, rt in enumerate(self.runtimes):
             app = rt.phone.app
             tracker = app.tracker
             self.coeff[d, 0] = tracker.prototype.coefficient
             self.max_losses[d, 0] = tracker.max_consecutive_losses
+            self.exponent[d, 0] = app.path_loss_exponent
             self.is_android[d] = isinstance(rt.phone.scanner, AndroidScanner)
+            rows_of.setdefault(rt.phone.scanner.device, []).append(d)
             self.ranging[d] = app.state is AppState.RANGING
             for source, name in (
                 (tracker._filters, "tracker"),
@@ -203,6 +217,10 @@ class ColumnarFleetDrive:
                 self.losses[d, j] = tracker._losses[bid]
             for bid in app._tx_power_by_beacon:
                 self.seen[d, col_of[bid]] = True
+        self.profiles = [
+            (device, np.array(rows), [self.runtimes[d].phone.scanner for d in rows])
+            for device, rows in rows_of.items()
+        ]
 
     # ------------------------------------------------------------------
     # The drive
@@ -277,27 +295,30 @@ class ColumnarFleetDrive:
     def _radio_pass(self, t0: float, window):
         """RSSI, reception, surfacing and per-beacon means for all M.
 
-        The channel's seed-free parts run once on ``(M, n)``; each
-        device then draws in the scalar order from its own stream.
+        Every step is one array pass over the fleet, except the RSSI
+        draw, which runs once per handset profile and reads each
+        device's own stream in the scalar order.
         """
         channel = self.system.channel
         times, txp = window.times, window.tx_power_dbm
         M, E, n = len(self.runtimes), self.n_eligible, len(times)
 
-        # Receiver positions: one vectorised trajectory query per
-        # device (bit-identical to per-sample position_at calls).
-        rx = np.empty((M, n, 2))
-        for d, rt in enumerate(self.runtimes):
-            rx[d] = rt.phone.occupant.mobility.positions_at(times)
+        rx = positions_block(
+            [rt.phone.occupant.mobility for rt in self.runtimes], times
+        )
         _, path_loss, walls, shadow = channel.seed_free_parts(
             window.tx_ids, window.tx, rx, txp
         )
         rssi = np.empty((M, n))
         rec = np.empty((M, n), dtype=bool)
-        for d, rt in enumerate(self.runtimes):
-            scanner = rt.phone.scanner
-            _, _, rssi[d], rec[d] = channel.draw_rssi(
-                txp, path_loss[d], walls[d], shadow[d], scanner.device, scanner.rng
+        for device, rows, scanners in self.profiles:
+            _, _, rssi[rows], rec[rows] = channel.draw_rssi(
+                txp,
+                path_loss[rows],
+                walls[rows],
+                shadow[rows],
+                device,
+                [scanner.rng for scanner in scanners],
             )
 
         # iOS surfaces everything received.
@@ -310,18 +331,20 @@ class ColumnarFleetDrive:
         raw_count = picked.sum(axis=1)
         surfaced = picked[:, self._decodable[window.advertiser]].sum(axis=1)
 
-        # Per-(device, beacon) mean of the surfaced samples, gathered
-        # per advertiser's run of schedule columns.
+        # Per-(device, beacon) means, one cell per advertiser's run of
+        # schedule columns; out-of-region runs are dropped.
+        count, run_mean = surfaced_means(
+            rssi, picked, [start for start, _, _ in window.runs]
+        )
+        runs, cols = [], []
+        for r, (_, _, k) in enumerate(window.runs):
+            if self._adv_col[k] >= 0:
+                runs.append(r)
+                cols.append(self._adv_col[k])
         measured = np.zeros((M, E), dtype=bool)
         mean = np.zeros((M, E))
-        for start, end, k in window.runs:
-            col = self._adv_col[k]
-            if col < 0:
-                continue
-            run = picked[:, start:end]
-            measured[:, col] = run.any(axis=1)
-            for d in np.flatnonzero(measured[:, col]):
-                mean[d, col] = surfaced_mean(rssi[d, start:end][run[d]])
+        measured[:, cols] = count[:, runs] > 0
+        mean[:, cols] = run_mean[:, runs]
         return received_total, raw_count, surfaced, measured, mean
 
     def _tracker_pass(self, measured, mean):
@@ -374,6 +397,7 @@ class ColumnarFleetDrive:
         system = self.system
         period = system.config.scan_period_s
         listen = self.settings.listen_window_s
+        rows = self._ranged_rows() if reporting.any() else None
         for d, rt in enumerate(self.runtimes):
             app = rt.phone.app
             rt.charge_cycle(period, listen, sensing=True)
@@ -388,27 +412,35 @@ class ColumnarFleetDrive:
                 app.state = AppState.MONITORING
                 app._tx_power_by_beacon.clear()
             if reporting[d]:
-                report = self._build_report(d, app, t_end)
+                report = self._build_report(d, app, t_end, rows)
                 app.reports.append(report)
                 if app.on_report is not None:
                     app.on_report(report)
                 rt.uplink.queue_report(report)
             system._record_prediction(rt, t0 + period)
 
-    def _build_report(self, d: int, app, t_end: float) -> SightingReport:
-        value_row = self.value[d]
-        distance = distance_from_rssi(
-            value_row, self.tx_power_e, app.path_loss_exponent
+    def _ranged_rows(self):
+        """The tick's report columns as per-device lists: smoothed RSSI,
+        ranged distance (one call over the ``(device, beacon)`` block),
+        held flag and liveness."""
+        distance = distance_from_rssi(self.value, self.tx_power_e, self.exponent)
+        return (
+            self.value.tolist(),
+            distance.tolist(),
+            (self.losses > 0).tolist(),
+            self.live.tolist(),
         )
-        held_row = self.losses[d] > 0
+
+    def _build_report(self, d: int, app, t_end: float, rows) -> SightingReport:
+        values, distances, held, live = rows
         beacons = [
             RangedBeacon(
-                beacon_id=self.beacon_ids[j],
-                rssi=float(value_row[j]),
-                distance_m=float(distance[j]),
-                held=bool(held_row[j]),
+                beacon_id=beacon_id, rssi=value, distance_m=distance, held=hold
             )
-            for j in np.flatnonzero(self.live[d])
+            for beacon_id, value, distance, hold, alive in zip(
+                self.beacon_ids, values[d], distances[d], held[d], live[d]
+            )
+            if alive
         ]
         return SightingReport(
             device_id=app.device_id, time=t_end, beacons=beacons

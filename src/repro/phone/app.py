@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.building.mobility import MobilityModel
 from repro.filters.tracker import BeaconTracker, paper_filter_bank
 from repro.ibeacon.region import BeaconRegion, RegionEvent, RegionEventKind
@@ -212,23 +214,27 @@ class OccupancyApp:
         return samples
 
     def _range(self, cycle: ScanCycle, samples: Dict[str, float]) -> SightingReport:
-        """Ranging Service: filter RSSI and invert to distances."""
+        """Ranging Service: filter RSSI and invert to distances, the
+        sorted row of estimates in one call."""
         estimates = self.tracker.update(samples)
-        beacons = []
-        for beacon_id in sorted(estimates):
-            est = estimates[beacon_id]
-            tx_power = self._tx_power_by_beacon[beacon_id]
-            distance = distance_from_rssi(
-                est.value, float(tx_power), self.path_loss_exponent
+        ranked = [estimates[beacon_id] for beacon_id in sorted(estimates)]
+        distances = distance_from_rssi(
+            np.array([est.value for est in ranked], dtype=float),
+            np.array(
+                [self._tx_power_by_beacon[est.beacon_id] for est in ranked],
+                dtype=float,
+            ),
+            self.path_loss_exponent,
+        ).tolist()
+        beacons = [
+            RangedBeacon(
+                beacon_id=est.beacon_id,
+                rssi=est.value,
+                distance_m=distance,
+                held=est.held,
             )
-            beacons.append(
-                RangedBeacon(
-                    beacon_id=beacon_id,
-                    rssi=est.value,
-                    distance_m=float(distance),
-                    held=est.held,
-                )
-            )
+            for est, distance in zip(ranked, distances)
+        ]
         return SightingReport(device_id=self.device_id, time=cycle.t_end, beacons=beacons)
 
     def _emit_region_event(self, time: float, kind: RegionEventKind) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "IosScanner",
     "surface_android",
     "surfaced_mean",
+    "surfaced_means",
 ]
 
 
@@ -85,12 +86,48 @@ def surfaced_mean(values) -> float:
     """A beacon's RSSI for one cycle: the mean of its surfaced samples.
 
     A single sample is returned as it is (bitwise ``np.mean`` of one
-    value).  The scalar scanner and the columnar fleet drive both take
-    the rule from here.
+    value).  The scalar scanner takes the rule from here, and the
+    columnar fleet drive through :func:`surfaced_means`.
     """
     if len(values) == 1:
         return float(values[0])
     return float(np.mean(values))
+
+
+def surfaced_means(
+    rssi: np.ndarray, picked: np.ndarray, starts: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`surfaced_mean` of every (device, run) cell of a block.
+
+    The columns of the ``(devices, samples)`` values ``rssi`` and
+    surfaced mask ``picked`` fall into consecutive runs, run ``r``
+    starting at column ``starts[r]`` (``starts[0]`` is 0) and ending
+    where the next starts: one advertiser each, as in
+    :attr:`~repro.ble.air.WindowSchedule.runs`.  The cells where
+    exactly one sample surfaced (every Android cell at the paper's 2 s
+    period) take it in one gather; :func:`surfaced_mean` runs only
+    where two or more did.
+
+    Returns:
+        ``(count, mean)``, each ``(devices, runs)``: the surfaced
+        samples per cell and their mean, 0.0 where none surfaced.
+    """
+    devices, n = picked.shape
+    bounds = [*starts, n]
+    runs = len(starts)
+    device, sample = np.nonzero(picked)
+    run_of = np.repeat(np.arange(runs), np.diff(bounds))
+    cell = device * runs + run_of[sample]
+    count = np.bincount(cell, minlength=devices * runs)
+    single = count[cell] == 1
+    mean = np.zeros(devices * runs)
+    mean[cell[single]] = rssi[device[single], sample[single]]
+    count = count.reshape(devices, runs)
+    mean = mean.reshape(devices, runs)
+    for d, r in np.argwhere(count > 1).tolist():
+        start, end = bounds[r], bounds[r + 1]
+        mean[d, r] = surfaced_mean(rssi[d, start:end][picked[d, start:end]])
+    return count, mean
 
 
 class Scanner(abc.ABC):

@@ -20,7 +20,9 @@ received* - losses are first-class because the paper's filter design
 :meth:`ChannelModel.link_budget_many` draws one phone's window in two
 passes that the columnar fleet drive also calls:
 :meth:`~ChannelModel.seed_free_parts` over any leading device axis and
-:meth:`~ChannelModel.draw_rssi` once per device.
+:meth:`~ChannelModel.draw_rssi` on a ``(receivers, samples)`` block,
+one random stream per receiver (one row for a phone's scan, every
+phone of one handset profile for the fleet drive's tick).
 """
 
 from __future__ import annotations
@@ -183,46 +185,67 @@ class ChannelModel:
         wall_loss_db: np.ndarray,
         shadowing_db: np.ndarray,
         device: DeviceRadioProfile,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One receiver's random draws over its ``n`` seed-free budgets.
+        """Random draws over a ``(rows, n)`` block of seed-free budgets.
 
-        ``rng`` is consumed in a fixed batch order: all fading draws,
-        then all noise draws, then collision uniforms, then stack-loss
-        uniforms.  Loss uniforms are drawn for every sample, not only
-        the ones above sensitivity, which keeps stream consumption a
-        function of ``n`` alone.
+        Each row is one receiver of profile ``device`` with its own
+        stream ``rngs[row]``, consumed row by row in a fixed order: the
+        fading model's standard normals (``normals_per_sample`` per
+        sample, read by its ``envelope_db``), the ``n`` noise draws,
+        then ``n`` collision uniforms and ``n`` stack-loss uniforms
+        (each only where the channel or ``device`` has that
+        impairment).  Loss uniforms are drawn for every
+        sample, not only the ones above sensitivity, which keeps stream
+        consumption a function of ``n`` alone.  The fading dB, raw
+        budget, quantisation and reception then run once on the block.
+        ``tx_powers_dbm`` has shape ``(n,)``.
 
         Returns:
             ``(fading_db, noise_db, rssi, received)``, each of shape
-            ``(n,)``.
+            ``(rows, n)``.
         """
-        n = len(tx_powers_dbm)
+        rows, n = path_loss_db.shape
+        fading = self.fading
+        sigma = device.rssi_noise_db
+        collision = self.collision_loss_prob
+        stack_loss = device.extra_loss_prob
+        n_fade = fading.normals_per_sample * n if fading is not None else 0
+        n_normal = n_fade + (n if sigma > 0.0 else 0)
+        n_uniform = (n if collision > 0.0 else 0) + (n if stack_loss > 0.0 else 0)
+        # Row by row: the normals, then the uniforms after them.
+        draws = np.empty((rows, n_normal + n_uniform))
+        for row, rng in enumerate(rngs):
+            if n_normal:
+                rng.standard_normal(out=draws[row, :n_normal])
+            if n_uniform:
+                rng.random(out=draws[row, n_normal:])
         fade = (
-            self.fading.sample_db(rng, size=n)
-            if self.fading is not None
-            else np.zeros(n)
+            fading.envelope_db(draws[:, :n_fade])
+            if fading is not None
+            else np.zeros((rows, n))
         )
-        noise = (
-            rng.normal(0.0, device.rssi_noise_db, size=n)
-            if device.rssi_noise_db > 0.0
-            else np.zeros(n)
-        )
-        raw = (
-            tx_powers_dbm
-            - path_loss_db
-            - wall_loss_db
-            + shadowing_db
-            + fade
-            + device.rx_gain_db
-            + noise
-        )
+        if sigma > 0.0:
+            # ``Generator.normal(0, sigma)`` returns ``0.0 + sigma * z``,
+            # which turns a -0.0 into +0.0.
+            noise = sigma * draws[:, n_fade:n_normal]
+            noise += 0.0
+        else:
+            noise = np.zeros((rows, n))
+        # tx - path loss - walls + shadowing + fading + gain + noise,
+        # left to right, in place.
+        raw = tx_powers_dbm - path_loss_db
+        raw -= wall_loss_db
+        raw += shadowing_db
+        raw += fade
+        raw += device.rx_gain_db
+        raw += noise
         rssi = device.quantise(raw)
         received = rssi >= device.sensitivity_dbm
-        if self.collision_loss_prob > 0.0:
-            received &= rng.random(size=n) >= self.collision_loss_prob
-        if device.extra_loss_prob > 0.0:
-            received &= rng.random(size=n) >= device.extra_loss_prob
+        if collision > 0.0:
+            received &= draws[:, n_normal : n_normal + n] >= collision
+        if stack_loss > 0.0:
+            received &= draws[:, n_normal + n_uniform - n :] >= stack_loss
         return fade, noise, rssi, received
 
     def link_budget_many(
@@ -258,7 +281,12 @@ class ChannelModel:
                 tx_ids, tx_xy, rx_xy, tx_powers
             )
             fade, noise, rssi, received = self.draw_rssi(
-                tx_powers, path_loss, walls, shadow, device, rng
+                tx_powers,
+                path_loss[None],
+                walls[None],
+                shadow[None],
+                device,
+                (rng,),
             )
             return LinkBudgetBatch(
                 distance_m=distance,
@@ -266,9 +294,9 @@ class ChannelModel:
                 path_loss_db=path_loss,
                 wall_loss_db=walls,
                 shadowing_db=shadow,
-                fading_db=fade,
+                fading_db=fade[0],
                 rx_gain_db=device.rx_gain_db,
-                noise_db=noise,
-                rssi=rssi,
-                received=received,
+                noise_db=noise[0],
+                rssi=rssi[0],
+                received=received[0],
             )

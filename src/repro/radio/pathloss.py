@@ -51,16 +51,23 @@ def rssi_from_distance(
 
 
 def distance_from_rssi(
-    rssi_dbm: ArrayLike, tx_power_dbm: ArrayLike, exponent: float
+    rssi_dbm: ArrayLike, tx_power_dbm: ArrayLike, exponent: ArrayLike
 ) -> ArrayLike:
     """Invert the path-loss model to an estimated distance in metres.
 
     This is the textbook estimator the Ranging Service applies to each
-    smoothed RSSI value; the columnar fleet drive passes one device's
-    row of values with the matching column of TX powers.  Estimates are
+    smoothed RSSI value.  Arguments broadcast elementwise: a phone's
+    app passes its row of tracked beacons with their TX powers, and the
+    columnar fleet drive its ``(device, beacon)`` block with the TX
+    power row and a column of per-device exponents.  Estimates are
     clamped to ``[MIN_DISTANCE_M, MAX_ESTIMATED_DISTANCE_M]``.
     """
-    if exponent <= 0.0:
+    # ``np.any`` only on an array: on a phone's scalar exponent it would
+    # add about half again to every ranging cycle's call.
+    nonpositive = exponent <= 0.0
+    if isinstance(nonpositive, np.ndarray):
+        nonpositive = nonpositive.any()
+    if nonpositive:
         raise ValueError(f"path-loss exponent must be positive, got {exponent}")
     rssi = np.asarray(rssi_dbm, dtype=float)
     d = np.power(10.0, (tx_power_dbm - rssi) / (10.0 * exponent))

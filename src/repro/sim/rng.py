@@ -7,18 +7,25 @@ reproducible while ensuring that, for example, adding one extra radio
 sample does not perturb the mobility trajectory.
 
 Where each of many seeds needs only its generator's first draw (the
-advertisers' per-slot advDelay), :func:`first_random` gives those draws
-for an array of seeds at once, bitwise, without building a generator
-per seed.
+advertisers' per-slot advDelay), :func:`derive_seeds` derives the seeds
+as one array and :func:`first_random` gives those draws for an array
+of seeds at once, bitwise, without building a generator per seed.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["derive_seed", "first_random", "RngStreams"]
+__all__ = ["derive_seed", "derive_seeds", "first_random", "RngStreams"]
+
+
+def _seed_bytes(master_seed: int, name: str) -> bytes:
+    """A derived seed's 8 bytes, little-endian: the head of SHA-256 over
+    ``"{master_seed}:{name}"`` in UTF-8."""
+    return hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()[:8]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -28,8 +35,17 @@ def derive_seed(master_seed: int, name: str) -> int:
     are statistically independent and stable across Python processes
     (unlike ``hash()``, which is salted per process).
     """
-    digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return int.from_bytes(_seed_bytes(master_seed, name), "little")
+
+
+def derive_seeds(master_seed: int, names: Sequence[str]) -> np.ndarray:
+    """:func:`derive_seed` for every name, as a ``uint64`` array.
+
+    The names' seed bytes are joined and read as one little-endian
+    array instead of one ``int`` per name.
+    """
+    heads = b"".join([_seed_bytes(master_seed, name) for name in names])
+    return np.frombuffer(heads, dtype="<u8").astype(np.uint64)
 
 
 # ----------------------------------------------------------------------

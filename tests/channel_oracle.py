@@ -11,6 +11,10 @@ the sample is still received.
 The seed-free components of a batch equal this module's exactly; with
 every random impairment disabled the whole budget does.
 :func:`budgets` expands a batch into the same rows for comparison.
+
+:func:`draw_one_receiver` keeps one receiver's random draws over its
+window as they read with one generator call per component, the order
+``ChannelModel.draw_rssi`` consumes each row's stream in.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["LinkBudget", "budgets", "link_budget"]
+__all__ = ["LinkBudget", "budgets", "draw_one_receiver", "link_budget"]
 
 Position = Tuple[float, float]
 
@@ -122,3 +126,42 @@ def link_budget(
         rssi=rssi,
         received=received,
     )
+
+
+def draw_one_receiver(
+    channel, tx_powers_dbm, path_loss_db, wall_loss_db, shadowing_db, device, rng
+):
+    """One receiver's ``(fading, noise, rssi, received)`` over ``n`` budgets.
+
+    The stream is read one component at a time: ``n`` fading samples
+    (the fading model's ``sample_db``), ``n`` noise draws, ``n``
+    collision uniforms, then ``n`` stack-loss uniforms, each only where
+    the channel or the device has that impairment.
+    """
+    n = len(tx_powers_dbm)
+    fade = (
+        channel.fading.sample_db(rng, size=n)
+        if channel.fading is not None
+        else np.zeros(n)
+    )
+    noise = (
+        rng.normal(0.0, device.rssi_noise_db, size=n)
+        if device.rssi_noise_db > 0.0
+        else np.zeros(n)
+    )
+    raw = (
+        tx_powers_dbm
+        - path_loss_db
+        - wall_loss_db
+        + shadowing_db
+        + fade
+        + device.rx_gain_db
+        + noise
+    )
+    rssi = device.quantise(raw)
+    received = rssi >= device.sensitivity_dbm
+    if channel.collision_loss_prob > 0.0:
+        received &= rng.random(size=n) >= channel.collision_loss_prob
+    if device.extra_loss_prob > 0.0:
+        received &= rng.random(size=n) >= device.extra_loss_prob
+    return fade, noise, rssi, received

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.building.floorplan import OUTSIDE
 from repro.building.geometry import Point
 from repro.building.mobility import (
     RandomWaypoint,
     RoomSchedule,
     StaticPosition,
     WaypointPath,
+    positions_block,
 )
 from repro.building.presets import test_house as make_test_house
 
@@ -261,3 +263,71 @@ def test_random_waypoint_leg_columns_follow_the_legs():
         [(t0, t1, a.x, a.y, b.x, b.y) for t0, t1, a, b in walk._legs]
     ).T
     assert np.array_equal(walk._columns[:, :n], expected)
+
+
+# -- positions_block is positions_at per model, bit for bit -------------------
+#
+# The columnar fleet drive asks every phone's trajectory for one window in
+# one positions_block call: random waypoints share one interpolation, the
+# other models answer with their own positions_at.
+
+_KINDS = ("walk", "static", "path", "schedule")
+
+
+def _model(kind, plan, seed):
+    if kind == "walk":
+        return RandomWaypoint(plan, seed=seed)
+    if kind == "static":
+        return StaticPosition(Point(1.5 + seed % 7, 2.0))
+    if kind == "path":
+        return WaypointPath(
+            [Point(1.0, 1.0), Point(8.0, 3.0), Point(2.0, 5.0)],
+            speed_mps=1.3,
+            start_time=float(seed % 11),
+        )
+    return RoomSchedule(
+        plan, [(0.0, "living"), (20.0 + seed % 30, OUTSIDE), (90.0, "study")]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(_KINDS), max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+    earlier=st.lists(_times([0.0, 60.0, 300.0]), max_size=2),
+    times=_times([0.0, -0.0, -3.0, 60.0, 1500.0]),
+)
+def test_positions_block_is_positions_at_per_model(kinds, seed, earlier, times):
+    """Mixed models at unsorted, repeated and negative times, after
+    earlier queries have grown some random waypoints' legs."""
+    plan = make_test_house()
+    models = [_model(kind, plan, seed + i) for i, kind in enumerate(kinds)]
+    oracles = [_model(kind, plan, seed + i) for i, kind in enumerate(kinds)]
+    for query in earlier:
+        positions_block(models, query)
+    block = positions_block(models, times)
+    assert block.shape == (len(models), len(times), 2)
+    for row, oracle in zip(block, oracles):
+        assert _bits(row) == _bits(oracle.positions_at(np.asarray(times, dtype=float)))
+
+
+@pytest.mark.parametrize("start", [0.0, 0.7, 37.0, 119.3, 400.0])
+def test_positions_block_on_listening_windows(start):
+    """Windows a scan sees (sorted beacon runs over 2 s), some inside
+    one leg and some crossing into the next: each row is
+    ``position_at`` per time."""
+    plan = make_test_house()
+    rng = np.random.default_rng(int(start * 10))
+    times = np.concatenate(
+        [np.sort(start + rng.uniform(0.0, 2.0, size=20)) for _ in range(5)]
+    )
+    walkers = [RandomWaypoint(plan, seed=s) for s in range(40)]
+    oracles = [RandomWaypoint(plan, seed=s) for s in range(40)]
+    block = positions_block(walkers, times)
+    for row, oracle in zip(block, oracles):
+        for xy, t in zip(row, times.tolist()):
+            assert _bits(xy) == _bits(oracle.position_at(t).as_tuple())
+
+
+def test_positions_block_without_trajectories():
+    assert positions_block([], [1.0, 2.0]).shape == (0, 2, 2)

@@ -204,6 +204,41 @@ class TestColumnarEquivalence:
         )
 
 
+#: Handset profiles of the mixed fleet: Fig. 11's two Android phones,
+#: an iPhone and the receiver with neither quantisation nor noise.
+HANDSETS = ("s3_mini", "nexus_5", "iphone_5s", "ideal")
+
+
+def build_mixed_system(platform, seed):
+    """A fleet whose handset profiles interleave, so each profile's
+    rows of the columnar RSSI draw are scattered across the fleet."""
+    system = build_system(platform, 0, seed)
+    for i in range(2 * len(HANDSETS)):
+        mobility = RandomWaypoint(system.plan, seed=derive_seed(seed, f"fleet:{i}"))
+        system.add_occupant(
+            Occupant(f"dev-{i:04d}", mobility, device=HANDSETS[i % len(HANDSETS)])
+        )
+    return system
+
+
+class TestMixedHandsets:
+    @pytest.mark.parametrize("platform", ["android", "ios"])
+    def test_mixed_handset_fleet_is_identical(self, platform):
+        """One RSSI draw per handset profile keeps every phone's own
+        gain, noise, quantisation, sensitivity and stack loss."""
+        scalar = build_mixed_system(platform, seed=9)
+        columnar = build_mixed_system(platform, seed=9)
+        run_a = scalar.run(30.0)
+        run_b = run_columnar(columnar, 30.0)
+        assert_equivalent(scalar, columnar, run_a, run_b)
+        reporting = {
+            rt.phone.scanner.device.name
+            for rt in columnar._runtimes.values()
+            if rt.phone.app.reports
+        }
+        assert reporting == set(HANDSETS)
+
+
 def corridor_with_foreign_beacon():
     """``two_room_corridor`` plus a beacon of another UUID by the door."""
     from repro.building.geometry import Point

@@ -11,6 +11,7 @@ from repro.ibeacon.region import BeaconRegion, RegionEventKind
 from repro.phone.app import AppState, OccupancyApp
 from repro.phone.scanner import AndroidScanner
 from repro.radio.channel import ChannelModel
+from repro.radio.pathloss import distance_from_rssi
 
 
 def make_app(plan, *, position=None, region=None, seed=0):
@@ -156,6 +157,21 @@ class TestRangingReports:
         report = app.run_cycle(at(Point(-5000.0, 1.5)), 2.0)
         assert report is not None
         assert all(b.held for b in report.beacons)
+
+    def test_distances_equal_per_beacon_ranging(self, corridor_plan):
+        """The report's row of distances, ranged in one call, equals a
+        scalar ``distance_from_rssi`` per beacon, bitwise."""
+        app = make_app(corridor_plan, seed=3)
+        app.path_loss_exponent = 2.7
+        app.boot()
+        for k in range(6):
+            app.run_cycle(at(Point(2.0 + 0.5 * k, 1.5)), 2.0 * k)
+        assert app.reports and max(len(r.beacons) for r in app.reports) > 1
+        for report in app.reports:
+            for beacon in report.beacons:
+                tx_power = app._tx_power_by_beacon[beacon.beacon_id]
+                expected = distance_from_rssi(beacon.rssi, float(tx_power), 2.7)
+                assert repr(beacon.distance_m) == repr(expected)
 
     def test_report_distances_dict(self, lab_plan):
         app = make_app(lab_plan)

@@ -20,6 +20,8 @@ from repro.phone.scanner import (
     IosScanner,
     _samples_by_beacon,
     surface_android,
+    surfaced_mean,
+    surfaced_means,
 )
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
@@ -310,3 +312,45 @@ def test_surface_android_matches_per_sighting_oracle(
             surfaced.setdefault(rows[i].beacon_id, []).append(rows[i].rssi)
         assert surfaced == expected
         assert list(surfaced) == list(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    period=st.sampled_from([2.0, 5.0, 10.0]),
+    cycle=st.integers(0, 5),
+    devices=st.integers(1, 4),
+    android=st.booleans(),
+    quantised=st.booleans(),
+)
+def test_surfaced_means_match_surfaced_mean_per_cell(
+    seed, period, cycle, devices, android, quantised
+):
+    """Cell by cell, the block gather of the cycle means equals
+    ``surfaced_mean`` of the cell's surfaced samples, on Android masks
+    (one sample per cell at the 2 s period) and iOS masks (every
+    received sample)."""
+    air = AirInterface(make_test_house())
+    t_start = cycle * period
+    window = air.schedule(t_start, t_start + period)
+    rng = np.random.default_rng(seed)
+    n = len(window.times)
+    received = rng.random((devices, n)) < rng.uniform(0.05, 1.0)
+    rssi = rng.normal(-75.0, 8.0, size=(devices, n))
+    if quantised:
+        rssi = np.rint(rssi)
+    picked = (
+        surface_android(received, window.times, window.advertiser, t_start)
+        if android
+        else received
+    )
+    count, mean = surfaced_means(rssi, picked, [start for start, _, _ in window.runs])
+    assert count.shape == mean.shape == (devices, len(window.runs))
+    for d in range(devices):
+        for r, (start, end, _) in enumerate(window.runs):
+            values = rssi[d, start:end][picked[d, start:end]]
+            assert count[d, r] == len(values)
+            expected = surfaced_mean(values) if len(values) else 0.0
+            assert np.float64(mean[d, r]).tobytes() == np.float64(expected).tobytes()
+    if android and period == 2.0:
+        assert count.max(initial=0) <= 1

@@ -9,10 +9,10 @@ import pytest
 
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
-from repro.radio.fading import RicianFading
+from repro.radio.fading import RayleighFading, RicianFading
 from repro.radio.materials import wall_loss_db
 from repro.radio.pathloss import LogDistancePathLoss
-from tests.channel_oracle import budgets, link_budget
+from tests.channel_oracle import budgets, draw_one_receiver, link_budget
 
 IDEAL = DEVICE_PROFILES["ideal"]
 S3 = DEVICE_PROFILES["s3_mini"]
@@ -237,3 +237,110 @@ class TestLinkBudgetMany:
             ["b1"] * n, [(0, 0)] * n, [(2, 0)] * n, [-59.0] * n, IDEAL, rng
         )
         assert 0.62 < batch.received.mean() < 0.78
+
+
+FADINGS = {"rician": RicianFading(6.0), "rayleigh": RayleighFading(), "none": None}
+
+
+def _budget_block(rows, n, seed):
+    """Seed-free budgets of ``rows`` receivers over ``n`` samples."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.choice([-59.0, -62.0, -56.0], size=n),
+        rng.uniform(40.0, 95.0, size=(rows, n)),
+        rng.choice([0.0, 3.0, 7.5], size=(rows, n)),
+        rng.normal(0.0, 3.0, size=(rows, n)),
+    )
+
+
+def _streams(rows, seed):
+    return [np.random.default_rng(seed + row) for row in range(rows)]
+
+
+def _bytes(values):
+    return np.ascontiguousarray(values).tobytes()
+
+
+class TestDrawRssiBlock:
+    """``draw_rssi`` over a ``(rows, n)`` block, one stream per row."""
+
+    @pytest.mark.parametrize("profile", sorted(DEVICE_PROFILES))
+    @pytest.mark.parametrize("fading", sorted(FADINGS))
+    @pytest.mark.parametrize("collision", [0.0, 0.05])
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_block_equals_one_row_calls(self, profile, fading, collision, n):
+        """Every row of an M-row draw equals a one-row draw of its own
+        budget and stream, bitwise, and leaves its stream in the same
+        state."""
+        channel = ChannelModel(
+            fading=FADINGS[fading], collision_loss_prob=collision, seed=4
+        )
+        device = DEVICE_PROFILES[profile]
+        rows = 5
+        tx, path_loss, walls, shadow = _budget_block(rows, n, seed=n + 10)
+        block_streams, row_streams = _streams(rows, 100), _streams(rows, 100)
+        block = channel.draw_rssi(
+            tx, path_loss, walls, shadow, device, block_streams
+        )
+        for part in block:
+            assert part.shape == (rows, n)
+        for r in range(rows):
+            one = channel.draw_rssi(
+                tx,
+                path_loss[r : r + 1],
+                walls[r : r + 1],
+                shadow[r : r + 1],
+                device,
+                [row_streams[r]],
+            )
+            for got, expected in zip(block, one):
+                assert _bytes(got[r]) == _bytes(expected[0])
+        for a, b in zip(block_streams, row_streams):
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("profile", sorted(DEVICE_PROFILES))
+    @pytest.mark.parametrize("fading", sorted(FADINGS))
+    @pytest.mark.parametrize("collision", [0.0, 0.05])
+    def test_each_row_reads_its_stream_component_by_component(
+        self, profile, fading, collision
+    ):
+        """Each row equals ``tests/channel_oracle.py``'s one-call-per-
+        component draw from its own stream, bitwise, with the stream
+        left where that draw leaves it."""
+        channel = ChannelModel(
+            fading=FADINGS[fading], collision_loss_prob=collision, seed=4
+        )
+        device = DEVICE_PROFILES[profile]
+        rows, n = 4, 23
+        tx, path_loss, walls, shadow = _budget_block(rows, n, seed=7)
+        block_streams, oracle_streams = _streams(rows, 40), _streams(rows, 40)
+        block = channel.draw_rssi(
+            tx, path_loss, walls, shadow, device, block_streams
+        )
+        for r in range(rows):
+            expected = draw_one_receiver(
+                channel, tx, path_loss[r], walls[r], shadow[r], device,
+                oracle_streams[r],
+            )
+            for got, want in zip(block, expected):
+                assert _bytes(got[r]) == _bytes(want)
+        for a, b in zip(block_streams, oracle_streams):
+            assert a.random() == b.random()
+
+    def test_a_shared_stream_is_read_row_by_row(self):
+        """Rows that share one generator read it in row order, as
+        one-row calls made one after another would."""
+        channel = ChannelModel(seed=4)
+        device = DEVICE_PROFILES["s3_mini"]
+        tx, path_loss, walls, shadow = _budget_block(3, 11, seed=2)
+        shared, sequential = np.random.default_rng(9), np.random.default_rng(9)
+        block = channel.draw_rssi(
+            tx, path_loss, walls, shadow, device, [shared] * 3
+        )
+        for r in range(3):
+            one = channel.draw_rssi(
+                tx, path_loss[r : r + 1], walls[r : r + 1], shadow[r : r + 1],
+                device, [sequential],
+            )
+            assert _bytes(block[2][r]) == _bytes(one[2][0])
+        assert shared.random() == sequential.random()

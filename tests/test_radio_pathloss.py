@@ -46,6 +46,25 @@ class TestInversion:
         with pytest.raises(ValueError):
             distance_from_rssi(-70.0, -59.0, 0.0)
 
+    def test_rejects_a_nonpositive_exponent_in_a_column(self):
+        with pytest.raises(ValueError):
+            distance_from_rssi(np.full((2, 3), -70.0), -59.0, np.array([[2.2], [0.0]]))
+
+    def test_block_equals_scalar_calls(self):
+        """A ``(device, beacon)`` block with a TX power row and an
+        exponent column ranges every cell as a scalar call does."""
+        rng = np.random.default_rng(1)
+        rssi = rng.uniform(-100.0, -40.0, size=(4, 5))
+        tx_power = rng.choice([-59.0, -62.0, -56.0], size=5)
+        exponent = np.array([[2.2], [2.0], [3.1], [2.2]])
+        block = distance_from_rssi(rssi, tx_power, exponent)
+        for d in range(4):
+            for j in range(5):
+                scalar = distance_from_rssi(
+                    float(rssi[d, j]), float(tx_power[j]), float(exponent[d, 0])
+                )
+                assert float(block[d, j]) == scalar
+
     def test_clamps_very_weak_signal(self):
         assert distance_from_rssi(-200.0, -59.0, 2.0) == MAX_ESTIMATED_DISTANCE_M
 

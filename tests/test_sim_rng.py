@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ble.advertiser import ADV_DELAY_MAX_S
-from repro.sim.rng import RngStreams, derive_seed, first_random
+from repro.sim.rng import RngStreams, derive_seed, derive_seeds, first_random
 
 
 class TestDeriveSeed:
@@ -21,6 +21,25 @@ class TestDeriveSeed:
 
     def test_fits_in_64_bits(self):
         assert 0 <= derive_seed(0, "x") < 2**64
+
+
+class TestDeriveSeeds:
+    """The batch form equals one :func:`derive_seed` per name."""
+
+    @pytest.mark.parametrize("master", [0, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "names",
+        [
+            [f"adv-jitter:{k}" for k in range(64)],
+            ["fading", "ümlaut", "天気", "emoji 🚀", "", "a:b:c"],
+            ["same", "same"],
+            [],
+        ],
+    )
+    def test_equals_derive_seed_per_name(self, master, names):
+        seeds = derive_seeds(master, names)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(master, name) for name in names]
 
 
 class TestRngStreams:
