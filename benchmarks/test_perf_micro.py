@@ -3,7 +3,8 @@
 Unlike the figure benches (one-shot experiments), these measure the
 throughput of the inner loops: packet codec, the advertising schedule,
 channel sampling, kernel evaluation, SMO training, the end-to-end scan
-cycle, and the server's small-batch decision and booking path.
+cycle, the columnar drive's radio pass and cycle books, and the
+server's small-batch decision and booking path.
 """
 
 import copy
@@ -18,16 +19,23 @@ from repro.building.mobility import RandomWaypoint, StaticPosition
 from repro.building.occupant import Occupant
 from repro.building.presets import BUILDING_UUID, test_house as make_test_house
 from repro.core import OccupancyDetectionSystem, SystemConfig
+from repro.core.system import charge_cycles
 from repro.fleet.columnar import ColumnarFleetDrive
 from repro.ibeacon.packet import IBeaconPacket, decode_packet
 from repro.ml.kernels import RbfKernel
 from repro.ml.svm import SupportVectorClassifier
-from repro.phone.scanner import AndroidScanner, surface_android, surfaced_mean
+from repro.phone.scanner import (
+    AndroidScanner,
+    count_cycles,
+    surface_android,
+    surfaced_mean,
+)
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
 from repro.server.rest import Request
 from repro.sim.rng import derive_seed
 from tests.advertiser_oracle import slot_times
+from tests.registry_state import counter_books, gauge_books
 from tests.smo_oracle import vote_predict
 
 
@@ -183,6 +191,54 @@ def test_perf_columnar_radio_pass(benchmark, fleet_drive):
             if len(values):
                 assert repr(float(mean[d, col])) == repr(surfaced_mean(values))
         assert streams[d].random() == scanners[d].rng.random()
+
+
+#: The series a tick's cycle books write.
+TICK_BOOKS = (
+    "energy.joules",
+    "phone.scan_cycles",
+    "phone.adverts_received",
+    "phone.samples_surfaced",
+    "phone.samples_filtered",
+    "phone.decode_drops",
+)
+
+
+def test_perf_columnar_tick_books(benchmark, fleet_drive):
+    """One tick's cycle books for 64 test-house phones: every meter's
+    charges and every scanner's counters, one fleet call each, with a
+    radio pass's counts.  The meters, batteries and registry then equal
+    a twin's that booked as many ticks phone by phone through
+    ``PhoneRuntime.charge_cycle`` and ``Scanner.count_cycle``."""
+    drive = fleet_drive
+    system = drive.system
+    period = system.config.scan_period_s
+    listen = drive.settings.listen_window_s
+    t0 = 60.0
+    window = system.air.schedule(t0, t0 + listen)
+    counts = [c.tolist() for c in drive._radio_pass(t0, window)[:3]]
+    twin_runtimes, twin_registry = copy.deepcopy((drive.runtimes, system.obs))
+    ticks = []
+
+    def books():
+        ticks.append(t0)
+        charge_cycles(drive.runtimes, period, listen, sensing=True)
+        count_cycles(drive.scanners, *counts)
+
+    benchmark.pedantic(books, rounds=200, warmup_rounds=5)
+    for _ in ticks:
+        for d, rt in enumerate(twin_runtimes):
+            rt.charge_cycle(period, listen, sensing=True)
+            rt.phone.scanner.count_cycle(*(column[d] for column in counts))
+    for rt, twin in zip(drive.runtimes, twin_runtimes):
+        assert repr(rt.meter.breakdown()) == repr(twin.meter.breakdown())
+        assert repr(rt.meter.battery.remaining_j) == repr(twin.meter.battery.remaining_j)
+    assert counter_books(system.obs, TICK_BOOKS) == counter_books(
+        twin_registry, TICK_BOOKS
+    )
+    assert gauge_books(system.obs, ["energy.battery_soc"]) == gauge_books(
+        twin_registry, ["energy.battery_soc"]
+    )
 
 
 @pytest.fixture(scope="module")

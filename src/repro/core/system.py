@@ -15,7 +15,7 @@ classifier.  The lifecycle mirrors the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ble.air import AirInterface
 from repro.ble.scanner_params import ScanSettings
@@ -28,7 +28,7 @@ from repro.core.calibration import run_calibration
 from repro.core.config import SystemConfig
 from repro.energy.battery import Battery
 from repro.energy.gating import AccelerometerGate
-from repro.energy.meter import EnergyBreakdown, EnergyMeter
+from repro.energy.meter import EnergyBreakdown, EnergyMeter, charge_meters
 from repro.energy.profiles import PHONE_ENERGY_PROFILES, PhoneEnergyProfile
 from repro.filters.ewma import EwmaFilter
 from repro.filters.tracker import BeaconTracker
@@ -46,7 +46,7 @@ from repro.radio.channel import ChannelModel
 from repro.server.bms import BuildingManagementServer
 from repro.sim.rng import RngStreams, derive_seed
 
-__all__ = ["DetectionRun", "OccupancyDetectionSystem"]
+__all__ = ["DetectionRun", "OccupancyDetectionSystem", "charge_cycles"]
 
 
 @dataclass
@@ -65,21 +65,40 @@ class PhoneRuntime:
     predictions: List[Tuple[float, str, str]] = field(default_factory=list)
 
     def charge_cycle(self, period_s: float, listen_s: float, sensing: bool) -> None:
-        """Charge one scan period to the meter.
+        """Charge one scan period to the meter: the one-phone case of
+        :func:`charge_cycles`."""
+        charge_cycles((self,), period_s, listen_s, sensing)
 
-        The baseline draw and, when gated, the accelerometer are
-        charged every period; the BLE listen window and the idle uplink
-        only when the phone senses.  Both fleet drives charge through
-        here, in this order.
-        """
-        energy, meter = self.energy, self.meter
-        meter.advance(period_s)
-        meter.charge_power("baseline", energy.baseline_w, period_s)
-        if self.gate is not None:
-            meter.charge_power("accelerometer", energy.accelerometer_w, period_s)
+
+def charge_cycles(
+    runtimes: Sequence[PhoneRuntime], period_s: float, listen_s: float, sensing: bool
+) -> None:
+    """Charge one scan period to each runtime's meter, in order.
+
+    The baseline draw and, when gated, the accelerometer are charged
+    every period; the BLE listen window and the idle uplink only when
+    the phones sense.  Both fleet drives charge through here, in this
+    order: the scalar drive one phone at a time
+    (:meth:`PhoneRuntime.charge_cycle`), the columnar drive its whole
+    fleet once per tick.  The meters book it through
+    :func:`~repro.energy.meter.charge_meters`.
+
+    Raises:
+        ValueError: a negative period, or listen window when sensing.
+    """
+    if sensing and listen_s < 0.0:
+        raise ValueError(f"duration must be >= 0, got {listen_s}")
+    charges = []
+    for rt in runtimes:
+        energy = rt.energy
+        cycle = [("baseline", energy.baseline_w * period_s)]
+        if rt.gate is not None:
+            cycle.append(("accelerometer", energy.accelerometer_w * period_s))
         if sensing:
-            meter.charge_power("ble_scan", energy.ble_scan_w, listen_s)
-            meter.charge_power("uplink_idle", self.uplink.IDLE_POWER_W, period_s)
+            cycle.append(("ble_scan", energy.ble_scan_w * listen_s))
+            cycle.append(("uplink_idle", rt.uplink.IDLE_POWER_W * period_s))
+        charges.append(cycle)
+    charge_meters([rt.meter for rt in runtimes], period_s, charges)
 
 
 @dataclass(frozen=True)

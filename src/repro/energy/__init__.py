@@ -10,20 +10,14 @@ proposal: accelerometer-gated sensing (Section VIII).
 
 from repro.energy.profiles import PhoneEnergyProfile, PHONE_ENERGY_PROFILES
 from repro.energy.battery import Battery
-from repro.energy.discharge import project_discharge, time_to_empty_h
 from repro.energy.meter import EnergyMeter, EnergyBreakdown
 from repro.energy.gating import AccelerometerGate
-from repro.energy.logger import BatteryLogger, BatteryLogEntry
 
 __all__ = [
     "PhoneEnergyProfile",
     "PHONE_ENERGY_PROFILES",
     "Battery",
-    "project_discharge",
-    "time_to_empty_h",
     "EnergyMeter",
     "EnergyBreakdown",
     "AccelerometerGate",
-    "BatteryLogger",
-    "BatteryLogEntry",
 ]

@@ -22,16 +22,18 @@ is one array pass over the fleet:
 - payload decode: the air interface's ``decoded`` table;
 - ranging: :func:`~repro.radio.pathloss.distance_from_rssi`, once on
   the ``(device, beacon)`` block;
-- cycle bookkeeping: ``PhoneRuntime.charge_cycle``,
-  :meth:`~repro.phone.scanner.Scanner.count_cycle` and the system's
-  prediction record.
+- cycle bookkeeping: :func:`~repro.core.system.charge_cycles` and
+  :func:`~repro.phone.scanner.count_cycles`, once per tick over the
+  fleet in registration order (the scalar drive calls their one-phone
+  cases), then the system's prediction record per device.
 
 What stays here is columnar: the tick loop; the paper's 0.65 EWMA
 recurrence, loss/hold counters with eviction at the second consecutive
 miss and region enter/exit transitions as one numpy pass over
-``(device, beacon)`` arrays; the ordered per-device epilogue, whose
-report rows are read from the ranged block; and the mirror of the
-arrays back into the app facades.
+``(device, beacon)`` arrays; the per-device loop, in registration
+order, over what must interleave with the uplink posts (region events,
+reports read from the ranged block, uplink queueing, the prediction
+record); and the mirror of the arrays back into the app facades.
 
 Equivalence contract (pinned by ``tests/test_fleet_columnar.py``): at
 equal seeds a columnar run produces **byte-identical** results to
@@ -65,7 +67,12 @@ from typing import List
 import numpy as np
 
 from repro.building.mobility import positions_block
-from repro.core.system import DetectionRun, OccupancyDetectionSystem, PhoneRuntime
+from repro.core.system import (
+    DetectionRun,
+    OccupancyDetectionSystem,
+    PhoneRuntime,
+    charge_cycles,
+)
 from repro.filters.ewma import EwmaFilter
 from repro.ibeacon.region import RegionEventKind
 from repro.obs import profiling
@@ -73,6 +80,7 @@ from repro.phone.app import AppState, RangedBeacon, SightingReport
 from repro.phone.scanner import (
     AndroidScanner,
     IosScanner,
+    count_cycles,
     surface_android,
     surfaced_means,
 )
@@ -107,6 +115,7 @@ class ColumnarFleetDrive:
         self.system = system
         system._require_ready()
         self.runtimes: List[PhoneRuntime] = list(system._runtimes.values())
+        self.scanners = [rt.phone.scanner for rt in self.runtimes]
         self._validate()
         self._build_beacon_columns()
         self._build_device_columns()
@@ -386,38 +395,52 @@ class ColumnarFleetDrive:
         exiting,
         reporting,
     ) -> None:
-        """Per-device epilogue, in registration order.
+        """The tick's books, then the per-device epilogue.
 
-        Energy charges, scanner telemetry, region events, report
-        uploads and ground-truth predictions all touch *shared* state
-        (registry counters, the BMS, batched uplinks), so they replay
-        in the exact scalar order — the numpy passes above did the
-        heavy lifting; this loop is O(M) cheap calls.
+        Energy charges and scanner counters are one fleet call each
+        (:func:`~repro.core.system.charge_cycles`,
+        :func:`~repro.phone.scanner.count_cycles`), booked in
+        registration order.  The loop that is left runs in that order
+        too, over the work that must interleave with the uplink posts:
+        region events, report assembly and queueing, and the prediction
+        record, whose BMS read expires silent devices.
         """
         system = self.system
         period = system.config.scan_period_s
-        listen = self.settings.listen_window_s
+        charge_cycles(
+            self.runtimes, period, self.settings.listen_window_s, sensing=True
+        )
+        count_cycles(
+            self.scanners,
+            received_total.tolist(),
+            raw_count.tolist(),
+            surfaced.tolist(),
+        )
         rows = self._ranged_rows() if reporting.any() else None
-        for d, rt in enumerate(self.runtimes):
-            app = rt.phone.app
-            rt.charge_cycle(period, listen, sensing=True)
-            rt.phone.scanner.count_cycle(
-                int(received_total[d]), int(raw_count[d]), int(surfaced[d])
+        now = t0 + period
+        for d, (rt, enter, leave, report) in enumerate(
+            zip(
+                self.runtimes,
+                entering.tolist(),
+                exiting.tolist(),
+                reporting.tolist(),
             )
-            if entering[d]:
+        ):
+            app = rt.phone.app
+            if enter:
                 app._emit_region_event(t_end, RegionEventKind.ENTER)
                 app.state = AppState.RANGING
-            if exiting[d]:
+            if leave:
                 app._emit_region_event(t_end, RegionEventKind.EXIT)
                 app.state = AppState.MONITORING
                 app._tx_power_by_beacon.clear()
-            if reporting[d]:
-                report = self._build_report(d, app, t_end, rows)
-                app.reports.append(report)
+            if report:
+                sighting = self._build_report(d, app, t_end, rows)
+                app.reports.append(sighting)
                 if app.on_report is not None:
-                    app.on_report(report)
-                rt.uplink.queue_report(report)
-            system._record_prediction(rt, t0 + period)
+                    app.on_report(sighting)
+                rt.uplink.queue_report(sighting)
+            system._record_prediction(rt, now)
 
     def _ranged_rows(self):
         """The tick's report columns as per-device lists: smoothed RSSI,

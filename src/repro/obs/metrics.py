@@ -10,12 +10,30 @@ disabled, so a Prometheus-style scrape works either way.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.obs.events import COUNTER, GAUGE, HISTOGRAM, TelemetryEvent
 from repro.obs.sinks import MemorySink, NullSink, Sink
 
-__all__ = ["ClockFn", "Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = [
+    "AttrKey",
+    "ClockFn",
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "MetricsRegistry",
+    "Write",
+    "attr_key",
+]
 
 #: A zero-argument callable yielding the current simulation time.
 ClockFn = Callable[[], float]
@@ -23,11 +41,20 @@ ClockFn = Callable[[], float]
 #: Attribute sets are keyed by their sorted item tuple.
 AttrKey = Tuple[Tuple[str, object], ...]
 
+#: One keyed write: ``(value, series key, attributes)``.
+Write = Tuple[float, AttrKey, Mapping[str, object]]
+
 #: Default histogram bucket upper bounds (seconds-ish scale).
 DEFAULT_BUCKETS: Tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
 
 
-def _attr_key(attrs: Mapping[str, object]) -> AttrKey:
+def attr_key(attrs: Mapping[str, object]) -> AttrKey:
+    """The series key of a write under ``attrs``.
+
+    A component that books many writes under one attribute set works
+    its key out once and hands it to the keyed writes
+    (:meth:`Counter.inc_many`, :meth:`Gauge.set_many`).
+    """
     # One label, the common case, is already in order.
     if len(attrs) == 1:
         return tuple(attrs.items())
@@ -85,16 +112,38 @@ class Counter(_Instrument):
         self._by_attrs: Dict[AttrKey, float] = {}
 
     def inc(self, value: float = 1.0, **attrs: object) -> None:
-        """Add ``value`` (must be >= 0) to the counter.
+        """Add ``value`` (must be >= 0) to the counter: the one-write
+        case of :meth:`inc_many`.
 
         Raises:
             ValueError: on a negative increment.
         """
+        self._add(value, attr_key(attrs) if attrs else (), attrs)
+
+    def inc_many(self, writes: Iterable[Write]) -> None:
+        """Add each ``(value, key, attrs)`` write, in order.
+
+        The keyed many-series write: the same as ``inc(value,
+        **attrs)`` per write, with the series ``key`` worked out by the
+        caller (:func:`attr_key` of ``attrs``; ``()`` adds to the grand
+        total only).  The grand total adds the values left to right, so
+        it rounds as those one-write calls would, and a recording sink
+        gets one event per write carrying its ``attrs``.
+
+        Raises:
+            ValueError: on a negative increment; the writes before it
+                stand.
+        """
+        add = self._add
+        for value, key, attrs in writes:
+            add(value, key, attrs)
+
+    def _add(self, value: float, key: AttrKey, attrs: Mapping[str, object]) -> None:
+        """One keyed write: the rule both ``inc`` forms apply."""
         if value < 0.0:
             raise ValueError(f"counter increment must be >= 0, got {value}")
         self._total += value
-        if attrs:
-            key = _attr_key(attrs)
+        if key:
             self._by_attrs[key] = self._by_attrs.get(key, 0.0) + value
         if self._registry.sink.enabled:
             self._emit(value, attrs)
@@ -106,7 +155,7 @@ class Counter(_Instrument):
 
     def value_for(self, **attrs: object) -> float:
         """Total accumulated under exactly this attribute set."""
-        return self._by_attrs.get(_attr_key(attrs), 0.0)
+        return self._by_attrs.get(attr_key(attrs), 0.0)
 
     @property
     def series(self) -> Dict[AttrKey, float]:
@@ -131,12 +180,31 @@ class Gauge(_Instrument):
         self._by_attrs: Dict[AttrKey, Tuple[float, float]] = {}
 
     def set(self, value: float, **attrs: object) -> None:
-        """Record the current level of the observed quantity."""
+        """Record the current level of the observed quantity: the
+        one-write case of :meth:`set_many`."""
+        self._put(value, attr_key(attrs) if attrs else (), attrs, self._registry.now())
+
+    def set_many(self, writes: Iterable[Write]) -> None:
+        """Record each ``(value, key, attrs)`` write, in order.
+
+        The keyed many-series write of a gauge: the same as
+        ``set(value, **attrs)`` per write (keys as in
+        :meth:`Counter.inc_many`), all stamped with one clock reading.
+        """
         now = self._registry.now()
-        self._value = float(value)
+        put = self._put
+        for value, key, attrs in writes:
+            put(value, key, attrs, now)
+
+    def _put(
+        self, value: float, key: AttrKey, attrs: Mapping[str, object], now: float
+    ) -> None:
+        """One keyed write at ``now``: the rule both ``set`` forms apply."""
+        level = float(value)
+        self._value = level
         self._updated_at = now
-        if attrs:
-            self._by_attrs[_attr_key(attrs)] = (float(value), now)
+        if key:
+            self._by_attrs[key] = (level, now)
         if self._registry.sink.enabled:
             self._emit(value, attrs)
 
@@ -152,7 +220,7 @@ class Gauge(_Instrument):
 
     def value_for(self, **attrs: object) -> Optional[float]:
         """Most recent value written under this attribute set."""
-        entry = self._by_attrs.get(_attr_key(attrs))
+        entry = self._by_attrs.get(attr_key(attrs))
         return entry[0] if entry is not None else None
 
 

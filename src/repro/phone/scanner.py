@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +25,7 @@ from repro.ble.air import AirInterface, Reception
 from repro.ble.scanner_params import ScanSettings
 from repro.building.mobility import MobilityModel
 from repro.ibeacon.packet import IBeaconPacket
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, attr_key
 from repro.radio.devices import DEVICE_PROFILES, DeviceRadioProfile
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "Scanner",
     "AndroidScanner",
     "IosScanner",
+    "count_cycles",
     "surface_android",
     "surfaced_mean",
     "surfaced_means",
@@ -162,7 +165,8 @@ class Scanner(abc.ABC):
         self.settings = settings if settings is not None else ScanSettings()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.obs = registry if registry is not None else MetricsRegistry()
-        self._obs_label = label
+        self._attrs = {"phone": label} if label else {}
+        self._key = attr_key(self._attrs)
         self._c_cycles = self.obs.counter("phone.scan_cycles")
         self._c_received = self.obs.counter("phone.adverts_received")
         self._c_surfaced = self.obs.counter("phone.samples_surfaced")
@@ -202,28 +206,64 @@ class Scanner(abc.ABC):
         )
 
     def count_cycle(self, received: int, raw: int, surfaced: int) -> None:
-        """Book one scan cycle on the five ``phone.*`` counters.
+        """Book one scan cycle on the five ``phone.*`` counters: the
+        one-scanner case of :func:`count_cycles`.
 
         Args:
             received: advertisements heard on the air.
             raw: samples the platform surfaced.
             surfaced: surfaced samples whose payload decoded.
         """
-        attrs = {"phone": self._obs_label} if self._obs_label else {}
-        self._c_cycles.inc(**attrs)
-        self._c_received.inc(received, **attrs)
-        self._c_surfaced.inc(surfaced, **attrs)
-        # Advertisements heard on the air but withheld from the app by
-        # the platform's sampling semantics (the Android-vs-iOS gap).
-        self._c_filtered.inc(received - raw, **attrs)
-        if raw != surfaced:
-            self._c_decode_drops.inc(raw - surfaced, **attrs)
+        count_cycles((self,), (received,), (raw,), (surfaced,))
 
     @abc.abstractmethod
     def _surface(self, reception: Reception, t_start: float) -> np.ndarray:
         """Platform-specific reduction of received advertisements to
         the samples visible to the app: the rows of ``reception`` that
         surface, ascending (so in time order)."""
+
+
+def count_cycles(
+    scanners: Sequence[Scanner],
+    received: Sequence[int],
+    raw: Sequence[int],
+    surfaced: Sequence[int],
+) -> None:
+    """Book one scan cycle per scanner on the five ``phone.*`` counters.
+
+    The counts are columns, one entry per scanner: advertisements
+    heard on the air, samples the platform surfaced, and surfaced
+    samples whose payload decoded.  Both fleet drives count through
+    here: the scalar drive one scanner at a time
+    (:meth:`Scanner.count_cycle`), the columnar drive its whole fleet
+    once per tick, one keyed write per counter.  Totals add in the
+    order given.  A recording sink logs every write, so there (and for
+    scanners that book to different registries) the scanners are
+    counted one at a time, as ``count_cycle`` calls would log them.
+    """
+    if not scanners:
+        return
+    obs = scanners[0].obs
+    if len(scanners) > 1 and (
+        obs.enabled or any(scanner.obs is not obs for scanner in scanners)
+    ):
+        for scanner, heard, shown, decoded in zip(scanners, received, raw, surfaced):
+            count_cycles((scanner,), (heard,), (shown,), (decoded,))
+        return
+    first = scanners[0]
+    keys = [scanner._key for scanner in scanners]
+    attrs = [scanner._attrs for scanner in scanners]
+    first._c_cycles.inc_many(zip(repeat(1.0), keys, attrs))
+    first._c_received.inc_many(zip(received, keys, attrs))
+    first._c_surfaced.inc_many(zip(surfaced, keys, attrs))
+    # Advertisements heard on the air but withheld from the app by the
+    # platform's sampling semantics (the Android-vs-iOS gap).
+    first._c_filtered.inc_many(zip(map(sub, received, raw), keys, attrs))
+    first._c_decode_drops.inc_many(
+        (shown - decoded, key, a)
+        for shown, decoded, key, a in zip(raw, surfaced, keys, attrs)
+        if shown != decoded
+    )
 
 
 def _samples_by_beacon(

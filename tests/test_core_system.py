@@ -7,7 +7,10 @@ from repro.building.mobility import StaticPosition
 from repro.building.occupant import Occupant
 from repro.building.presets import test_house as make_test_house
 from repro.core.config import SystemConfig
-from repro.core.system import OccupancyDetectionSystem
+from repro.core.system import OccupancyDetectionSystem, charge_cycles
+from repro.energy.gating import AccelerometerGate
+from repro.obs import MemorySink, MetricsRegistry, NullSink
+from tests.registry_state import counter_books, event_log, gauge_books
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,59 @@ class TestCycleEnergy:
             "baseline": rt.energy.baseline_w * 2.0,
             "accelerometer": rt.energy.accelerometer_w * 2.0,
         }
+
+    def fleet(self, recording):
+        """Runtimes of mixed handsets, every other one gated, whose
+        registry already holds their series."""
+        registry = MetricsRegistry(sink=MemorySink() if recording else NullSink())
+        system = OccupancyDetectionSystem(
+            make_test_house(), SystemConfig(uplink="wifi"), registry=registry
+        )
+        for i, device in enumerate(["s3_mini", "nexus_5", "iphone_5s", "s3_mini"]):
+            system.add_occupant(
+                Occupant(f"dev-{i:04d}", StaticPosition(Point(3.0, 2.5)), device=device)
+            )
+        runtimes = list(system._runtimes.values())
+        for rt in runtimes[1::2]:
+            rt.gate = AccelerometerGate(lambda t: True)
+        for rt in runtimes:
+            rt.charge_cycle(2.0, 1.5, sensing=True)
+        return registry, runtimes
+
+    @pytest.mark.parametrize("recording", [False, True])
+    @pytest.mark.parametrize("sensing", [True, False])
+    def test_fleet_form_equals_one_phone_cycles_in_order(self, recording, sensing):
+        one, one_runtimes = self.fleet(recording)
+        many, many_runtimes = self.fleet(recording)
+        for rt in one_runtimes:
+            rt.charge_cycle(2.0, 1.5, sensing)
+        charge_cycles(many_runtimes, 2.0, 1.5, sensing)
+        for a, b in zip(one_runtimes, many_runtimes):
+            assert repr(b.meter.breakdown()) == repr(a.meter.breakdown())
+            assert repr(b.meter.battery.remaining_j) == repr(a.meter.battery.remaining_j)
+        books = ("energy.joules", "energy.battery_soc")
+        assert counter_books(many, books[:1]) == counter_books(one, books[:1])
+        assert gauge_books(many, books[1:]) == gauge_books(one, books[1:])
+        assert event_log(many, books) == event_log(one, books)
+        assert "accelerometer" in many_runtimes[1].meter.breakdown().components_j
+        assert "accelerometer" not in many_runtimes[0].meter.breakdown().components_j
+
+    def test_fleet_form_checks_its_windows_before_any_charge(self):
+        registry, runtimes = self.fleet(recording=True)
+        before = [repr(rt.meter.breakdown()) for rt in runtimes]
+        logged = len(registry.events)
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            charge_cycles(runtimes, -2.0, 1.5, sensing=True)
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            charge_cycles(runtimes, 2.0, -1.5, sensing=True)
+        assert [repr(rt.meter.breakdown()) for rt in runtimes] == before
+        assert len(registry.events) == logged
+        # A phone that does not sense never listens, so its window is
+        # not read.
+        charge_cycles(runtimes, 2.0, -1.5, sensing=False)
+        for rt in runtimes:
+            components = rt.meter.breakdown().components_j
+            assert components["ble_scan"] == rt.energy.ble_scan_w * 1.5
 
 
 class TestConfigurations:

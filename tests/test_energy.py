@@ -1,12 +1,13 @@
-"""Tests for the energy model: battery, meter, profiles, gating, logger."""
+"""Tests for the energy model: battery, meter, profiles, gating."""
 
 import pytest
 
 from repro.energy.battery import Battery
 from repro.energy.gating import AccelerometerGate
-from repro.energy.logger import BatteryLogger
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import EnergyMeter, charge_meters
 from repro.energy.profiles import PHONE_ENERGY_PROFILES, PhoneEnergyProfile
+from repro.obs import MemorySink, MetricsRegistry, NullSink
+from tests.registry_state import counter_books, event_log, gauge_books
 
 
 class TestBattery:
@@ -110,6 +111,108 @@ class TestEnergyMeter:
         assert "radio" in meter.breakdown().to_text()
 
 
+def mixed_meters(registry):
+    """Meters of the mixed handsets, one without a battery, and an
+    unlabelled one whose tiny battery empties mid-charge."""
+    meters = [
+        EnergyMeter(
+            Battery(PHONE_ENERGY_PROFILES[name].battery_wh),
+            registry=registry,
+            device=f"dev-{i:04d}",
+        )
+        for i, name in enumerate(["s3_mini", "nexus_5", "iphone_5s", "s3_mini"])
+    ]
+    meters.append(EnergyMeter(registry=registry, device="no-battery"))
+    meters.append(EnergyMeter(Battery(0.001), registry=registry))
+    return meters
+
+
+#: One period's charges per meter of :func:`mixed_meters`: mixed
+#: components, a meter with none, a repeated component and a burst
+#: larger than the last meter's battery.
+MIXED_CHARGES = [
+    [("baseline", 0.6), ("ble_scan", 0.24), ("uplink_idle", 0.16)],
+    [("baseline", 0.66), ("ble_scan", 0.2), ("uplink_idle", 0.0)],
+    [],
+    [("baseline", 0.6), ("accelerometer", 0.008), ("uplink_radio", 0.1)],
+    [("baseline", 0.1), ("baseline", 0.2)],
+    [("baseline", 0.6), ("uplink_radio", 5.0)],
+]
+
+BOOKS = ("energy.joules", "energy.battery_soc")
+
+
+class TestChargeMeters:
+    """``charge_meters`` against one-meter books, meter by meter, on
+    twin registries that already hold the series."""
+
+    def twins(self, recording):
+        clock = {"t": 2.0}
+        twins = []
+        for _ in range(2):
+            registry = MetricsRegistry(
+                sink=MemorySink() if recording else NullSink(),
+                clock=lambda: clock["t"],
+            )
+            meters = mixed_meters(registry)
+            for meter in meters:
+                meter.advance(2.0)
+                meter.charge_energy("baseline", 0.3)
+            twins.append((registry, meters))
+        clock["t"] = 4.0
+        return twins
+
+    @staticmethod
+    def assert_same_books(one, many):
+        (one_registry, one_meters), (many_registry, many_meters) = one, many
+        for a, b in zip(one_meters, many_meters):
+            assert repr(b.breakdown()) == repr(a.breakdown())
+            if a.battery is not None:
+                assert repr(b.battery.remaining_j) == repr(a.battery.remaining_j)
+        assert counter_books(many_registry, BOOKS[:1]) == counter_books(
+            one_registry, BOOKS[:1]
+        )
+        assert gauge_books(many_registry, BOOKS[1:]) == gauge_books(
+            one_registry, BOOKS[1:]
+        )
+        assert event_log(many_registry, BOOKS) == event_log(one_registry, BOOKS)
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_fleet_books_equal_one_meter_books_in_order(self, recording):
+        one, many = self.twins(recording)
+        for meter, charges in zip(one[1], MIXED_CHARGES):
+            meter.advance(2.0)
+            for component, energy_j in charges:
+                meter.charge_energy(component, energy_j)
+        charge_meters(many[1], 2.0, MIXED_CHARGES)
+        self.assert_same_books(one, many)
+        assert many[1][-1].battery.is_empty
+        if recording:
+            # Each charge logs its joules, then the battery level.
+            names = [e.name for e in many[0].events if e.time == 4.0]
+            assert names[:2] == list(BOOKS)
+
+    def test_a_negative_energy_books_nothing(self):
+        one, many = self.twins(recording=True)
+        charges = [[("baseline", 0.6)], [("baseline", -0.1)]]
+        with pytest.raises(ValueError, match="energy must be >= 0"):
+            charge_meters(many[1][:2], 2.0, charges)
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            charge_meters(many[1][:2], -2.0, [[], []])
+        self.assert_same_books(one, many)
+
+    def test_meters_of_different_registries_book_to_their_own(self):
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        meters = [
+            EnergyMeter(Battery(1.0), registry=r, device="a") for r in registries
+        ]
+        charge_meters(meters, 2.0, [[("baseline", 0.5)], [("baseline", 0.25)]])
+        assert [r.counter("energy.joules").value for r in registries] == [0.5, 0.25]
+        assert [r.gauge("energy.battery_soc").value for r in registries] == [
+            m.battery.soc for m in meters
+        ]
+
+
 class TestProfiles:
     def test_s3_mini_battery_matches_hardware(self):
         # 1500 mAh at 3.8 V.
@@ -160,41 +263,3 @@ class TestAccelerometerGate:
     def test_rejects_negative_grace(self):
         with pytest.raises(ValueError):
             AccelerometerGate(lambda t: True, grace_period_s=-1.0)
-
-
-class TestBatteryLogger:
-    def test_samples_at_period(self):
-        battery = Battery(5.7)
-        logger = BatteryLogger(battery, period_s=10.0)
-        logger.maybe_sample(0.0)
-        battery.drain(100.0)
-        logger.maybe_sample(25.0)
-        times = [e.time for e in logger.entries]
-        assert times == [0.0, 10.0, 20.0]
-
-    def test_average_power_from_discharge(self):
-        battery = Battery(5.7)
-        logger = BatteryLogger(battery, period_s=10.0)
-        logger.maybe_sample(0.0)
-        battery.drain(57.0)
-        logger.maybe_sample(100.0)
-        assert logger.average_power_w() == pytest.approx(57.0 / 100.0, rel=0.15)
-
-    def test_average_power_needs_two_samples(self):
-        logger = BatteryLogger(Battery(1.0))
-        logger.maybe_sample(0.0)
-        with pytest.raises(ValueError):
-            logger.average_power_w()
-
-    def test_discharge_series_monotone(self):
-        battery = Battery(1.0)
-        logger = BatteryLogger(battery, period_s=1.0)
-        for t in range(5):
-            logger.maybe_sample(float(t))
-            battery.drain(10.0)
-        socs = [s for _, s in logger.discharge_series()]
-        assert socs == sorted(socs, reverse=True)
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            BatteryLogger(Battery(1.0), period_s=0.0)

@@ -9,6 +9,7 @@ by running both engines from identical initial states and comparing
 exact floats, never approximations.
 """
 
+import collections
 import uuid
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.fleet.columnar import (
 )
 from repro.ibeacon.region import RegionEventKind
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import MemorySink
 from repro.sim.rng import derive_seed
 
 #: Counter aggregates inside the equivalence contract (the ``sim.*``
@@ -356,3 +358,78 @@ class TestColumnarGuards:
         system.train()
         with pytest.raises(RuntimeError):
             run_columnar(system, 10.0)
+
+
+def build_on(registry, seed, devices=3):
+    """:func:`build_system`'s Android fleet, on a given registry."""
+    plan = two_room_corridor()
+    system = OccupancyDetectionSystem(
+        plan,
+        SystemConfig(seed=seed, platform="android", uplink_batch_size=4),
+        registry=registry,
+    )
+    system.calibrate(duration_s=60.0)
+    system.train()
+    for i in range(devices):
+        mobility = RandomWaypoint(plan, seed=derive_seed(seed, f"fleet:{i}"))
+        system.add_occupant(Occupant(f"dev-{i:04d}", mobility))
+    return system
+
+
+#: Series the drives' cycle books write, plus the prediction record's.
+BOOKED = (
+    "energy.joules",
+    "energy.battery_soc",
+    "phone.scan_cycles",
+    "phone.adverts_received",
+    "phone.samples_surfaced",
+    "phone.samples_filtered",
+    "phone.decode_drops",
+    "server.confusion",
+)
+
+
+class TestTickBooks:
+    def test_books_continue_from_a_shared_registry(self):
+        """A columnar drive books onto series a scalar drive left in
+        the same registry exactly as a second scalar drive would: each
+        charge adds to the totals in the scalar order."""
+        shared, twin = MetricsRegistry(), MetricsRegistry()
+        first = [build_on(shared, 1), build_on(twin, 1)]
+        second = [build_on(shared, 2), build_on(twin, 2)]
+        for system in first:
+            system.run(20.0)
+        run_columnar(second[0], 20.0)
+        second[1].run(20.0)
+        assert counter_state(second[0]) == counter_state(second[1])
+        soc = [r.gauge("energy.battery_soc") for r in (shared, twin)]
+        assert repr(soc[0].value) == repr(soc[1].value)
+        assert repr(soc[0].updated_at) == repr(soc[1].updated_at)
+        assert repr(shared.state()["gauges"]["energy.battery_soc"]) == repr(
+            twin.state()["gauges"]["energy.battery_soc"]
+        )
+        for left, right in ((first[0], first[1]), (second[0], second[1])):
+            for rt_a, rt_b in zip(left._runtimes.values(), right._runtimes.values()):
+                assert repr(rt_a.meter.duration_s) == repr(rt_b.meter.duration_s)
+                assert repr(rt_a.meter.battery.remaining_j) == repr(
+                    rt_b.meter.battery.remaining_j
+                )
+
+    def test_a_recording_sink_keeps_the_columnar_events(self):
+        """With a recording sink both drives log the same book and
+        prediction events; only their order differs (out of contract)."""
+        scalar = build_on(MetricsRegistry(sink=MemorySink()), 3)
+        columnar = build_on(MetricsRegistry(sink=MemorySink()), 3)
+        scalar.run(20.0)
+        run_columnar(columnar, 20.0)
+        assert counter_state(scalar) == counter_state(columnar)
+
+        def events(system):
+            return collections.Counter(
+                (e.name, e.time, e.value, tuple(e.attrs.items()))
+                for e in system.obs.events
+                if e.name in BOOKED
+            )
+
+        assert events(columnar) == events(scalar)
+        assert sum(events(columnar).values()) > 0

@@ -18,9 +18,11 @@ from repro.obs import (
     to_jsonl,
     write_jsonl,
 )
+from repro.obs.metrics import attr_key
 from repro.obs.profiling import WallClockProfiler
 from repro.obs.report import main as report_main
 from repro.obs.report import summarise
+from tests.registry_state import counter_books, event_log, gauge_books
 
 
 def recording_registry(t0=0.0):
@@ -165,6 +167,105 @@ class TestAttributeKeys:
         got = merged.state()
         assert got["counters"] == expected["counters"]
         assert got["gauges"] == expected["gauges"]
+
+
+#: (value, attributes in keyword order) of keyed writes: repeated,
+#: reordered, one-label and unlabelled series, and values whose sum
+#: depends on the order it is taken in.
+_MANY_WRITES = [
+    (0.1, {"component": "baseline", "device": "a"}),
+    (0.2, {"phone": "b"}),
+    (0.3, {}),
+    (0.7, {"device": "a", "component": "baseline"}),
+    (1e16, {"component": "ble_scan", "device": "c"}),
+    (1.0, {"phone": "b"}),
+    (0.0, {"component": "uplink_idle", "device": "a"}),
+]
+
+
+class TestKeyedWrites:
+    """``inc_many``/``set_many`` against one-write calls in order, on
+    twin registries that already hold some of the series."""
+
+    def twins(self, recording):
+        clock = {"t": 3.0}
+        twins = []
+        for _ in range(2):
+            sink = MemorySink() if recording else NullSink()
+            registry = MetricsRegistry(sink=sink, clock=lambda: clock["t"])
+            registry.counter("test.hits").inc(0.3, component="baseline", device="a")
+            registry.gauge("test.level").set(0.9, device="a")
+            twins.append(registry)
+        clock["t"] = 5.0
+        return twins
+
+    @staticmethod
+    def keyed(writes):
+        return [(value, attr_key(attrs), attrs) for value, attrs in writes]
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_inc_many_is_inc_per_write(self, recording):
+        one, many = self.twins(recording)
+        for value, attrs in _MANY_WRITES:
+            one.counter("test.hits").inc(value, **attrs)
+        many.counter("test.hits").inc_many(self.keyed(_MANY_WRITES))
+        assert counter_books(many, ["test.hits"]) == counter_books(one, ["test.hits"])
+        assert event_log(many, ["test.hits"]) == event_log(one, ["test.hits"])
+        assert len(event_log(many, ["test.hits"])) == (
+            len(_MANY_WRITES) + 1 if recording else 0
+        )
+        # The total is the left-to-right sum of the writes.
+        total = 0.3
+        for value, _ in _MANY_WRITES:
+            total += value
+        assert repr(many.counter("test.hits").value) == repr(total)
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_set_many_is_set_per_write(self, recording):
+        one, many = self.twins(recording)
+        for value, attrs in _MANY_WRITES:
+            one.gauge("test.level").set(value, **attrs)
+        many.gauge("test.level").set_many(self.keyed(_MANY_WRITES))
+        assert gauge_books(many, ["test.level"]) == gauge_books(one, ["test.level"])
+        assert event_log(many, ["test.level"]) == event_log(one, ["test.level"])
+        assert many.gauge("test.level").updated_at == 5.0
+
+    def test_events_carry_each_writes_attribute_order(self):
+        _, many = self.twins(recording=True)
+        many.counter("test.hits").inc_many(self.keyed(_MANY_WRITES))
+        logged = [e.attrs for e in many.events if e.time == 5.0]
+        assert [list(a) for a in logged] == [list(a) for _, a in _MANY_WRITES]
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_a_negative_write_raises_after_the_writes_before_it(self, recording):
+        writes = [(1.0, {"phone": "b"}), (-1.0, {"phone": "b"}), (2.0, {"phone": "b"})]
+        one, many = self.twins(recording)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            for value, attrs in writes:
+                one.counter("test.hits").inc(value, **attrs)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            many.counter("test.hits").inc_many(self.keyed(writes))
+        assert counter_books(many, ["test.hits"]) == counter_books(one, ["test.hits"])
+        assert event_log(many, ["test.hits"]) == event_log(one, ["test.hits"])
+
+    def test_a_level_that_is_no_number_raises_after_the_writes_before_it(self):
+        writes = [(0.5, {"device": "a"}), ("full", {"device": "b"}), (0.2, {})]
+        one, many = self.twins(recording=True)
+        with pytest.raises(ValueError):
+            for value, attrs in writes:
+                one.gauge("test.level").set(value, **attrs)
+        with pytest.raises(ValueError):
+            many.gauge("test.level").set_many(self.keyed(writes))
+        assert gauge_books(many, ["test.level"]) == gauge_books(one, ["test.level"])
+        assert event_log(many, ["test.level"]) == event_log(one, ["test.level"])
+
+    def test_no_writes_change_nothing(self):
+        one, many = self.twins(recording=True)
+        many.counter("test.hits").inc_many([])
+        many.gauge("test.level").set_many([])
+        assert counter_books(many, ["test.hits"]) == counter_books(one, ["test.hits"])
+        assert gauge_books(many, ["test.level"]) == gauge_books(one, ["test.level"])
+        assert many.events == one.events
 
 
 class TestHistogram:

@@ -15,16 +15,19 @@ from repro.building.mobility import RandomWaypoint, RoomSchedule, StaticPosition
 from repro.building.presets import single_room, two_room_corridor
 from repro.building.presets import test_house as make_test_house
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import MemorySink, NullSink
 from repro.phone.scanner import (
     AndroidScanner,
     IosScanner,
     _samples_by_beacon,
+    count_cycles,
     surface_android,
     surfaced_mean,
     surfaced_means,
 )
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DEVICE_PROFILES
+from tests.registry_state import counter_books, event_log
 from tests.surfacing_oracle import android_surface, reference_cycle
 
 
@@ -195,6 +198,69 @@ class TestCycleCounters:
         assert cycle.beacon_ids == ["1-2"]
         assert list(cycle.packets) == ["1-2"]
         assert registry.counter("phone.decode_drops").value == 1
+
+
+PHONE_COUNTERS = tuple(
+    f"phone.{name}"
+    for name in (
+        "scan_cycles",
+        "adverts_received",
+        "samples_surfaced",
+        "samples_filtered",
+        "decode_drops",
+    )
+)
+
+
+class TestCountCycles:
+    """``count_cycles`` against one-scanner counts in order, on twin
+    registries that already hold the series."""
+
+    #: (received, raw, surfaced) per scanner: decode drops on some.
+    COUNTS = [(40, 5, 5), (0, 0, 0), (300, 30, 27), (41, 5, 4), (12, 2, 2)]
+
+    def twins(self, recording):
+        clock = {"t": 2.0}
+        twins = []
+        air = quiet_air(two_room_corridor())
+        for _ in range(2):
+            registry = MetricsRegistry(
+                sink=MemorySink() if recording else NullSink(),
+                clock=lambda: clock["t"],
+            )
+            scanners = [
+                cls(air, device=device, registry=registry, label=label)
+                for cls, device, label in [
+                    (AndroidScanner, "s3_mini", "dev-0000"),
+                    (AndroidScanner, "nexus_5", "dev-0001"),
+                    (IosScanner, "iphone_5s", "dev-0002"),
+                    (AndroidScanner, "s3_mini", ""),
+                    (AndroidScanner, "s3_mini", "dev-0000"),
+                ]
+            ]
+            for scanner in scanners:
+                scanner.count_cycle(10, 3, 2)
+            twins.append((registry, scanners))
+        clock["t"] = 4.0
+        return twins
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_fleet_counts_equal_one_scanner_counts_in_order(self, recording):
+        (one, one_scanners), (many, many_scanners) = self.twins(recording)
+        for scanner, counts in zip(one_scanners, self.COUNTS):
+            scanner.count_cycle(*counts)
+        count_cycles(many_scanners, *(list(column) for column in zip(*self.COUNTS)))
+        assert counter_books(many, PHONE_COUNTERS) == counter_books(one, PHONE_COUNTERS)
+        assert event_log(many, PHONE_COUNTERS) == event_log(one, PHONE_COUNTERS)
+        assert many.counter("phone.decode_drops").value == 5 + 4
+
+    def test_scanners_of_different_registries_count_to_their_own(self):
+        air = quiet_air(single_room())
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        scanners = [AndroidScanner(air, registry=r, label="a") for r in registries]
+        count_cycles(scanners, [4, 6], [2, 3], [2, 1])
+        assert [r.counter("phone.adverts_received").value for r in registries] == [4, 6]
+        assert [r.counter("phone.decode_drops").value for r in registries] == [0, 2]
 
 
 class TestScannerConstruction:
