@@ -162,8 +162,11 @@ def charge_meters(
     registries.
 
     Raises:
-        ValueError: a negative duration or energy; nothing is booked.
+        ValueError: a negative duration or energy, or ``charges`` not
+            of one entry per meter; nothing is booked.
     """
+    if len(charges) != len(meters):
+        raise ValueError("charges must hold one entry per meter")
     if duration_s < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration_s}")
     for meter_charges in charges:

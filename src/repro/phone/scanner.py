@@ -240,7 +240,20 @@ def count_cycles(
     order given.  A recording sink logs every write, so there (and for
     scanners that book to different registries) the scanners are
     counted one at a time, as ``count_cycle`` calls would log them.
+
+    Raises:
+        ValueError: a column not of one entry per scanner, or a row
+            whose counts do not satisfy ``received >= raw >= surfaced
+            >= 0``; nothing is booked.
     """
+    if not len(received) == len(raw) == len(surfaced) == len(scanners):
+        raise ValueError("count columns must hold one entry per scanner")
+    for heard, shown, decoded in zip(received, raw, surfaced):
+        if not heard >= shown >= decoded >= 0:
+            raise ValueError(
+                "scan counts must satisfy received >= raw >= surfaced >= 0, "
+                f"got {heard}, {shown}, {decoded}"
+            )
     if not scanners:
         return
     obs = scanners[0].obs

@@ -201,6 +201,14 @@ class TestChargeMeters:
             charge_meters(many[1][:2], -2.0, [[], []])
         self.assert_same_books(one, many)
 
+    def test_charges_of_another_length_book_nothing(self):
+        one, many = self.twins(recording=False)
+        with pytest.raises(ValueError, match="one entry per meter"):
+            charge_meters(many[1], 2.0, MIXED_CHARGES[:-1])
+        with pytest.raises(ValueError, match="one entry per meter"):
+            charge_meters([], 2.0, [[("baseline", 0.6)]])
+        self.assert_same_books(one, many)
+
     def test_meters_of_different_registries_book_to_their_own(self):
         registries = [MetricsRegistry(), MetricsRegistry()]
         meters = [

@@ -254,6 +254,35 @@ class TestCountCycles:
         assert event_log(many, PHONE_COUNTERS) == event_log(one, PHONE_COUNTERS)
         assert many.counter("phone.decode_drops").value == 5 + 4
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(3, 5, 5), (5, 3, 4), (5, 3, -1)],
+        ids=["raw-above-received", "surfaced-above-raw", "negative-surfaced"],
+    )
+    def test_a_bad_count_books_nothing(self, bad):
+        """A row that would book a negative count raises before any
+        scanner is counted, in the fleet form and its one-scanner case."""
+        (before, _), (registry, scanners) = self.twins(recording=False)
+        counts = list(self.COUNTS)
+        counts[2] = bad
+        with pytest.raises(ValueError, match="received >= raw >= surfaced >= 0"):
+            count_cycles(scanners, *(list(column) for column in zip(*counts)))
+        with pytest.raises(ValueError, match="received >= raw >= surfaced >= 0"):
+            scanners[2].count_cycle(*bad)
+        assert counter_books(registry, PHONE_COUNTERS) == counter_books(
+            before, PHONE_COUNTERS
+        )
+
+    def test_columns_of_another_length_book_nothing(self):
+        (before, _), (registry, scanners) = self.twins(recording=False)
+        columns = [list(column) for column in zip(*self.COUNTS)]
+        columns[1] = columns[1][:-1]
+        with pytest.raises(ValueError, match="one entry per scanner"):
+            count_cycles(scanners, *columns)
+        assert counter_books(registry, PHONE_COUNTERS) == counter_books(
+            before, PHONE_COUNTERS
+        )
+
     def test_scanners_of_different_registries_count_to_their_own(self):
         air = quiet_air(single_room())
         registries = [MetricsRegistry(), MetricsRegistry()]
